@@ -49,6 +49,14 @@ let sofia_insns (w : W.t) =
 
 let protect_pool () = Array.of_list (base ())
 
+(* The [n] programs of [protect_pool] with the shortest sources. *)
+let shortest n =
+  let p = protect_pool () in
+  Array.stable_sort
+    (fun (a : W.t) (b : W.t) -> compare (String.length a.W.source) (String.length b.W.source))
+    p;
+  Array.sub p 0 n
+
 (* Every program of both sets that retires between [min_insns] and
    [max_insns] instructions on the SOFIA core. *)
 let sim_pool ~min_insns ~max_insns =

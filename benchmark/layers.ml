@@ -54,18 +54,18 @@ let engine_config (w : Served.workload) ~store_dir =
     { Engine.default_config with Engine.workers = 1; store_dir }
 
 (* Submit [order] (request indices) to an in-process engine: the first
-   [n_warm] closed-loop, the next [n_open] at [rate] per second, the
-   next [n_closed] closed-loop again, the rest one at a time. [layer i]
-   runs the layer pass on request [i]: for everything before the
-   one-at-a-time requests once those are reached, then for each of them
-   on the engine's worker, right before it executes the same request
-   (in the [fault] hook) or right after (in [on_response]). That
-   pairing is what makes the reconciliation hold: the host's speed
-   drifts by more than its 10% limit within seconds and its two vCPUs
-   often differ in speed, so a request's service time and its layer
-   times must be measured moments apart on one thread. Returns the
-   stamps, the engine, and the closed-loop throughput at reference
-   speed. *)
+   [n_warm] closed-loop, the next [n_open] at [rate] per second in the
+   served bursts, the next [n_closed] closed-loop again, the rest one
+   at a time. [layer i] runs the layer pass on request [i]: for
+   everything before the one-at-a-time requests once those are reached,
+   then for each of them on the engine's worker, right before it
+   executes the same request (in the [fault] hook) or right after (in
+   [on_response]). That pairing is what makes the reconciliation hold:
+   the host's speed drifts by more than its 10% limit within seconds
+   and its two vCPUs often differ in speed, so a request's service time
+   and its layer times must be measured moments apart on one thread.
+   Returns the stamps, the engine, and the closed-loop throughput at
+   reference speed. *)
 let engine_pass ctx (w : Served.workload) (stream : Traffic.t) ~store_dir ~cap ~order ~n_warm
     ~n_open ~n_closed ~layer =
   let nan () = Array.make cap Float.nan in
@@ -131,7 +131,7 @@ let engine_pass ctx (w : Served.workload) (stream : Traffic.t) ~store_dir ~cap ~
   wait_below 1;
   let t0 = now () +. 0.001 in
   for k = 0 to n_open - 1 do
-    let due = t0 +. (float_of_int k /. w.Served.open_rate) in
+    let due = t0 +. (float_of_int (k / w.Served.burst * w.Served.burst) /. w.Served.open_rate) in
     let d = due -. now () in
     if d > 0.0 then Unix.sleepf d;
     submit order.(n_warm + k)
@@ -139,7 +139,8 @@ let engine_pass ctx (w : Served.workload) (stream : Traffic.t) ~store_dir ~cap ~
   wait_below 1;
   let first_closed = n_warm + n_open in
   let first_paired = first_closed + n_closed in
-  let speed0 = Speed.sample (Served.speed_sample_s ctx) in
+  let speed () = Speed.mean (Speed.per_cpu (Served.speed_sample_s ctx) (Affinity.current ())) in
+  let speed0 = speed () in
   let c0 = now () in
   for k = first_closed to first_paired - 1 do
     wait_below w.Served.window;
@@ -147,7 +148,7 @@ let engine_pass ctx (w : Served.workload) (stream : Traffic.t) ~store_dir ~cap ~
   done;
   wait_below 1;
   let closed_s = now () -. c0 in
-  let speed = (speed0 +. Speed.sample (Served.speed_sample_s ctx)) /. 2.0 in
+  let speed = (speed0 +. speed ()) /. 2.0 in
   for k = 0 to first_paired - 1 do
     layer order.(k)
   done;

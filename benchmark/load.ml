@@ -256,13 +256,15 @@ let closed p log ~tail ~first ~count ~window ~until =
   in
   go first
 
-(* Open loop over [n] requests from [first] at [rate] per second.
-   Everything already due is sent in one write, stamped with the time
-   of that write. Returns each request's lateness (write time - due). *)
-let open_loop p log ~tail ~first ~n ~rate =
+(* Open loop over [n] requests from [first] at [rate] per second,
+   arriving [burst] at a time: requests [k] and [k + 1] share a due time
+   unless [k + 1] is a multiple of [burst]. Everything already due is
+   sent in one write, stamped with the time of that write. Returns each
+   request's lateness (write time - due). *)
+let open_loop p log ~tail ~first ~n ~rate ~burst =
   let late = Array.make n 0.0 in
   let t0 = now () +. 0.001 in
-  let due k = t0 +. (float_of_int k /. rate) in
+  let due k = t0 +. (float_of_int (k / burst * burst) /. rate) in
   let k = ref 0 in
   while !k < n do
     let wait = due !k -. now () in

@@ -28,23 +28,30 @@ let workloads =
       pool = Corpus.protect_pool;
       warmup = 200;
       open_rate = 300.0;
+      burst = 1;
+      cpu_bound_latency = true;
       window = 16;
       capacity = 1250.0;
       populate = 0;
     };
     (* Zipf-hot keys behind the fleet router: replay, coalescing, audit
-       and the wire hop do the work *)
+       and the wire hop do the work. The shortest programs only, so the
+       5% fresh keys do not turn the children's protects into most of
+       the CPU time; arrivals 16 at a time, so the router's work, not
+       the generator's timer, is most of the open-loop latency *)
     {
       Served.name = "dup-fleet";
       server = Served.Fleet 2;
       shape =
         { T.mix = [ (50, T.Protect); (25, T.Attest); (25, T.Verify) ]; scfp_pct = 0; hot = 64;
           hot_pct = 95; reuse_pct = 0 };
-      pool = Corpus.protect_pool;
+      pool = (fun () -> Corpus.shortest 8);
       warmup = 1000;
       open_rate = 2000.0;
+      burst = 16;
+      cpu_bound_latency = false;
       window = 128;
-      capacity = 25_000.0;
+      capacity = 46_000.0;
       populate = 0;
     };
     (* simulate only, fresh keys: the cpu layer does the work. Programs
@@ -59,6 +66,8 @@ let workloads =
       pool = (fun () -> Corpus.sim_pool ~min_insns:100_000 ~max_insns:250_000);
       warmup = 50;
       open_rate = 70.0;
+      burst = 1;
+      cpu_bound_latency = true;
       window = 4;
       capacity = 270.0;
       populate = 0;
@@ -74,6 +83,8 @@ let workloads =
       pool = (fun () -> Corpus.sim_pool ~min_insns:0 ~max_insns:50_000);
       warmup = 100;
       open_rate = 140.0;
+      burst = 1;
+      cpu_bound_latency = false;
       window = 16;
       capacity = 545.0;
       populate = 2000;

@@ -13,6 +13,12 @@ type workload = {
   pool : unit -> Sofia.Workloads.Workload.t array;
   warmup : int;  (** requests sent closed-loop before anything is timed *)
   open_rate : float;  (** jobs/s *)
+  burst : int;  (** open-loop requests that arrive together *)
+  cpu_bound_latency : bool;
+      (** open-loop latency is mostly computation in user space, so it
+          is scaled by the host's speed as throughput is; false where
+          system calls or disk writes take most of it, which the speed
+          kernel does not predict *)
   window : int;  (** closed-loop outstanding requests *)
   capacity : float;
       (** closed-loop jobs/s at {!Speed.reference} on the calibration
@@ -35,9 +41,10 @@ type ctx = {
 
 let open_share = 0.6
 
-(* set-up is timed this many times and reported as the median; one
-   spawn takes a few milliseconds and varies by tens of percent *)
-let setup_spawns = 21
+(* set-up is timed this many times at each speed sample, so that its
+   median covers the whole run: one spawn takes a few milliseconds and
+   varies by tens of percent from one second to the next *)
+let setup_spawns = 2
 
 let scaled ctx n = max 1 (int_of_float (Float.round (float_of_int n *. ctx.scale)))
 
@@ -63,7 +70,8 @@ type t = {
 
 let store_dir ctx = Filename.concat ctx.work "store"
 
-(* store-restart, traced runs: the store as process A left it *)
+(* store-restart: the store as process A left it, which set-up spawns
+   open and traced runs copy *)
 let populated_dir ctx = Filename.concat ctx.work "store-populated"
 
 let copy_dir src dst =
@@ -80,16 +88,20 @@ let copy_dir src dst =
 
 let json_path ctx = Filename.concat ctx.work "server.json"
 
-let argv ctx w =
-  let store =
-    if w.populate > 0 then [ "--store-dir"; store_dir ctx; "--json"; json_path ctx ] else []
-  in
+let setup_json_path ctx = Filename.concat ctx.work "setup.json"
+
+(* The measured server's command line; [~setup:true], that of a set-up
+   spawn, which leaves the measured server's files alone. *)
+let argv ?(setup = false) ctx w =
+  let json = if setup then setup_json_path ctx else json_path ctx in
+  let dir = if setup then populated_dir ctx else store_dir ctx in
+  let store = if w.populate > 0 then [ "--store-dir"; dir; "--json"; json ] else [] in
   match w.server with
   | Serve -> Array.of_list ([ ctx.cli; "serve"; "--stdin" ] @ store)
-  | Fleet k ->
-    [| ctx.cli; "fleet"; "--stdin"; "--children"; string_of_int k; "--json"; json_path ctx |]
+  | Fleet k -> [| ctx.cli; "fleet"; "--stdin"; "--children"; string_of_int k; "--json"; json |]
 
 let err_path ctx = Filename.concat ctx.work "server.err"
+let setup_err_path ctx = Filename.concat ctx.work "setup.err"
 
 (* Render requests [0, n) now, so that sending them later is a copy. *)
 let prerender stream n =
@@ -120,16 +132,17 @@ let populate ctx w pool check oneshots =
   ignore (Load.wait_all log);
   let jps = float_of_int n /. (Load.now () -. t0) in
   check_exit check "the populating process" (Load.finish p reader);
-  if ctx.trace then copy_dir (store_dir ctx) (populated_dir ctx);
+  copy_dir (store_dir ctx) (populated_dir ctx);
   Check.answers check ~oneshots ~stream ~log n;
   (stream, jps)
 
-(* The host's speed drifts by 20-25% within a minute and the servers
-   stall now and then for tens of milliseconds (their collectors, or the
-   host's). Each timed phase therefore runs as [segments] slices with a
-   speed sample between consecutive slices: every slice's number is
-   scaled by the speed around it (see {!Speed}), and the run reports the
-   median slice. *)
+(* The host slows down by up to a third for seconds at a time and the
+   servers stall now and then for tens of milliseconds (their
+   collectors, or the host's). Each timed phase therefore runs as
+   [segments] slices with a speed sample between consecutive slices:
+   every slice's number is scaled by the speed around it (see {!Speed}).
+   The run reports the p50 over every open-loop answer and the mean of
+   the closed-loop slices' rates without the fastest and the slowest. *)
 let segments = 6
 
 let speed_sample_s ctx = Float.max 0.005 (0.25 *. ctx.scale)
@@ -190,35 +203,72 @@ let run ctx w =
         ~seed:(stream_seed ctx 0L) ~pool w.shape
     | None -> Traffic.create ~seed:(stream_seed ctx 0L) ~pool w.shape
   in
-  let argv = argv ctx w in
-  let setup =
-    List.init (scaled ctx setup_spawns) (fun _ ->
-        let p, s = Load.start ~argv ~env:ctx.env ~err_path:(err_path ctx) in
-        ignore (Load.stop p);
-        s)
-  in
-  let p, _ = Load.start ~argv ~env:ctx.env ~err_path:(err_path ctx) in
+  let p, _ = Load.start ~argv:(argv ctx w) ~env:ctx.env ~err_path:(err_path ctx) in
   let open_s = ctx.seconds *. open_share and closed_s = ctx.seconds *. (1.0 -. open_share) in
   let n_warm = scaled ctx w.warmup in
-  let n_open = segments * max 1 (int_of_float (w.open_rate *. open_s) / segments) in
+  let per_burst = segments * w.burst in
+  let n_open = per_burst * max 1 (int_of_float (w.open_rate *. open_s) / per_burst) in
   let per_closed = max 1 (int_of_float (w.capacity *. closed_s /. float_of_int segments)) in
   let log = Load.create_log (n_warm + n_open + (segments * per_closed)) in
   let tail = prerender stream log.Load.cap in
   let reader = Load.start_reader log p in
   ignore (Load.closed p log ~tail ~first:0 ~count:n_warm ~window:w.window ~until:Float.infinity);
   ignore (Load.wait_all log);
+  let pids =
+    match w.server with
+    | Serve -> [ p.Load.pid ]
+    | Fleet _ -> p.Load.pid :: Load.fleet_children p.Load.err_path
+  in
+  (* The open loop runs on one CPU: the servers and both generator
+     threads are moved to the lowest CPU this process may use, so every
+     hand-off between them is a switch on a running CPU rather than a
+     wake-up of an idle one, whose cost the host decides. The closed
+     loop gets every CPU back. *)
+  let cpus = Affinity.current () in
+  let pin mask =
+    if cpus <> 0 && not (Affinity.set (Unix.getpid () :: pids) mask) then
+      prerr_endline "benchmark: could not set the CPU affinity of every thread"
+  in
+  pin (Affinity.lowest cpus);
+  (* Between slices, with the measured server idle: the host's speed on
+     every CPU, and set-up timed again from a thread free to use every
+     CPU, as the measured server was started. A serving process's
+     set-up is computation (runtime start, store open and scan) and is
+     scaled by the speed just measured; the fleet's is mostly its
+     router polling for the children's sockets every 5 ms, and is
+     reported as measured. *)
+  let setup = Stat.buf () in
+  let setup_argv = argv ~setup:true ctx w in
+  let checkpoint () =
+    let speeds = Speed.per_cpu (speed_sample_s ctx) cpus in
+    let back = Affinity.current () in
+    if cpus <> 0 then ignore (Affinity.set_thread 0 cpus);
+    for _ = 1 to setup_spawns do
+      let q, s = Load.start ~argv:setup_argv ~env:ctx.env ~err_path:(setup_err_path ctx) in
+      ignore (Load.stop q);
+      Stat.add setup
+        (match w.server with
+         | Serve -> s *. Speed.mean speeds /. Speed.reference
+         | Fleet _ -> s)
+    done;
+    if cpus <> 0 then ignore (Affinity.set_thread 0 back);
+    speeds
+  in
   (* generator accounting covers the timed slices only *)
   let busy_cpu = ref 0.0 and busy_wall = ref 0.0 in
-  let speed = ref (Speed.sample (speed_sample_s ctx)) in
-  let slice first f =
+  let before = ref (checkpoint ()) in
+  (* an open-loop slice is scaled by the speed of the CPU it ran on, a
+     closed-loop slice by the mean over all of them *)
+  let slice ~pinned first f =
     let cpu0 = Load.cpu_s () and wall0 = Load.now () in
     let last = f () in
     ignore (Load.wait_all log);
     busy_cpu := !busy_cpu +. (Load.cpu_s () -. cpu0);
     busy_wall := !busy_wall +. (Load.now () -. wall0);
-    let after = Speed.sample (speed_sample_s ctx) in
-    let seg = { first; last; speed = (!speed +. after) /. 2.0 } in
-    speed := after;
+    let after = checkpoint () in
+    let at s = if pinned then s.(0) else Speed.mean s in
+    let seg = { first; last; speed = (at !before +. at after) /. 2.0 } in
+    before := after;
     seg
   in
   let per_open = n_open / segments in
@@ -226,11 +276,12 @@ let run ctx w =
   let open_segs =
     List.init segments (fun k ->
         let first = n_warm + (k * per_open) in
-        slice first (fun () ->
+        slice ~pinned:true first (fun () ->
             Array.iter (Stat.add late)
-              (Load.open_loop p log ~tail ~first ~n:per_open ~rate:w.open_rate);
+              (Load.open_loop p log ~tail ~first ~n:per_open ~rate:w.open_rate ~burst:w.burst);
             first + per_open))
   in
+  pin cpus;
   let closed_first = n_warm + n_open in
   let closed_segs =
     let next = ref closed_first in
@@ -240,7 +291,7 @@ let run ctx w =
           (* a fixed count, so every run does the same work; the time
              cap only stops a server several times slower than the
              calibration host *)
-          slice first (fun () ->
+          slice ~pinned:false first (fun () ->
               Load.closed p log ~tail ~first ~count:per_closed ~window:w.window
                 ~until:(Load.now () +. (4.0 *. closed_s /. float_of_int segments)))
         in
@@ -248,21 +299,18 @@ let run ctx w =
         seg)
   in
   let closed_end = (List.nth closed_segs (segments - 1)).last in
-  let pids =
-    match w.server with
-    | Serve -> [ p.Load.pid ]
-    | Fleet _ -> p.Load.pid :: Load.fleet_children p.Load.err_path
-  in
   let rss_kb = List.fold_left (fun acc pid -> acc + Load.vm_hwm_kb pid) 0 pids in
   check_exit check "the server" (Load.finish p reader);
   (* an unanswered request is a failure, and misses every latency limit *)
   let latencies seg =
     Array.init (seg.last - seg.first) (fun k ->
         let i = seg.first + k in
-        if Float.is_nan log.Load.recv.(i) then Float.infinity
-        else time_at_reference seg ((log.Load.recv.(i) -. log.Load.due.(i)) *. 1000.0))
+        let ms = (log.Load.recv.(i) -. log.Load.due.(i)) *. 1000.0 in
+        if Float.is_nan ms then Float.infinity
+        else if w.cpu_bound_latency then time_at_reference seg ms
+        else ms)
   in
-  let over segs f = Stat.median (Array.of_list (List.map f segs)) in
+  let open_latencies = Array.concat (List.map latencies open_segs) in
   Check.answers check ~oneshots ~stream ~log closed_end;
   let failed = ref 0 in
   for i = n_warm to closed_end - 1 do
@@ -286,12 +334,15 @@ let run ctx w =
     open_first = n_warm;
     closed_first;
     closed_end;
-    setup_s = Stat.median (Array.of_list setup);
+    setup_s = Stat.median (Stat.samples setup);
     throughput_jps =
-      over closed_segs (fun seg ->
-          rate_at_reference seg (slice_throughput log ~window:w.window seg));
-    p50_ms = over open_segs (fun seg -> Stat.percentile 50.0 (latencies seg));
-    p99_ms = over open_segs (fun seg -> Stat.percentile 99.0 (latencies seg));
+      Stat.trimmed_mean
+        (Array.of_list
+           (List.map
+              (fun seg -> rate_at_reference seg (slice_throughput log ~window:w.window seg))
+              closed_segs));
+    p50_ms = Stat.percentile 50.0 open_latencies;
+    p99_ms = Stat.percentile 99.0 open_latencies;
     rss_mb = float_of_int rss_kb /. 1024.0;
     late_p99_ms = Stat.percentile 99.0 (Stat.samples late) *. 1000.0;
     gen_cpu_frac = !busy_cpu /. !busy_wall;

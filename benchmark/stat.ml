@@ -16,6 +16,12 @@ let median xs = percentile 50.0 xs
 
 let sum xs = Array.fold_left ( +. ) 0.0 xs
 
+(* The mean of [xs] without its lowest and its highest value. *)
+let trimmed_mean xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  if n <= 2 then median a else sum (Array.sub a 1 (n - 2)) /. float_of_int (n - 2)
+
 let geomean xs =
   match Array.length xs with
   | 0 -> 0.0
