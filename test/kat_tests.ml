@@ -66,8 +66,31 @@ let test_avalanche () =
   if mean < 28.0 || mean > 36.0 then
     Alcotest.failf "avalanche mean %.2f outside [28, 36] over %d trials" mean trials
 
+(* The cold provisioning path — assembler output and errors, image
+   digest, attest MAC, store envelope and file names, shard routes — is
+   replayed by regenerating the pinned file and comparing it line by
+   line, so the first differing line names the layer that moved. *)
+let read_lines ic =
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> acc in
+  List.rev (go [])
+
+let test_cold_path_replay () =
+  let pinned =
+    In_channel.with_open_text (Filename.concat "vectors" "cold_path.txt") read_lines
+  in
+  let ic = Unix.open_process_args_in "../tools/gen_kat.exe" [| "gen_kat"; "--cold-path" |] in
+  let fresh = read_lines ic in
+  (match Unix.close_process_in ic with
+   | Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.fail "gen_kat --cold-path failed");
+  Alcotest.(check bool) "at least 150 vectors" true (List.length pinned >= 150);
+  List.iteri
+    (fun i (want, got) -> Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) want got)
+    (List.combine pinned fresh)
+
 let suite =
   [
     Alcotest.test_case "kat-replay" `Quick test_kat_replay;
     Alcotest.test_case "avalanche" `Quick test_avalanche;
+    Alcotest.test_case "cold-path replay" `Quick test_cold_path_replay;
   ]

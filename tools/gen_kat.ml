@@ -18,7 +18,15 @@
 
    [--sponge] pins the SCFP sponge permutation the same way:
 
-     dune exec tools/gen_kat.exe -- --sponge > test/vectors/sponge_kat.txt *)
+     dune exec tools/gen_kat.exe -- --sponge > test/vectors/sponge_kat.txt
+
+   [--cold-path] pins the bytes of the cold provisioning path — the
+   assembler's output and its error reports, the serialized image, the
+   attest MAC, the store envelope and file names, and the fleet's shard
+   routes — so that a speed-up of any of those layers has to keep them
+   byte-identical:
+
+     dune exec tools/gen_kat.exe -- --cold-path > test/vectors/cold_path.txt *)
 
 module Rectangle = Sofia.Crypto.Rectangle
 module Sponge = Sofia.Crypto.Sponge
@@ -93,11 +101,190 @@ let gen_sponge () =
     emit (Prng.next64 rng)
   done
 
+module Assembler = Sofia.Asm.Assembler
+module Program = Sofia.Asm.Program
+module Workloads = Sofia.Workloads
+module Backend_id = Sofia.Transform.Backend_id
+module Job = Sofia.Service.Job
+module Engine = Sofia.Service.Engine
+module Store = Sofia.Service.Store
+module Envelope = Sofia.Store_fs.Envelope
+module Fs = Sofia.Store_fs.Store_fs
+module Shard = Sofia.Fleet.Shard
+
+(* Every field of a [Program.t], in its own order: symbol lists keep
+   the assembler's order, so a change of hash-table iteration shows. *)
+let program_dump (p : Program.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "text_base %x data_base %x entry %x\n" p.Program.text_base
+    p.Program.data_base p.Program.entry;
+  Array.iter
+    (fun i ->
+      Printf.bprintf b "%08x %s\n" (Sofia.Isa.Encoding.encode i) (Sofia.Isa.Insn.to_string i))
+    p.Program.text;
+  Bytes.iter (fun c -> Printf.bprintf b "%02x" (Char.code c)) p.Program.data;
+  Buffer.add_char b '\n';
+  List.iter (fun (n, a) -> Printf.bprintf b "sym %s %x\n" n a) p.Program.symbols;
+  List.iter
+    (fun (a, ts) ->
+      Printf.bprintf b "targets %x %s\n" a (String.concat "," (List.map string_of_int ts)))
+    p.Program.indirect_targets;
+  List.iter
+    (fun r ->
+      Printf.bprintf b "la %d %d %s\n" r.Program.hi_index r.Program.lo_index r.Program.la_symbol)
+    p.Program.la_relocs;
+  List.iter (fun (o, n) -> Printf.bprintf b "word %d %s\n" o n) p.Program.data_word_relocs;
+  Buffer.contents b
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* One program under one backend: an attest through an engine with a
+   fresh disk store, then the artifact's own envelope and the routes. *)
+let cold_image k (w : Workloads.Workload.t) backend =
+  let source = w.Workloads.Workload.source in
+  let key_seed = Int64.add 0xC01D_0000L (Int64.of_int k) and nonce = 1 + k in
+  let req = Job.make ~key_seed ~nonce ~backend ~id:"kat" (Job.Attest { source }) in
+  let dir = Filename.temp_dir "sofia-kat" "" in
+  let rs, files =
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let rs, _ =
+          Engine.run_batch
+            { Engine.default_config with Engine.workers = 1; store_dir = Some dir }
+            [ req ]
+        in
+        (rs, List.sort compare (Array.to_list (Sys.readdir dir))))
+  in
+  let name = Backend_id.name backend in
+  match rs with
+  | [ { Job.status = Job.Done (Job.Attested { digest; mac; issues; _ }); _ } ] ->
+    let keys = Sofia.Crypto.Keys.generate ~seed:key_seed in
+    let sfi =
+      Sofia.Transform.Binary_format.serialize
+        (Sofia.Transform.Transform.protect_exn ~backend ~keys ~nonce
+           (Assembler.assemble source))
+    in
+    let envelope =
+      Envelope.encode ~backend ~kind:Envelope.Artifact ~codec_version:Fs.artifact_codec_version
+        ~nonce ~keys ~source ~meta:(Bytes.init 24 Char.chr) ~payload:sfi ()
+    in
+    Printf.printf "img %02d %s sfi=%s mac=%s issues=%d envelope=%s route2=%d route3=%d\n" k
+      name digest mac issues (Store.fingerprint envelope) (Shard.route ~shards:2 req)
+      (Shard.route ~shards:3 req);
+    List.iter (Printf.printf "file %02d %s %s\n" k name) files
+  | [ { Job.status = Job.Failed why; _ } ] -> Printf.printf "img %02d %s n/a %S\n" k name why
+  | _ -> failwith "gen_kat: unexpected engine answer"
+
+(* Every directive and literal form the assembler reads, in one
+   program that protects under both backends (it is never run). *)
+let directives =
+  {
+    Workloads.Workload.name = "directives";
+    description = "assembler syntax sampler";
+    expected_outputs = [];
+    source =
+      "; every directive and literal form\n\
+       .equ OUT, 0xFFFF0000\n\
+       .equ NEG, -5\n\
+       start:\tla   t0, table        # a data symbol\n\
+      \  li   a0, 'A'\n\
+      \  li   a1, '\\n'\n\
+      \  li   a2, 0x12345678\n\
+      \  li   a3, NEG\n\
+      \  li   a4, -32768\n\
+      \  li   a5, 32767\n\
+      \  li   s0, OUT\n\
+      \  la   t1, f\n\
+      \  ld   t2, 4(t0)\n\
+      \  ldb  t3, (t0)\n\
+      \  st   a0, 0(s0)\n\
+      \  stb  a1, 1(sp)\n\
+      \  ADDI a0, a0, 'B'\n\
+       .align 8\n\
+       loop: subi a2, a2, 1\n\
+      \  bnez a2, loop\n\
+       .targets f\n\
+      \  jalr t1\n\
+      \  halt 3\n\
+       f: g: ret\n\
+       .data\n\
+       table: .word 1, -1, table+4, 0x7FFFFFFF, OUT\n\
+       bytes: .byte 1, 255, 'x', '\\0', '\\''\n\
+       .align 4\n\
+       msg:   .ascii \"semi; hash# comma, end\"\n\
+       msg2:  .asciz \"tab\\tz\"\n\
+       buf:   .space 13\n\
+       tail:  .word NEG\n";
+  }
+
+(* Malformed sources and the exact error each must raise. *)
+let malformed =
+  [
+    "bogus a0, a1\n";
+    "add a0, a1\n";
+    "add a0, a1, 5\n";
+    "ld a0, a1\n";
+    "st a0, 4(q9)\n";
+    "x: nop\nx: nop\n";
+    ".equ K, 1\nK: nop\n";
+    "start:\n  j nowhere\n";
+    "li a0, f\nf: ret\n";
+    "addi a0, a0, 99999\n";
+    ".data\n.space -1\n";
+    ".data\nmsg: .ascii hello\n";
+    ".data\n  nop\n";
+    "nop\n.word 1\n";
+    ".align 3\nnop\n";
+    ".equ K\n";
+  ]
+
+let gen_cold_path () =
+  print_string
+    "# Cold provisioning path vectors (pinned from this implementation).\n\
+     # Regenerate with: dune exec tools/gen_kat.exe -- --cold-path > \
+     test/vectors/cold_path.txt\n\
+     # prog <k> <name> <FNV-1a-64 of the Program.t dump>\n\
+     # img <k> <backend> sfi=<image digest> mac=<attest MAC> issues=<n> \
+     envelope=<digest of Envelope.encode> route2=<shard> route3=<shard>\n\
+     # file <k> <backend> <disk-store file after the attest>\n\
+     # err <line> <message> <source>\n";
+  let programs =
+    Workloads.Registry.benchmark_suite ()
+    @ Workloads.Compiled.all ()
+    @ [
+        Workloads.Adpcm.workload ~samples:64 ();
+        Workloads.Kernels.crc32 ~bytes:64 ();
+        Workloads.Compiled.synthetic ~iterations:4 ();
+        directives;
+      ]
+  in
+  List.iteri
+    (fun k (w : Workloads.Workload.t) ->
+      let p = Workloads.Workload.assemble w in
+      Printf.printf "prog %02d %s %016Lx\n" k w.Workloads.Workload.name
+        (Store.hash_string (program_dump p));
+      List.iter (cold_image k w) [ Backend_id.Sofia; Backend_id.Scfp ])
+    programs;
+  List.iter
+    (fun src ->
+      match Assembler.assemble src with
+      | _ -> Printf.printf "err - accepted %S\n" src
+      | exception Assembler.Error { line; message } ->
+        Printf.printf "err %d %S %S\n" line message src)
+    malformed
+
 let () =
   match Sys.argv with
   | [| _ |] -> gen_kat ()
   | [| _; "--schedule" |] -> gen_schedule ()
   | [| _; "--sponge" |] -> gen_sponge ()
+  | [| _; "--cold-path" |] -> gen_cold_path ()
   | _ ->
-    prerr_endline "usage: gen_kat [--schedule|--sponge]";
+    prerr_endline "usage: gen_kat [--schedule|--sponge|--cold-path]";
     exit 2
