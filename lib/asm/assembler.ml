@@ -7,45 +7,104 @@ exception Error of { line : int; message : string }
 let err line fmt = Printf.ksprintf (fun message -> raise (Error { line; message })) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Lexing: split a line into label / mnemonic / operand tokens.        *)
+(* Lexing: each line is scanned in place, by index, into label /        *)
+(* mnemonic / operand tokens; only the tokens themselves are copied.   *)
 (* ------------------------------------------------------------------ *)
 
-let strip_comment line =
-  let in_string = ref false in
-  let cut = ref (String.length line) in
-  (try
-     String.iteri
-       (fun i c ->
-         if c = '"' then in_string := not !in_string
-         else if (not !in_string) && (c = ';' || c = '#') then begin
-           cut := i;
-           raise Exit
-         end)
-       line
-   with Exit -> ());
-  String.sub line 0 !cut
+(* [String.trim]'s notion of white space *)
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
-let trim = String.trim
+let is_ident_char c =
+  c = '_' || c = '.' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
-(* Split operands on commas that are outside quotes and parentheses. *)
-let split_operands s =
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let in_string = ref false in
-  String.iter
-    (fun c ->
-      if c = '"' then begin
-        in_string := not !in_string;
-        Buffer.add_char buf c
-      end
-      else if c = ',' && not !in_string then begin
-        out := Buffer.contents buf :: !out;
-        Buffer.clear buf
-      end
-      else Buffer.add_char buf c)
-    s;
-  out := Buffer.contents buf :: !out;
-  List.rev_map trim !out |> List.filter (fun s -> s <> "")
+let skip_space s a b =
+  let a = ref a in
+  while !a < b && is_space (String.unsafe_get s !a) do incr a done;
+  !a
+
+let skip_space_back s a b =
+  let b = ref b in
+  while !b > a && is_space (String.unsafe_get s (!b - 1)) do decr b done;
+  !b
+
+(* Length of the char literal ['c'] or ['\c'] opening at [i] (a single
+   quote), or 1 when none does: a literal is one token, so a comment
+   character, comma or double quote inside it neither ends the line
+   nor splits an operand. *)
+let quote_len s i stop =
+  if i + 3 < stop && s.[i + 1] = '\\' && s.[i + 3] = '\'' then 4
+  else if i + 2 < stop && s.[i + 2] = '\'' then 3
+  else 1
+
+(* End of the code on [start, stop): the first [;] or [#] outside a
+   string or char literal. *)
+let code_end s start stop =
+  let i = ref start and in_string = ref false and cut = ref stop in
+  while !i < !cut do
+    match String.unsafe_get s !i with
+    | '"' ->
+      in_string := not !in_string;
+      incr i
+    | '\'' when not !in_string -> i := !i + quote_len s !i stop
+    | (';' | '#') when not !in_string -> cut := !i
+    | _ -> incr i
+  done;
+  !cut
+
+(* The operands on [start, stop): split on commas outside strings and
+   char literals, each trimmed, empty ones dropped, and made by
+   [make s a b] from its range. With [comments], a [;] or [#] outside
+   those ends them, as in {!code_end}. *)
+let split_operands ~comments s start stop make =
+  let acc = ref [] and from = ref start and i = ref start and in_string = ref false in
+  let stop = ref stop in
+  let token a b =
+    let a = skip_space s a b in
+    let b = skip_space_back s a b in
+    if a < b then acc := make s a b :: !acc
+  in
+  while !i < !stop do
+    match String.unsafe_get s !i with
+    | '"' ->
+      in_string := not !in_string;
+      incr i
+    | '\'' when not !in_string -> i := !i + quote_len s !i !stop
+    | ',' when not !in_string ->
+      token !from !i;
+      incr i;
+      from := !i
+    | (';' | '#') when comments && not !in_string -> stop := !i
+    | _ -> incr i
+  done;
+  token !from !stop;
+  List.rev !acc
+
+let token s a b = String.sub s a (b - a)
+
+let digit_value = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> 16
+
+(* A plain decimal or hexadecimal literal on [a, b), read in place;
+   [None] for every other form, which {!parse_int_literal} reads from a
+   copy. The digit limits keep the value clear of [int_of_string]'s
+   overflow rules, so the two readings always agree. *)
+let literal_at s a b =
+  let neg = s.[a] = '-' in
+  let a = if neg || s.[a] = '+' then a + 1 else a in
+  let hex = b - a > 2 && s.[a] = '0' && (s.[a + 1] = 'x' || s.[a + 1] = 'X') in
+  let base, a, max_digits = if hex then (16, a + 2, 15) else (10, a, 18) in
+  if a >= b || b - a > max_digits then None
+  else begin
+    let v = ref 0 and ok = ref true in
+    for i = a to b - 1 do
+      let d = digit_value (String.unsafe_get s i) in
+      if d >= base then ok := false else v := (!v * base) + d
+    done;
+    if !ok then Some (if neg then - !v else !v) else None
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -53,52 +112,84 @@ let split_operands s =
 
 type operand = string
 
+(* A [.word] or [.byte] value. [Lit (v, pos, len)] was read in place
+   from [src] at [pos, pos+len), which is kept for the rare digit-named
+   label the same text could also denote. *)
+type datum = Lit of int * int * int | Expr of operand
+
 type stmt =
   | Label of string
   | Directive of string * operand list
+  | Values of string * datum list  (** [.word] and [.byte] *)
   | Mnemonic of string * operand list
+
+let datum s a b =
+  match literal_at s a b with Some v -> Lit (v, a, b - a) | None -> Expr (token s a b)
 
 type line_stmts = { line : int; stmts : stmt list }
 
-let parse_line lineno raw =
-  let s = trim (strip_comment raw) in
-  if s = "" then { line = lineno; stmts = [] }
-  else begin
-    let stmts = ref [] in
-    let rest = ref s in
-    (* Leading labels: [ident:] possibly several. *)
-    let continue = ref true in
-    while !continue do
-      match String.index_opt !rest ':' with
-      | Some i
-        when i > 0
-             && String.for_all
-                  (fun c -> c = '_' || c = '.' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9'))
-                  (String.sub !rest 0 i) ->
-        stmts := Label (String.sub !rest 0 i) :: !stmts;
-        rest := trim (String.sub !rest (i + 1) (String.length !rest - i - 1))
-      | Some _ | None -> continue := false
-    done;
-    let s = !rest in
-    if s <> "" then begin
-      let head, args =
-        match String.index_opt s ' ' with
-        | None -> (
-          match String.index_opt s '\t' with
-          | None -> (s, "")
-          | Some i -> (String.sub s 0 i, String.sub s i (String.length s - i)))
-        | Some i ->
-          (* use whichever whitespace comes first *)
-          let j = match String.index_opt s '\t' with Some j when j < i -> j | _ -> i in
-          (String.sub s 0 j, String.sub s j (String.length s - j))
-      in
-      let head = trim head and args = trim args in
-      if head = "" then ()
-      else if head.[0] = '.' then stmts := Directive (head, split_operands args) :: !stmts
-      else stmts := Mnemonic (String.lowercase_ascii head, split_operands args) :: !stmts
-    end;
-    { line = lineno; stmts = List.rev !stmts }
-  end
+(* End of the head word at [a]: the first space or tab, or with
+   [comments] also the first [;] or [#]. *)
+let head_end ~comments s a stop =
+  let h = ref a in
+  while
+    !h < stop
+    && match String.unsafe_get s !h with ' ' | '\t' -> false | ';' | '#' -> not comments | _ -> true
+  do
+    incr h
+  done;
+  !h
+
+let has_quote s a b =
+  let q = ref false in
+  for i = a to b - 1 do
+    match String.unsafe_get s i with '"' | '\'' -> q := true | _ -> ()
+  done;
+  !q
+
+(* Source line [lineno], which occupies [start, stop) of [src]. Labels
+   and a plain head hold no quotes, so the line's comment falls out of
+   the one scan over its operands; a head with a quote in it (never
+   valid) has the comment cut first, with quoting counted from the
+   line's start, and its operands split from their own start. *)
+let parse_line src lineno start stop =
+  (* leading labels: [ident:], possibly several *)
+  let rec labels a acc =
+    let a = skip_space src a stop in
+    let j = ref a in
+    while !j < stop && is_ident_char (String.unsafe_get src !j) do incr j done;
+    if !j > a && !j < stop && String.unsafe_get src !j = ':' then
+      labels (!j + 1) (Label (String.sub src a (!j - a)) :: acc)
+    else (a, acc)
+  in
+  let a, stmts = labels start [] in
+  let h = head_end ~comments:true src a stop in
+  let comments, stop, h =
+    if has_quote src a h then
+      let stop = code_end src start stop in
+      (false, stop, head_end ~comments:false src a stop)
+    else (true, stop, h)
+  in
+  let hb = skip_space_back src a h in
+  let stmts =
+    if hb <= a then stmts
+    else
+      let operands make = split_operands ~comments src h stop make in
+      match token src a hb with
+      | (".word" | ".byte") as head -> Values (head, operands datum) :: stmts
+      | head when head.[0] = '.' -> Directive (head, operands token) :: stmts
+      | head -> Mnemonic (String.lowercase_ascii head, operands token) :: stmts
+  in
+  { line = lineno; stmts = List.rev stmts }
+
+let parse_lines src =
+  let n = String.length src in
+  let rec go start lineno acc =
+    let stop = match String.index_from_opt src start '\n' with Some i -> i | None -> n in
+    let acc = parse_line src lineno start stop :: acc in
+    if stop >= n then List.rev acc else go (stop + 1) (lineno + 1) acc
+  in
+  go 0 1 []
 
 (* ------------------------------------------------------------------ *)
 (* Operand parsing                                                     *)
@@ -109,6 +200,11 @@ let parse_reg line s =
   | Some r -> r
   | None -> err line "expected register, got %S" s
 
+let trim = String.trim
+
+(* An integer literal starts with a digit or a sign ([int_of_string]'s
+   own rule), so symbols and registers are turned away without the
+   cost of a failed conversion. *)
 let parse_int_literal s =
   let s = trim s in
   if s = "" then None
@@ -120,9 +216,9 @@ let parse_int_literal s =
     else if s = "'\\''" then Some 39
     else None
   else
-    match int_of_string_opt s with
-    | Some v -> Some v
-    | None -> None
+    match s.[0] with
+    | '0' .. '9' | '-' | '+' -> int_of_string_opt s
+    | _ -> None
 
 (* A value operand: integer literal, or symbol (resolved via [lookup]),
    optionally with a trailing [+n] / [-n]. *)
@@ -161,18 +257,24 @@ let parse_mem line lookup s =
 (* Mnemonic tables                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let alu_r_ops : (string * Insn.alu_op) list =
-  [ ("add", Add); ("sub", Sub); ("and", And); ("or", Or); ("xor", Xor); ("sll", Sll);
-    ("srl", Srl); ("sra", Sra); ("mul", Mul); ("div", Div); ("rem", Rem); ("slt", Slt);
-    ("sltu", Sltu) ]
+let alu_r_op : string -> Insn.alu_op option = function
+  | "add" -> Some Add | "sub" -> Some Sub | "and" -> Some And | "or" -> Some Or
+  | "xor" -> Some Xor | "sll" -> Some Sll | "srl" -> Some Srl | "sra" -> Some Sra
+  | "mul" -> Some Mul | "div" -> Some Div | "rem" -> Some Rem | "slt" -> Some Slt
+  | "sltu" -> Some Sltu
+  | _ -> None
 
-let alu_i_ops : (string * Insn.alu_op) list =
-  [ ("addi", Add); ("andi", And); ("ori", Or); ("xori", Xor); ("slli", Sll); ("srli", Srl);
-    ("srai", Sra); ("slti", Slt); ("sltiu", Sltu) ]
+let alu_i_op : string -> Insn.alu_op option = function
+  | "addi" -> Some Add | "andi" -> Some And | "ori" -> Some Or | "xori" -> Some Xor
+  | "slli" -> Some Sll | "srli" -> Some Srl | "srai" -> Some Sra | "slti" -> Some Slt
+  | "sltiu" -> Some Sltu
+  | _ -> None
 
-let branch_ops : (string * Insn.cond) list =
-  [ ("beq", Eq); ("bne", Ne); ("blt", Lt); ("bge", Ge); ("bltu", Ltu); ("bgeu", Geu);
-    ("bgt", Gt); ("ble", Le); ("bgtu", Gtu); ("bleu", Leu) ]
+let branch_op : string -> Insn.cond option = function
+  | "beq" -> Some Eq | "bne" -> Some Ne | "blt" -> Some Lt | "bge" -> Some Ge
+  | "bltu" -> Some Ltu | "bgeu" -> Some Geu | "bgt" -> Some Gt | "ble" -> Some Le
+  | "bgtu" -> Some Gtu | "bleu" -> Some Leu
+  | _ -> None
 
 (* Number of words a mnemonic expands to; needed by pass 1. [li] with a
    literal that fits signed-16 is one word, all other [li]/[la] are two
@@ -194,10 +296,10 @@ type section = Text | Data
 
 let align_up x a = (x + a - 1) / a * a
 
+let value_width d = if d = ".word" then 4 else 1
+
 let data_size_of_directive line d args =
   match d with
-  | ".word" -> (4, 4 * List.length args)
-  | ".byte" -> (1, List.length args)
   | ".space" ->
     (match args with
      | [ n ] ->
@@ -219,8 +321,7 @@ let data_size_of_directive line d args =
 
 let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.default_data_base)
     src =
-  let lines = String.split_on_char '\n' src in
-  let parsed = List.mapi (fun i l -> parse_line (i + 1) l) lines in
+  let parsed = parse_lines src in
 
   (* -------- pass 1: compute symbol table -------- *)
   let symbols : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -228,6 +329,7 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
   let text_words = ref 0 in
   let data_off = ref 0 in
   let section = ref Text in
+  let digit_labels = ref false in
   List.iter
     (fun { line; stmts } ->
       List.iter
@@ -236,6 +338,7 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
           | Label name ->
             if Hashtbl.mem symbols name || Hashtbl.mem equs name then
               err line "duplicate label %S" name;
+            if name.[0] >= '0' && name.[0] <= '9' then digit_labels := true;
             let addr =
               match !section with
               | Text -> text_base + (4 * !text_words)
@@ -273,6 +376,12 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
                let align, size = data_size_of_directive line d args in
                data_off := align_up !data_off align + size
              | Text -> err line "directive %s not allowed in .text" d)
+          | Values (d, items) ->
+            (match !section with
+             | Data ->
+               let w = value_width d in
+               data_off := align_up !data_off w + (w * List.length items)
+             | Text -> err line "directive %s not allowed in .text" d)
           | Mnemonic (m, args) ->
             (match !section with
              | Text -> text_words := !text_words + expansion_size m args
@@ -304,8 +413,10 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
     text := insn :: !text;
     incr ntext
   in
-  let data = Buffer.create 256 in
-  let pad_data_to off = while Buffer.length data < off do Buffer.add_char data '\000' done in
+  (* pass 1 sized the data section exactly; padding is the zero fill *)
+  let data = Bytes.make !data_off '\000' in
+  let data_len = ref 0 in
+  let pad_data_to off = if off > !data_len then data_len := off in
   let indirect_targets = ref [] in
   let pending_targets = ref None in
   let la_relocs = ref [] in
@@ -395,14 +506,14 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
     | "halt", [] -> emit (Insn.Halt 0)
     | "halt", [ c ] -> emit (Insn.Halt (parse_value line lookup c))
     | _, _ ->
-      (match List.assoc_opt m alu_r_ops with
+      (match alu_r_op m with
        | Some op ->
          (match args with
           | [ rd; rs1; rs2 ] ->
             emit (Insn.Alu_r (op, parse_reg line rd, parse_reg line rs1, parse_reg line rs2))
           | _ -> err line "%s expects rd, rs1, rs2" m)
        | None ->
-         (match List.assoc_opt m alu_i_ops with
+         (match alu_i_op m with
           | Some op ->
             (match args with
              | [ rd; rs1; imm ] ->
@@ -410,7 +521,7 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
                  (Insn.Alu_i (op, parse_reg line rd, parse_reg line rs1, parse_value line lookup imm))
              | _ -> err line "%s expects rd, rs1, imm" m)
           | None ->
-            (match List.assoc_opt m branch_ops with
+            (match branch_op m with
              | Some c ->
                (match args with
                 | [ rs1; rs2; t ] ->
@@ -421,36 +532,47 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
              | None -> err line "unknown mnemonic %S" m)))
   in
 
+  (* A [.word] naming a text symbol is a code pointer the transformation
+     relocates; a literal can name one only if some label is all digits. *)
+  let emit_values line d items =
+    let word = d = ".word" in
+    pad_data_to (align_up !data_len (value_width d));
+    List.iter
+      (fun item ->
+        let v =
+          match item with
+          | Lit (v, pos, len) ->
+            if word && !digit_labels then begin
+              let a = String.sub src pos len in
+              if is_text_symbol a then data_word_relocs := (!data_len, a) :: !data_word_relocs
+            end;
+            v
+          | Expr a ->
+            if word && is_text_symbol a then
+              data_word_relocs := (!data_len, a) :: !data_word_relocs;
+            parse_value line lookup a
+        in
+        if word then Bytes.set_int32_le data !data_len (Int32.of_int v)
+        else Bytes.set_uint8 data !data_len (v land 0xFF);
+        data_len := !data_len + value_width d)
+      items
+  in
+
   let emit_data line d args =
     match d with
-    | ".word" ->
-      pad_data_to (align_up (Buffer.length data) 4);
-      List.iter
-        (fun a ->
-          if is_text_symbol a then
-            data_word_relocs := (Buffer.length data, a) :: !data_word_relocs;
-          let v = parse_value line lookup a land 0xFFFF_FFFF in
-          Buffer.add_bytes data (Sofia_util.Word.bytes_of_word32_le v))
-        args
-    | ".byte" ->
-      List.iter
-        (fun a ->
-          let v = parse_value line lookup a in
-          Buffer.add_char data (Char.chr (v land 0xFF)))
-        args
     | ".space" ->
       (match args with
        | [ n ] ->
          (match parse_int_literal n with
-          | Some v -> pad_data_to (Buffer.length data + v)
+          | Some v -> pad_data_to (!data_len + v)
           | None -> err line ".space expects a literal")
        | _ -> err line ".space expects one operand")
     | ".ascii" | ".asciz" ->
       (match args with
        | [ s ] ->
-         let body = String.sub s 1 (String.length s - 2) in
-         Buffer.add_string data body;
-         if d = ".asciz" then Buffer.add_char data '\000'
+         let len = String.length s - 2 in
+         Bytes.blit_string s 1 data !data_len len;
+         data_len := !data_len + len + if d = ".asciz" then 1 else 0
        | _ -> err line "%s expects a string" d)
     | _ -> err line "directive %s not allowed here" d
   in
@@ -471,7 +593,7 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
             (match (args, !section) with
              | [ n ], Data ->
                (match parse_int_literal n with
-                | Some a -> pad_data_to (align_up (Buffer.length data) a)
+                | Some a -> pad_data_to (align_up !data_len a)
                 | None -> err line ".align expects a literal")
              | [ n ], Text ->
                (match parse_int_literal n with
@@ -483,6 +605,10 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
           | Directive (d, args) ->
             (match !section with
              | Data -> emit_data line d args
+             | Text -> err line "directive %s not allowed in .text" d)
+          | Values (d, items) ->
+            (match !section with
+             | Data -> emit_values line d items
              | Text -> err line "directive %s not allowed in .text" d)
           | Mnemonic (m, args) ->
             (match !section with
@@ -498,7 +624,7 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
   {
     Program.text = text_arr;
     text_base;
-    data = Buffer.to_bytes data;
+    data;
     data_base;
     entry;
     symbols = Hashtbl.fold (fun k v acc -> (k, v) :: acc) symbols [];

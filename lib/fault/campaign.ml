@@ -1657,7 +1657,7 @@ let run ?(obs = Obs.none) ?(fuel = default_fuel) ?(classes = Site.all)
       (fun backend ->
         List.concat_map
           (fun (w : W.t) ->
-            let key_seed = Int64.logxor seed (Store.hash_string w.W.name) in
+            let key_seed = Int64.logxor seed (Sofia_util.Hash.fnv1a64 w.W.name) in
             let p = profile ~config ~backend ~key_seed w in
             List.map
               (fun clazz ->

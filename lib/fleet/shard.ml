@@ -1,20 +1,5 @@
 module Job = Sofia_service.Job
 
-(* FNV-1a 64 over the routing key. The same fingerprint family the
-   stores use ("filenames route, envelopes decide" — DESIGN §12): cheap,
-   deterministic, stateless, so the shard map needs no coordination and
-   survives router restarts unchanged. *)
-let fnv64_offset = 0xcbf29ce484222325L
-let fnv64_prime = 0x100000001b3L
-
-let fnv64 s =
-  let h = ref fnv64_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv64_prime)
-    s;
-  !h
-
 (* The routing key is the image content tuple — (source, key seed,
    ω/nonce, backend) — NOT the op: a protect, verify, attest and
    simulate of the same program land on the same shard, so exactly one
@@ -39,12 +24,16 @@ let route_key (req : Job.request) =
   in
   Printf.sprintf "%s|%Lx|%d%s" body req.Job.key_seed req.Job.nonce backend
 
+(* FNV-1a 64 over the routing key. The same fingerprint family the
+   stores use ("filenames route, envelopes decide" — DESIGN §12): cheap,
+   deterministic, stateless, so the shard map needs no coordination and
+   survives router restarts unchanged. *)
 let route ~shards (req : Job.request) =
   if shards <= 1 then 0
   else
     Int64.to_int
       (Int64.rem
-         (Int64.logand (fnv64 (route_key req)) 0x7FFFFFFFFFFFFFFFL)
+         (Int64.logand (Sofia_util.Hash.fnv1a64 (route_key req)) 0x7FFFFFFFFFFFFFFFL)
          (Int64.of_int shards))
 
 (* Replay-cache key: everything that determines the payload. The op (and

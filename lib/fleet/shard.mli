@@ -16,8 +16,6 @@
       LRU and on-disk tier already hold it — a fleet of [n] children
       builds each distinct image exactly once. *)
 
-val fnv64 : string -> int64
-
 val route_key : Sofia_service.Job.request -> string
 (** The (source|seed|ω[|backend]) routing tuple; ops deliberately
     excluded. *)

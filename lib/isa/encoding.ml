@@ -107,8 +107,13 @@ let imm_zero_extended : Insn.alu_op -> bool = function
 
 let check cond msg = if not cond then raise (Encode_error msg)
 
+(* Formatted messages are built only once a check has failed: the
+   encoder runs on every instruction the assembler and the
+   transformation emit. *)
+let fail fmt = Printf.ksprintf (fun msg -> raise (Encode_error msg)) fmt
+
 let field_signed16 imm =
-  check (imm16_signed_fits imm) (Printf.sprintf "signed imm16 out of range: %d" imm);
+  if not (imm16_signed_fits imm) then fail "signed imm16 out of range: %d" imm;
   imm land 0xFFFF
 
 let make ~op rest = Word.u32 ((op lsl 26) lor rest)
@@ -124,7 +129,7 @@ let encode (insn : Insn.t) =
       match op_of_alu_i op with
       | Some m -> m
       | None ->
-        raise (Encode_error (Printf.sprintf "%s has no immediate form" (Insn.to_string insn)))
+        fail "%s has no immediate form" (Insn.to_string insn)
     in
     let field =
       match op with
@@ -132,7 +137,7 @@ let encode (insn : Insn.t) =
         check (imm >= 0 && imm <= 31) "shift amount out of range";
         imm
       | _ when imm_zero_extended op ->
-        check (imm16_unsigned_fits imm) (Printf.sprintf "unsigned imm16 out of range: %d" imm);
+        if not (imm16_unsigned_fits imm) then fail "unsigned imm16 out of range: %d" imm;
         imm
       | _ -> field_signed16 imm
     in
@@ -147,11 +152,11 @@ let encode (insn : Insn.t) =
     let op = match w with Insn.W32 -> op_st | Insn.W8 -> op_stb in
     make ~op ((r src lsl 21) lor (r base lsl 16) lor field_signed16 off)
   | Branch (c, rs1, rs2, woff) ->
-    check (branch_offset_fits woff) (Printf.sprintf "branch offset out of range: %d" woff);
+    if not (branch_offset_fits woff) then fail "branch offset out of range: %d" woff;
     make ~op:op_branch
       ((cond_code c lsl 22) lor (r rs1 lsl 17) lor (r rs2 lsl 12) lor (woff land 0xFFF))
   | Jal (rd, woff) ->
-    check (jal_offset_fits woff) (Printf.sprintf "jal offset out of range: %d" woff);
+    if not (jal_offset_fits woff) then fail "jal offset out of range: %d" woff;
     make ~op:op_jal ((r rd lsl 21) lor (woff land 0x1FFFFF))
   | Jalr (rd, rs1, off) ->
     make ~op:op_jalr ((r rd lsl 21) lor (r rs1 lsl 16) lor field_signed16 off)

@@ -36,31 +36,30 @@ let name r =
   | r when r >= 20 && r <= 27 -> Printf.sprintf "t%d" (r - 20)
   | r -> Printf.sprintf "r%d" r
 
+(* [r0]..[r31], [a0]..[a7], [s0]..[s7], [t0]..[t7]; the index is
+   whatever [int_of_string] reads after the letter, with one or two
+   plain digits (every name in practice) read directly. *)
 let of_name s =
-  let parse_indexed prefix base limit =
-    let p = String.length prefix in
-    if String.length s > p && String.sub s 0 p = prefix then
-      match int_of_string_opt (String.sub s p (String.length s - p)) with
-      | Some i when i >= 0 && i < limit -> Some (base + i)
-      | Some _ | None -> None
-    else None
-  in
   match s with
   | "zero" -> Some 0
   | "gp" -> Some 28
   | "fp" -> Some 29
   | "sp" -> Some 30
   | "ra" -> Some 31
-  | _ ->
-    (match parse_indexed "r" 0 32 with
-     | Some r -> Some r
-     | None ->
-       (match parse_indexed "a" 4 8 with
-        | Some r -> Some r
-        | None ->
-          (match parse_indexed "s" 12 8 with
-           | Some r -> Some r
-           | None -> parse_indexed "t" 20 8)))
+  | _ -> (
+    let n = String.length s in
+    let base, limit =
+      if n < 2 then (0, 0)
+      else match s.[0] with 'r' -> (0, 32) | 'a' -> (4, 8) | 's' -> (12, 8) | 't' -> (20, 8) | _ -> (0, 0)
+    in
+    let digit i = match s.[i] with '0' .. '9' as c -> Char.code c - Char.code '0' | _ -> -1 in
+    let index =
+      if limit = 0 then None
+      else if n = 2 && digit 1 >= 0 then Some (digit 1)
+      else if n = 3 && digit 1 >= 0 && digit 2 >= 0 then Some ((10 * digit 1) + digit 2)
+      else int_of_string_opt (String.sub s 1 (n - 1))
+    in
+    match index with Some i when i >= 0 && i < limit -> Some (base + i) | Some _ | None -> None)
 
 let pp fmt r = Format.pp_print_string fmt (name r)
 

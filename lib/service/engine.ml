@@ -139,11 +139,13 @@ let persist_image d ~keys ~nonce ~source ~(image : Sofia_transform.Image.t) ~sfi
     ~artifact_fp:(Fs.fingerprint64 sfi) (Block_table.to_bytes table);
   (tag, table)
 
-let protect_entry ~disk ~store ~(req : Job.request) source =
+(* [program] and [keys] are the request's own lazily derived inputs
+   (see {!execute}): forced here only when the store misses. *)
+let protect_entry ~disk ~store ~(req : Job.request) ~program ~keys source =
   let backend = req.Job.backend in
   let key = Store.key ~source ~key_seed:req.key_seed ~nonce:req.nonce ~backend in
   Store.find_or_build store ~key ~build:(fun () ->
-      let keys = Sofia_crypto.Keys.generate ~seed:req.key_seed in
+      let keys = Lazy.force keys in
       let warm =
         match disk with
         | None -> None
@@ -179,7 +181,7 @@ let protect_entry ~disk ~store ~(req : Job.request) source =
       match warm with
       | Some entry -> entry
       | None -> (
-        let program = assemble_or_fail source in
+        let program = Lazy.force program in
         let b = Registry.find backend in
         match b.Sofia_protection.Backend.protect ~keys ~nonce:req.nonce program with
         | Error e ->
@@ -212,14 +214,14 @@ let protect_entry ~disk ~store ~(req : Job.request) source =
             table;
           }))
 
-let verify_issues ~disk ~(req : Job.request) source (entry : Store.entry) =
+let verify_issues ~disk ~(req : Job.request) ~program ~keys source (entry : Store.entry) =
   let b = Registry.find req.Job.backend in
   let fresh = ref false in
   let issues =
     Store.fill_issues entry (fun () ->
         fresh := true;
-        let program = assemble_or_fail source in
-        let keys = Sofia_crypto.Keys.generate ~seed:req.key_seed in
+        let program = Lazy.force program in
+        let keys = Lazy.force keys in
         (* a disk-loaded image is ciphertext-only: the independent
            verifier needs the plaintext block views, so re-derive the
            (deterministic) protected image from the source *)
@@ -242,7 +244,7 @@ let verify_issues ~disk ~(req : Job.request) source (entry : Store.entry) =
      bytes, so the table binding is untouched) *)
   (match disk with
    | Some d when !fresh ->
-     let keys = Sofia_crypto.Keys.generate ~seed:req.key_seed in
+     let keys = Lazy.force keys in
      let tag =
        match entry.Store.mac with
        | Some hex -> Int64.of_string ("0x" ^ hex)
@@ -256,9 +258,9 @@ let verify_issues ~disk ~(req : Job.request) source (entry : Store.entry) =
    | _ -> ());
   issues
 
-let mac_digest ~(req : Job.request) (entry : Store.entry) =
+let mac_digest ~keys (entry : Store.entry) =
   Store.fill_mac entry (fun () ->
-      let keys = Sofia_crypto.Keys.generate ~seed:req.key_seed in
+      let keys = Lazy.force keys in
       let tag =
         Sofia_crypto.Cbc_mac.mac_words keys.Sofia_crypto.Keys.k2
           (Sofia_transform.Image.authenticated_words entry.Store.image)
@@ -278,12 +280,25 @@ let simulated_of_result ~cached (r : Machine.run_result) =
       cached;
     }
 
+(* A request derives its keys and assembles its source at most once,
+   however many of protect, verify and MAC need them: the [lazy] values
+   below are shared by those steps. They live for one request only —
+   OCaml 5's [Lazy] is not domain-safe, and a request runs on one
+   worker. Only the deterministic parse is shared; the verifier still
+   re-derives structure, MACs and ciphertext from keys, program and
+   image (DESIGN §9). *)
 let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
     (req : Job.request) =
+  let keys = lazy (Sofia_crypto.Keys.generate ~seed:req.Job.key_seed) in
+  let protected source =
+    let program = lazy (assemble_or_fail source) in
+    let entry, cached = protect_entry ~disk ~store ~req ~program ~keys source in
+    (program, entry, cached)
+  in
   match req.Job.spec with
   | Job.Ping -> Job.Ponged { shard; workers }
   | Job.Protect { source } ->
-    let entry, cached = protect_entry ~disk ~store ~req source in
+    let _, entry, cached = protected source in
     Job.Protected
       {
         text_bytes = entry.Store.text_bytes;
@@ -293,20 +308,19 @@ let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
         cached;
       }
   | Job.Verify { source } ->
-    let entry, cached = protect_entry ~disk ~store ~req source in
-    Job.Verified { issues = verify_issues ~disk ~req source entry; cached }
+    let program, entry, cached = protected source in
+    Job.Verified { issues = verify_issues ~disk ~req ~program ~keys source entry; cached }
   | Job.Attest { source } ->
-    let entry, cached = protect_entry ~disk ~store ~req source in
-    let issues = verify_issues ~disk ~req source entry in
-    Job.Attested { digest = entry.Store.digest; mac = mac_digest ~req entry; issues; cached }
+    let program, entry, cached = protected source in
+    let issues = verify_issues ~disk ~req ~program ~keys source entry in
+    Job.Attested { digest = entry.Store.digest; mac = mac_digest ~keys entry; issues; cached }
   | Job.Simulate { source; sofia } ->
     if sofia then begin
-      let entry, cached = protect_entry ~disk ~store ~req source in
-      let keys = Sofia_crypto.Keys.generate ~seed:req.key_seed in
+      let _, entry, cached = protected source in
       let r =
         Sofia_cpu.Sofia_runner.run
           ~config:(run_config ~engine ~backend:req.Job.backend ks_cache_slots)
-          ?prefill:entry.Store.table ~keys entry.Store.image
+          ?prefill:entry.Store.table ~keys:(Lazy.force keys) entry.Store.image
       in
       simulated_of_result ~cached r
     end
@@ -328,8 +342,10 @@ let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
       | Ok loaded -> loaded
     in
     let image = Sofia_transform.Binary_format.image_of_loaded loaded in
-    let keys = Sofia_crypto.Keys.generate ~seed:req.key_seed in
-    let r = Sofia_cpu.Sofia_runner.run ~config:(run_config ~engine ks_cache_slots) ~keys image in
+    let r =
+      Sofia_cpu.Sofia_runner.run ~config:(run_config ~engine ks_cache_slots)
+        ~keys:(Lazy.force keys) image
+    in
     Job.Ran
       {
         outcome = outcome_label r.Machine.outcome;

@@ -46,17 +46,7 @@ let create ~slots =
     evictions = 0 }
 
 (* FNV-1a, 64-bit — display-only image identity, never a cache key *)
-let hash_string s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
-
-let fingerprint b =
-  let h = hash_string (Bytes.unsafe_to_string b) in
-  Printf.sprintf "%016Lx" h
+let fingerprint b = Printf.sprintf "%016Lx" (Sofia_util.Hash.fnv1a64 (Bytes.unsafe_to_string b))
 
 let key ~source ~key_seed ~nonce ~backend = { source; key_seed; nonce; backend }
 

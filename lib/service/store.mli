@@ -95,5 +95,3 @@ val fingerprint : Bytes.t -> string
 (** 64-bit FNV-1a of the bytes, as 16 hex digits — the image identity
     the wire protocol reports (collision-resistance is not a goal;
     equality of deterministic outputs is). *)
-
-val hash_string : string -> int64

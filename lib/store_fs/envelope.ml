@@ -101,15 +101,8 @@ let is_corrupt = function
 
 (* folded key identity for the fast header check: 64-bit FNV-1a of the
    printable fingerprint, halves XORed down to 32 bits *)
-let fnv64 ?(basis = 0xCBF29CE484222325L) s =
-  let h = ref basis in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
-
 let key_fp32 keys =
-  let h = fnv64 (Keys.fingerprint keys) in
+  let h = Hash.fnv1a64 (Keys.fingerprint keys) in
   Int64.to_int (Int64.logand (Int64.logxor h (Int64.shift_right_logical h 32)) 0xFFFF_FFFFL)
 
 (* MAC input: the whole buffer as little-endian words, zero-padded to a
@@ -117,12 +110,14 @@ let key_fp32 keys =
 let words_of_bytes b =
   let len = Bytes.length b in
   Array.init ((len + 3) / 4) (fun i ->
-      let w = ref 0 in
-      for j = 3 downto 0 do
-        let k = (4 * i) + j in
-        w := (!w lsl 8) lor (if k < len then Bytes.get_uint8 b k else 0)
-      done;
-      !w)
+      if (4 * i) + 4 <= len then Int32.to_int (Bytes.get_int32_le b (4 * i)) land Word.mask32
+      else begin
+        let w = ref 0 in
+        for k = len - 1 downto 4 * i do
+          w := (!w lsl 8) lor Bytes.get_uint8 b k
+        done;
+        !w
+      end)
 
 let tag_of_buffer ~keys b = Cbc_mac.mac_words keys.Keys.k2 (words_of_bytes b)
 
@@ -133,7 +128,7 @@ let encode ?(envelope_version = version) ~backend ~kind ~codec_version ~nonce ~k
   let plen = Bytes.length payload in
   let total = header_bytes + slen + mlen + plen in
   let b = Bytes.make total '\000' in
-  let put off v = Bytes.blit (Word.bytes_of_word32_le v) 0 b off 4 in
+  let put off v = Bytes.set_int32_le b off (Int32.of_int v) in
   Bytes.blit_string source 0 b header_bytes slen;
   Bytes.blit meta 0 b (header_bytes + slen) mlen;
   Bytes.blit payload 0 b (header_bytes + slen + mlen) plen;
@@ -146,7 +141,7 @@ let encode ?(envelope_version = version) ~backend ~kind ~codec_version ~nonce ~k
   put 0x18 slen;
   put 0x1C mlen;
   put 0x20 plen;
-  put 0x24 (Sofia_transform.Binary_format.crc32 b ~off:header_bytes ~len:(total - header_bytes));
+  put 0x24 (Hash.crc32 b ~off:header_bytes ~len:(total - header_bytes));
   (* the tag goes in last, computed with its own field still zero *)
   let m1, m2 = Cbc_mac.split_tag (tag_of_buffer ~keys b) in
   put 0x28 m1;
@@ -173,8 +168,7 @@ let decode ~backend ~kind ~codec_version ~nonce ~keys ~source b =
          the checks below *)
       if header_bytes + slen + mlen + plen <> len then Error Length_mismatch
       else if
-        Sofia_transform.Binary_format.crc32 b ~off:header_bytes ~len:(len - header_bytes)
-        <> get 0x24
+        Hash.crc32 b ~off:header_bytes ~len:(len - header_bytes) <> get 0x24
       then Error Crc_mismatch
       else begin
         let stored = Cbc_mac.join_tag (get 0x28) (get 0x2C) in

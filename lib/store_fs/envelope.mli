@@ -42,9 +42,6 @@ val is_corrupt : failure -> bool
     we ever wrote (torn, truncated, tampered); [false] for expected
     operational misses (stale versions, aliasing). *)
 
-val fnv64 : ?basis:int64 -> string -> int64
-(** 64-bit FNV-1a; exposed for the store's filename derivation. *)
-
 val key_fp32 : Sofia_crypto.Keys.t -> int
 
 val encode :

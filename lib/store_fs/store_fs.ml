@@ -50,12 +50,7 @@ let locked t f =
 (* 64-bit FNV-1a over raw bytes — binds a table file to the exact
    artifact bytes it was decoded from (artifact refreshed → stale
    tables miss instead of resurrecting an older image's edges). *)
-let fingerprint64 b =
-  let h = ref 0xCBF29CE484222325L in
-  Bytes.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    b;
-  !h
+let fingerprint64 b = Hash.fnv1a64 (Bytes.unsafe_to_string b)
 
 let mkdir_p dir =
   let rec make d =
@@ -117,8 +112,8 @@ let entry_name ~backend ~kind ~codec_version ~nonce ~keys ~source =
         string_of_int codec_version;
       ]
   in
-  let h1 = Envelope.fnv64 id in
-  let h2 = Envelope.fnv64 ~basis:0x84222325CBF29CE4L id in
+  let h1 = Hash.fnv1a64 id in
+  let h2 = Hash.fnv1a64 ~basis:0x84222325CBF29CE4L id in
   Printf.sprintf "%016Lx%016Lx.k%d%s" h1 h2 tag entry_suffix
 
 let path t ~backend ~kind ~codec_version ~nonce ~keys ~source =

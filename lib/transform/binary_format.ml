@@ -33,17 +33,6 @@ let version_v2 = 2
 let header_bytes = 0x24
 let header_bytes_v2 = 0x2C
 
-let crc32 bytes ~off ~len =
-  let crc = ref Word.mask32 in
-  for i = off to off + len - 1 do
-    crc := !crc lxor Bytes.get_uint8 bytes i;
-    for _ = 1 to 8 do
-      let mask = Word.u32 (- (!crc land 1)) in
-      crc := (!crc lsr 1) lxor (0xEDB88320 land mask)
-    done
-  done;
-  Word.u32 (!crc lxor Word.mask32)
-
 let serialize (image : Image.t) =
   let v2 = image.Image.backend <> Backend_id.Sofia in
   let hdr = if v2 then header_bytes_v2 else header_bytes in
@@ -51,12 +40,12 @@ let serialize (image : Image.t) =
   let patch_words = Array.length image.Image.patches in
   let data_len = Bytes.length image.Image.data in
   let total = hdr + (4 * text_words) + (4 * patch_words) + data_len in
-  let b = Bytes.make total '\000' in
-  let put off v = Bytes.blit (Word.bytes_of_word32_le v) 0 b off 4 in
+  let b = Bytes.create total in
+  let put off v = Bytes.set_int32_le b off (Int32.of_int v) in
   Array.iteri (fun i w -> put (hdr + (4 * i)) w) image.Image.cipher;
   Array.iteri (fun i w -> put (hdr + (4 * text_words) + (4 * i)) w) image.Image.patches;
   Bytes.blit image.Image.data 0 b (hdr + (4 * (text_words + patch_words))) data_len;
-  let crc = crc32 b ~off:hdr ~len:(total - hdr) in
+  let crc = Hash.crc32 b ~off:hdr ~len:(total - hdr) in
   put 0x00 magic;
   put 0x04 (if v2 then version_v2 else version);
   put 0x08 image.Image.nonce;
@@ -97,7 +86,7 @@ let deserialize b =
             if len < hdr + (4 * (text_words + patch_words)) + data_len then Error Truncated
             else begin
               let payload_len = (4 * (text_words + patch_words)) + data_len in
-              if crc32 b ~off:hdr ~len:payload_len <> get 0x1C then Error Checksum_mismatch
+              if Hash.crc32 b ~off:hdr ~len:payload_len <> get 0x1C then Error Checksum_mismatch
               else begin
                 let cipher = Array.init text_words (fun i -> get (hdr + (4 * i))) in
                 let patches =

@@ -40,11 +40,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val crc32 : Bytes.t -> off:int -> len:int -> int
-(** The container's CRC-32 (reflected, poly [0xEDB88320]) over a byte
-    range — shared with the persistent store's envelope so both layers
-    detect accidental corruption identically. *)
-
 module Loaded : sig
   type t = {
     backend : Backend_id.t;

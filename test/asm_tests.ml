@@ -86,7 +86,20 @@ let test_equ_and_char_literals () =
   Alcotest.(check bool) "char" true
     (Insn.equal p.Program.text.(2) (Insn.Alu_i (Add, Reg.a 1, Reg.zero, 65)));
   Alcotest.(check bool) "newline" true
-    (Insn.equal p.Program.text.(3) (Insn.Alu_i (Add, Reg.a 2, Reg.zero, 10)))
+    (Insn.equal p.Program.text.(3) (Insn.Alu_i (Add, Reg.a 2, Reg.zero, 10)));
+  (* a char literal is one token: the comment characters and the comma
+     it holds neither end the line nor split the operands *)
+  let li_char c =
+    match (asm (Printf.sprintf "li t0, %s ; comment, with 'quotes'\n" c)).Program.text with
+    | [| Insn.Alu_i (Add, rd, rs, v) |] when Reg.equal rd (Reg.t 0) && Reg.equal rs Reg.zero -> v
+    | _ -> Alcotest.failf "li t0, %s: unexpected expansion" c
+  in
+  check_int "';'" 59 (li_char "';'");
+  check_int "'#'" 35 (li_char "'#'");
+  check_int "','" 44 (li_char "','");
+  check_int "'\\''" 39 (li_char "'\\''");
+  let p = asm ".data\nb: .byte 'x', ',', ';', '#', '\\0'\n" in
+  Alcotest.(check string) ".byte" "x,;#\000" (Bytes.to_string p.Program.data)
 
 let test_targets_annotation () =
   let p = asm "start:\n.targets f, g\n  jalr t0\n  halt\nf: ret\ng: ret\n" in

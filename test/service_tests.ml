@@ -570,6 +570,93 @@ let test_store_shared_across_ops () =
       | _ -> Alcotest.fail "expected Done")
     responses
 
+(* ---- one assembled program per request ---- *)
+
+(* A verify or attest job assembles its source once and hands the same
+   [Program.t] to the protect and to the independent verifier. *)
+
+let backends = [ Sofia.Transform.Backend_id.Sofia; Sofia.Transform.Backend_id.Scfp ]
+
+let shared_sources () =
+  [ tiny_source; tiny_source3 ]
+  @ List.map
+      (fun (w : Sofia.Workloads.Workload.t) -> w.Sofia.Workloads.Workload.source)
+      [ Sofia.Workloads.Kernels.dispatch (); Sofia.Workloads.Compiled.matmul () ]
+
+(* every key is new, so the engine builds each image itself *)
+let test_shared_program_matches_oneshot () =
+  let seed = ref 0x5A1EL in
+  let fresh spec backend =
+    seed := Int64.add !seed 1L;
+    Job.make ~key_seed:!seed ~nonce:3 ~backend ~id:(Printf.sprintf "%Lx" !seed) spec
+  in
+  let reqs =
+    List.concat_map
+      (fun source ->
+        List.concat_map
+          (fun backend ->
+            [ fresh (Job.Verify { source }) backend; fresh (Job.Attest { source }) backend ])
+          backends)
+      (shared_sources ())
+  in
+  let responses, _ = Engine.run_batch { Engine.default_config with Engine.workers = 1 } reqs in
+  List.iter2
+    (fun (req : Job.request) (r : Job.response) ->
+      check_bool (req.Job.id ^ " equals one-shot") true (r.Job.status = Engine.execute_oneshot req);
+      match r.Job.status with
+      | Job.Done (Job.Verified { cached = false; _ } | Job.Attested { cached = false; _ }) -> ()
+      | _ -> Alcotest.failf "%s: expected a fresh verify or attest" req.Job.id)
+    reqs responses
+
+(* The sharing is sound only while protect and verify leave the program
+   as the assembler made it: an in-place patch (say, of a relocated
+   data word) would hand the verifier a different program. *)
+let test_shared_program_unchanged () =
+  let keys = Sofia.Crypto.Keys.generate ~seed:0x5A1EL in
+  List.iter
+    (fun source ->
+      List.iter
+        (fun backend ->
+          let b = Sofia.Protection.Registry.find backend in
+          let program = Sofia.Asm.Assembler.assemble source in
+          (match b.Sofia.Protection.Backend.protect ~keys ~nonce:3 program with
+           | Ok image ->
+             ignore (b.Sofia.Protection.Backend.verify_against_source ~keys program image)
+           | Error _ -> Alcotest.fail "protect refused a test program");
+          check_bool "program unchanged" true (program = Sofia.Asm.Assembler.assemble source))
+        backends)
+    (shared_sources ()
+    @ List.map
+        (fun (w : Sofia.Workloads.Workload.t) -> w.Sofia.Workloads.Workload.source)
+        (Sofia.Workloads.Registry.benchmark_suite ()))
+
+(* A disk-loaded image is ciphertext only: verify must re-protect it
+   from the (shared) program to give the verifier plaintext views. *)
+let test_verify_disk_entry_reprotects () =
+  let dir = Filename.temp_dir "sofia_svc_disk" "" in
+  let cleanup () =
+    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      List.iter
+        (fun backend ->
+          let cfg = { Engine.default_config with Engine.workers = 1; store_dir = Some dir } in
+          let req spec = Job.make ~key_seed:0xD15CL ~nonce:5 ~backend ~id:"d" spec in
+          let source = tiny_source3 in
+          let _ = Engine.run_batch cfg [ req (Job.Protect { source }) ] in
+          (* a new engine starts from the disk tier alone *)
+          let responses, t = Engine.run_batch cfg [ req (Job.Verify { source }) ] in
+          let disk = Option.get (Engine.disk_store t) in
+          check_bool "verify served from disk" true (Sofia.Store_fs.Store_fs.hits disk > 0);
+          match (responses, Engine.execute_oneshot (req (Job.Verify { source }))) with
+          | ( [ { Job.status = Job.Done (Job.Verified { issues; cached = false }); _ } ],
+              Job.Done (Job.Verified { issues = expected; _ }) ) ->
+            check_int "issues as one-shot" expected issues;
+            check_int "clean program" 0 issues
+          | _ -> Alcotest.fail "expected a verified answer")
+        backends)
+
 (* ---- wire: serve_channels over real channels ---- *)
 
 let test_serve_channels () =
@@ -672,6 +759,12 @@ let suite =
     Alcotest.test_case "store key xor-aliasing regression" `Quick test_store_no_xor_aliasing;
     Alcotest.test_case "store lru eviction" `Quick test_store_lru_eviction;
     Alcotest.test_case "store shared across ops" `Quick test_store_shared_across_ops;
+    Alcotest.test_case "shared program matches one-shot" `Quick
+      test_shared_program_matches_oneshot;
+    Alcotest.test_case "shared program unchanged by protect and verify" `Quick
+      test_shared_program_unchanged;
+    Alcotest.test_case "verify on a disk entry re-protects" `Quick
+      test_verify_disk_entry_reprotects;
     Alcotest.test_case "serve_channels" `Quick test_serve_channels;
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
   ]

@@ -1,8 +1,9 @@
-(* Unit tests for Sofia_util: word helpers, PRNG, statistics. *)
+(* Unit tests for Sofia_util: word helpers, PRNG, statistics, hashes. *)
 
 module Word = Sofia.Util.Word
 module Prng = Sofia.Util.Prng
 module Stats = Sofia.Util.Stats
+module Hash = Sofia.Util.Hash
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -113,6 +114,58 @@ let test_stats_fit () =
   check_float "slope" 2.0 a;
   check_float "intercept" 1.0 b
 
+let check_hex64 msg want got =
+  Alcotest.(check string) msg (Printf.sprintf "%016Lx" want) (Printf.sprintf "%016Lx" got)
+
+let test_hash_kats () =
+  check_int "crc32 check value" 0xCBF43926 (Hash.crc32 (Bytes.of_string "123456789"));
+  check_int "crc32 empty" 0 (Hash.crc32 Bytes.empty);
+  check_hex64 "fnv1a64 \"\"" 0xcbf29ce484222325L (Hash.fnv1a64 "");
+  check_hex64 "fnv1a64 a" 0xaf63dc4c8601ec8cL (Hash.fnv1a64 "a");
+  check_hex64 "fnv1a64 foobar" 0x85944171f73967e8L (Hash.fnv1a64 "foobar")
+
+let test_hash_ranges () =
+  let b = Bytes.init 300 (fun i -> Char.chr ((i * 37) land 0xFF)) in
+  List.iter
+    (fun (off, len) ->
+      let sub = Bytes.sub b off len in
+      check_int (Printf.sprintf "crc32 %d+%d" off len) (Hash.crc32 sub) (Hash.crc32 b ~off ~len);
+      check_hex64
+        (Printf.sprintf "fnv1a64 %d+%d" off len)
+        (Hash.fnv1a64 (Bytes.to_string sub))
+        (Hash.fnv1a64 (Bytes.to_string b) ~off ~len))
+    [ (0, 300); (0, 0); (7, 0); (1, 299); (36, 100); (299, 1) ];
+  Alcotest.check_raises "crc32 past the end" (Invalid_argument "Hash.crc32") (fun () ->
+      ignore (Hash.crc32 b ~off:200 ~len:101));
+  Alcotest.check_raises "fnv1a64 negative offset" (Invalid_argument "Hash.fnv1a64") (fun () ->
+      ignore (Hash.fnv1a64 "abc" ~off:(-1)))
+
+(* The disk store names a file by two FNV-1a-64 hashes of one identity
+   string, the second from its own basis. *)
+let test_hash_basis () =
+  let module Fs = Sofia.Store_fs.Store_fs in
+  let module Envelope = Sofia.Store_fs.Envelope in
+  let dir = Filename.temp_dir "sofia-hash" "" in
+  let keys = Sofia.Crypto.Keys.generate ~seed:0x4A5B1L in
+  let backend = Sofia.Transform.Backend_id.Sofia and source = "start: halt\n" and nonce = 9 in
+  let fs = Fs.open_store ~dir () in
+  Fs.store_artifact fs ~backend ~keys ~nonce ~source ~sfi:(Bytes.make 8 'x') ~expansion:1.0
+    ~issues:None ~mac_tag:0L;
+  let written = Sys.readdir dir in
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) written;
+  Sys.rmdir dir;
+  let tag = Envelope.kind_tag ~backend Envelope.Artifact in
+  let id =
+    String.concat "\x00"
+      [ source; Sofia.Crypto.Keys.fingerprint keys; string_of_int nonce; string_of_int tag;
+        string_of_int Fs.artifact_codec_version ]
+  in
+  Alcotest.(check (array string))
+    "file name"
+    [| Printf.sprintf "%016Lx%016Lx.k%d.sfc" (Hash.fnv1a64 id)
+         (Hash.fnv1a64 ~basis:0x84222325CBF29CE4L id) tag |]
+    written
+
 let suite =
   [
     Alcotest.test_case "word masking and wrap-around" `Quick test_masking;
@@ -130,4 +183,7 @@ let suite =
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
     Alcotest.test_case "statistics basics" `Quick test_stats_basic;
     Alcotest.test_case "least-squares fit" `Quick test_stats_fit;
+    Alcotest.test_case "hash known answers" `Quick test_hash_kats;
+    Alcotest.test_case "hash sub-ranges" `Quick test_hash_ranges;
+    Alcotest.test_case "hash basis names store files" `Quick test_hash_basis;
   ]

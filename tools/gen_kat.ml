@@ -268,7 +268,7 @@ let gen_cold_path () =
     (fun k (w : Workloads.Workload.t) ->
       let p = Workloads.Workload.assemble w in
       Printf.printf "prog %02d %s %016Lx\n" k w.Workloads.Workload.name
-        (Store.hash_string (program_dump p));
+        (Sofia.Util.Hash.fnv1a64 (program_dump p));
       List.iter (cold_image k w) [ Backend_id.Sofia; Backend_id.Scfp ])
     programs;
   List.iter
