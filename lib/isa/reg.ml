@@ -49,8 +49,12 @@ let of_name s =
   | _ -> (
     let n = String.length s in
     let base, limit =
-      if n < 2 then (0, 0)
-      else match s.[0] with 'r' -> (0, 32) | 'a' -> (4, 8) | 's' -> (12, 8) | 't' -> (20, 8) | _ -> (0, 0)
+      match if n < 2 then ' ' else s.[0] with
+      | 'r' -> (0, 32)
+      | 'a' -> (4, 8)
+      | 's' -> (12, 8)
+      | 't' -> (20, 8)
+      | _ -> (0, 0)
     in
     let digit i = match s.[i] with '0' .. '9' as c -> Char.code c - Char.code '0' | _ -> -1 in
     let index =

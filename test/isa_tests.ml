@@ -35,7 +35,13 @@ let test_reg_of_name () =
   Alcotest.(check bool) "rejects r32" true (Reg.of_name "r32" = None);
   Alcotest.(check bool) "rejects a8" true (Reg.of_name "a8" = None);
   Alcotest.(check bool) "rejects junk" true (Reg.of_name "abc" = None);
-  Alcotest.(check bool) "accepts r0" true (Reg.of_name "r0" = Some Reg.zero)
+  Alcotest.(check bool) "accepts r0" true (Reg.of_name "r0" = Some Reg.zero);
+  (* the index is whatever int_of_string reads after the letter *)
+  Alcotest.(check bool) "accepts a07" true (Reg.of_name "a07" = Some (Reg.a 7));
+  Alcotest.(check bool) "accepts t0x1" true (Reg.of_name "t0x1" = Some (Reg.t 1));
+  Alcotest.(check bool) "accepts r+31" true (Reg.of_name "r+31" = Some Reg.ra);
+  Alcotest.(check bool) "rejects s" true (Reg.of_name "s" = None);
+  Alcotest.(check bool) "rejects t-1" true (Reg.of_name "t-1" = None)
 
 (* ---------------- semantics ---------------- *)
 
