@@ -77,6 +77,28 @@ let test_data_directives () =
    | Some a -> check_int "b addr" (p.Program.data_base + 12) a
    | None -> Alcotest.fail "b missing")
 
+(* [.word] reads plain decimal and hex literals in place; every token
+   must still mean what [int_of_string] makes of it, and a token it
+   rejects must not assemble (as an undefined symbol). *)
+let test_word_literals_match_int_of_string () =
+  let rng = Sofia.Util.Prng.create ~seed:0x3A11L in
+  let below n = Sofia.Util.Prng.int_below rng n in
+  let pick a = a.(below (Array.length a)) in
+  let digits = "0123456789abcdefABCDEF_xX" in
+  for _ = 1 to 3000 do
+    let sign = pick [| ""; ""; "-"; "+" |] in
+    let prefix = pick [| ""; ""; "0x"; "0X"; "0o"; "0b"; "0u" |] in
+    let body = String.init (1 + below 20) (fun _ -> digits.[below (String.length digits)]) in
+    let token = sign ^ prefix ^ body in
+    let src = ".data\n.word " ^ token ^ "\n" in
+    match (int_of_string_opt token, asm src) with
+    | Some v, p ->
+      check_int token (v land 0xFFFF_FFFF) (Sofia.Util.Word.word32_of_bytes_le p.Program.data 0)
+    | None, _ -> Alcotest.failf "%S assembled, but int_of_string rejects it" token
+    | exception Assembler.Error _ ->
+      if int_of_string_opt token <> None then Alcotest.failf "%S did not assemble" token
+  done
+
 let test_equ_and_char_literals () =
   let p = asm ".equ K, 42\nli a0, K\nli a1, 'A'\nli a2, '\\n'\n" in
   (* K is a symbol, so li uses the 2-word form; char literals are plain *)
@@ -180,6 +202,8 @@ let suite =
     Alcotest.test_case "pseudo instructions" `Quick test_pseudo_instructions;
     Alcotest.test_case "data directives" `Quick test_data_directives;
     Alcotest.test_case ".equ and char literals" `Quick test_equ_and_char_literals;
+    Alcotest.test_case ".word literals match int_of_string" `Quick
+      test_word_literals_match_int_of_string;
     Alcotest.test_case ".targets annotation" `Quick test_targets_annotation;
     Alcotest.test_case "la relocations" `Quick test_la_relocs;
     Alcotest.test_case ".word code-pointer relocations" `Quick test_data_word_relocs;
