@@ -53,30 +53,27 @@ let code_end s start stop =
 
 (* The operands on [start, stop): split on commas outside strings and
    char literals, each trimmed, empty ones dropped, and made by
-   [make s a b] from its range. With [comments], a [;] or [#] outside
-   those ends them, as in {!code_end}. *)
-let split_operands ~comments s start stop make =
+   [make s a b] from its range. *)
+let split_operands s start stop make =
   let acc = ref [] and from = ref start and i = ref start and in_string = ref false in
-  let stop = ref stop in
   let token a b =
     let a = skip_space s a b in
     let b = skip_space_back s a b in
     if a < b then acc := make s a b :: !acc
   in
-  while !i < !stop do
+  while !i < stop do
     match String.unsafe_get s !i with
     | '"' ->
       in_string := not !in_string;
       incr i
-    | '\'' when not !in_string -> i := !i + quote_len s !i !stop
+    | '\'' when not !in_string -> i := !i + quote_len s !i stop
     | ',' when not !in_string ->
       token !from !i;
       incr i;
       from := !i
-    | (';' | '#') when comments && not !in_string -> stop := !i
     | _ -> incr i
   done;
-  token !from !stop;
+  token !from stop;
   List.rev !acc
 
 let token s a b = String.sub s a (b - a)
@@ -128,30 +125,15 @@ let datum s a b =
 
 type line_stmts = { line : int; stmts : stmt list }
 
-(* End of the head word at [a]: the first space or tab, or with
-   [comments] also the first [;] or [#]. *)
-let head_end ~comments s a stop =
+(* End of the head word at [a]: the first space or tab. *)
+let head_end s a stop =
   let h = ref a in
-  while
-    !h < stop
-    && match String.unsafe_get s !h with ' ' | '\t' -> false | ';' | '#' -> not comments | _ -> true
-  do
+  while !h < stop && match String.unsafe_get s !h with ' ' | '\t' -> false | _ -> true do
     incr h
   done;
   !h
 
-let has_quote s a b =
-  let q = ref false in
-  for i = a to b - 1 do
-    match String.unsafe_get s i with '"' | '\'' -> q := true | _ -> ()
-  done;
-  !q
-
-(* Source line [lineno], which occupies [start, stop) of [src]. Labels
-   and a plain head hold no quotes, so the line's comment falls out of
-   the one scan over its operands; a head with a quote in it (never
-   valid) has the comment cut first, with quoting counted from the
-   line's start, and its operands split from their own start. *)
+(* Source line [lineno], which occupies [start, stop) of [src]. *)
 let parse_line src lineno start stop =
   (* leading labels: [ident:], possibly several *)
   let rec labels a acc =
@@ -162,19 +144,15 @@ let parse_line src lineno start stop =
       labels (!j + 1) (Label (String.sub src a (!j - a)) :: acc)
     else (a, acc)
   in
+  (* a label holds no quote, [;] or [#], so the comment may be cut after them *)
   let a, stmts = labels start [] in
-  let h = head_end ~comments:true src a stop in
-  let comments, stop, h =
-    if has_quote src a h then
-      let stop = code_end src start stop in
-      (false, stop, head_end ~comments:false src a stop)
-    else (true, stop, h)
-  in
+  let stop = code_end src a stop in
+  let h = head_end src a stop in
   let hb = skip_space_back src a h in
   let stmts =
     if hb <= a then stmts
     else
-      let operands make = split_operands ~comments src h stop make in
+      let operands make = split_operands src h stop make in
       match token src a hb with
       | (".word" | ".byte") as head -> Values (head, operands datum) :: stmts
       | head when head.[0] = '.' -> Directive (head, operands token) :: stmts

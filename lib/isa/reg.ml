@@ -37,8 +37,7 @@ let name r =
   | r -> Printf.sprintf "r%d" r
 
 (* [r0]..[r31], [a0]..[a7], [s0]..[s7], [t0]..[t7]; the index is
-   whatever [int_of_string] reads after the letter, with one or two
-   plain digits (every name in practice) read directly. *)
+   whatever [int_of_string] reads after the letter. *)
 let of_name s =
   match s with
   | "zero" -> Some 0
@@ -56,14 +55,11 @@ let of_name s =
       | 't' -> (20, 8)
       | _ -> (0, 0)
     in
-    let digit i = match s.[i] with '0' .. '9' as c -> Char.code c - Char.code '0' | _ -> -1 in
-    let index =
-      if limit = 0 then None
-      else if n = 2 && digit 1 >= 0 then Some (digit 1)
-      else if n = 3 && digit 1 >= 0 && digit 2 >= 0 then Some ((10 * digit 1) + digit 2)
-      else int_of_string_opt (String.sub s 1 (n - 1))
-    in
-    match index with Some i when i >= 0 && i < limit -> Some (base + i) | Some _ | None -> None)
+    if limit = 0 then None
+    else
+      match int_of_string_opt (String.sub s 1 (n - 1)) with
+      | Some i when i >= 0 && i < limit -> Some (base + i)
+      | Some _ | None -> None)
 
 let pp fmt r = Format.pp_print_string fmt (name r)
 

@@ -121,7 +121,13 @@ let test_equ_and_char_literals () =
   check_int "','" 44 (li_char "','");
   check_int "'\\''" 39 (li_char "'\\''");
   let p = asm ".data\nb: .byte 'x', ',', ';', '#', '\\0'\n" in
-  Alcotest.(check string) ".byte" "x,;#\000" (Bytes.to_string p.Program.data)
+  Alcotest.(check string) ".byte" "x,;#\000" (Bytes.to_string p.Program.data);
+  (* the same holds where the literal stands in for a mnemonic *)
+  match asm "x: ';'\n" with
+  | _ -> Alcotest.fail "x: ';' assembled"
+  | exception Assembler.Error { line; message } ->
+    check_int "head line" 1 line;
+    Alcotest.(check string) "head message" "unknown mnemonic \"';'\"" message
 
 let test_targets_annotation () =
   let p = asm "start:\n.targets f, g\n  jalr t0\n  halt\nf: ret\ng: ret\n" in
@@ -143,7 +149,13 @@ let test_la_relocs () =
 
 let test_data_word_relocs () =
   let p = asm "start: halt\nf: ret\n.data\ntable: .word f, 7, f\n" in
-  check_int "two data relocs" 2 (List.length p.Program.data_word_relocs)
+  check_int "two data relocs" 2 (List.length p.Program.data_word_relocs);
+  (* a literal that also names an all-digit text label is relocated as
+     that label, though the word keeps the literal's value; [.byte]
+     never relocates *)
+  let p = asm "start: halt\n1: ret\n.data\n.word 1, 2\n.byte 1\n" in
+  Alcotest.(check (list (pair int string))) "digit label" [ (0, "1") ] p.Program.data_word_relocs;
+  check_int "literal value" 1 (Sofia.Util.Word.word32_of_bytes_le p.Program.data 0)
 
 let test_errors () =
   expect_error "bogus a0, a1\n";
