@@ -6,7 +6,8 @@
                          per-benchmark median is compared)
        [--tolerance PCT] allowed slowdown per benchmark (default 25)
        [--normalize]     scale the fresh medians by the geometric-mean
-                         fresh/baseline ratio before comparing
+                         fresh/baseline ratio of the rows with no
+                         --floor before comparing
        [--floor NAME:RATIO]
                          require benchmark NAME to run at least RATIO
                          times *faster* than the baseline (repeatable)
@@ -57,7 +58,10 @@
    give it back. Floors always compare unnormalized medians: the
    geomean scaling would partially cancel the very speedup being
    gated (a large win drags the geomean itself, so the normalized
-   ratio understates it). *)
+   ratio understates it). For the same reason a floored row is left
+   out of the [--normalize] geomean: a pinned win is a deliberate
+   shift, and counting it would read as every unfloored row slowing
+   down by the win's share of the geomean. *)
 
 module J = Sofia.Obs.Json
 
@@ -206,12 +210,19 @@ let () =
   let scale =
     if not !normalize then 1.0
     else begin
-      let ratios = List.map (fun (_, b, f) -> f /. b) paired in
-      let geomean =
-        exp (List.fold_left (fun acc r -> acc +. log r) 0.0 ratios
-             /. float_of_int (List.length ratios))
+      let ratios =
+        List.filter_map
+          (fun (name, b, f) -> if List.mem_assoc name !floors then None else Some (f /. b))
+          paired
       in
-      Printf.printf "normalizing by geomean fresh/baseline ratio %.3f\n" geomean;
+      let geomean =
+        if ratios = [] then 1.0
+        else
+          exp (List.fold_left (fun acc r -> acc +. log r) 0.0 ratios
+               /. float_of_int (List.length ratios))
+      in
+      Printf.printf "normalizing by geomean fresh/baseline ratio %.3f (%d unfloored rows)\n"
+        geomean (List.length ratios);
       1.0 /. geomean
     end
   in
