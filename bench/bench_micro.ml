@@ -57,9 +57,6 @@ let rows () =
         Test.make ~name:"assemble-adpcm" (Staged.stage (fun () -> ignore (Workload.assemble w)));
         Test.make ~name:"protect-adpcm"
           (Staged.stage (fun () -> ignore (Transform.protect_exn ~keys ~nonce:6 program)));
-        Test.make ~name:"protect-adpcm-par"
-          (let domains = min 4 (Sofia.Util.Par.recommended ()) in
-           Staged.stage (fun () -> ignore (Transform.protect_exn ~domains ~keys ~nonce:6 program)));
         Test.make ~name:"simulate-adpcm-vanilla"
           (Staged.stage (fun () -> ignore (Sofia.Cpu.Vanilla.run program)));
         Test.make ~name:"simulate-adpcm-vanilla-ref"

@@ -84,17 +84,6 @@ let cfg_cmd =
 
 (* ---- protect ---- *)
 
-(* --domains N: fan per-block work over N OCaml domains (0 = one per
-   available core). Output is byte-identical whatever the value. *)
-let domains_arg =
-  let doc =
-    "Fan the per-block work out over $(docv) OCaml domains (0 = one per available core). \
-     The result is byte-identical to the sequential path."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
-let resolve_domains = function 0 -> Sofia.Util.Par.recommended () | n -> n
-
 let store_dir_arg =
   Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR"
          ~doc:"Persistent content-addressed artifact store. Protected images (and their \
@@ -114,7 +103,7 @@ let write_bytes_to path bytes =
     (fun () -> output_bytes oc bytes)
 
 let protect_cmd =
-  let run path key_seed nonce backend verbose output domains store_dir store_budget =
+  let run path key_seed nonce backend verbose output store_dir store_budget =
     let source = try read_file path with Sys_error m -> or_die (Error m) in
     let keys = Sofia.Crypto.Keys.generate ~seed:(Int64.of_int key_seed) in
     let disk =
@@ -149,10 +138,7 @@ let protect_cmd =
        | None -> ())
     | None ->
     let program = or_die (assemble_file path) in
-    match
-      Sofia.Transform.Transform.protect ~domains:(resolve_domains domains) ~backend ~keys
-        ~nonce program
-    with
+    match Sofia.Transform.Transform.protect ~backend ~keys ~nonce program with
     | Error e ->
       Format.eprintf "error: %a@." Sofia.Transform.Layout.pp_error e;
       exit 1
@@ -205,24 +191,23 @@ let protect_cmd =
     (Cmd.info "protect"
        ~doc:"Apply the selected protection transformation and report statistics")
     Term.(const run $ file_arg $ seed_arg $ nonce_arg $ backend_arg $ verbose $ output
-          $ domains_arg $ store_dir_arg $ store_budget_arg)
+          $ store_dir_arg $ store_budget_arg)
 
 (* ---- verify ---- *)
 
 let verify_cmd =
-  let run path key_seed nonce backend domains =
-    let domains = resolve_domains domains in
+  let run path key_seed nonce backend =
     let program = or_die (assemble_file path) in
     let keys = Sofia.Crypto.Keys.generate ~seed:(Int64.of_int key_seed) in
     (* go through the backend registry: this is the same dispatch
        surface the service engine uses, so the CLI cannot drift from it *)
     let b = Sofia.Protection.Registry.find backend in
-    match b.Sofia.Protection.Backend.protect ~domains ~keys ~nonce program with
+    match b.Sofia.Protection.Backend.protect ~keys ~nonce program with
     | Error e ->
       Format.eprintf "error: %a@." Sofia.Transform.Layout.pp_error e;
       exit 1
     | Ok image ->
-      (match b.Sofia.Protection.Backend.verify_against_source ~domains ~keys program image with
+      (match b.Sofia.Protection.Backend.verify_against_source ~keys program image with
        | [] ->
          Format.printf "image verifies (%s): structure, tags, keystreams, source coverage@."
            (Sofia.Transform.Backend_id.name backend)
@@ -233,7 +218,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Protect a program and independently verify the resulting image")
-    Term.(const run $ file_arg $ seed_arg $ nonce_arg $ backend_arg $ domains_arg)
+    Term.(const run $ file_arg $ seed_arg $ nonce_arg $ backend_arg)
 
 (* ---- shared runner flags (run / run-image; serve/batch reuse the
    ks-cache and metrics knobs) ---- *)
@@ -260,7 +245,10 @@ let ks_cache_arg =
                --metrics to see hit/miss/eviction counters.")
 
 let engine_conv =
-  Arg.enum [ ("fast", Sofia.Cpu.Run_config.Fast); ("ref", Sofia.Cpu.Run_config.Ref) ]
+  Arg.enum
+    (List.map
+       (fun e -> (Sofia.Cpu.Run_config.engine_name e, e))
+       [ Sofia.Cpu.Run_config.Fast; Sofia.Cpu.Run_config.Ref ])
 
 let engine_arg =
   Arg.(value & opt engine_conv Sofia.Cpu.Run_config.Fast & info [ "engine" ] ~docv:"ENGINE"
@@ -712,7 +700,7 @@ let fleet_cmd =
             | a -> Ok (a, p)
             | exception Not_found -> Error (host ^ ": cannot resolve"))))
   in
-  let run use_stdin socket tcp accepts children workers queue window audit_every no_replay
+  let run use_stdin socket tcp accepts children workers queue window audit_every
       hang_timeout_ms breaker rejoin_cooldown_ms rejoin_probes restart_backoff_ms
       restart_budget client_linger_ms replay_dir deadline engine backend store_dir
       store_budget socket_dir metrics json_out =
@@ -727,7 +715,6 @@ let fleet_cmd =
         queue;
         window = min window queue;
         audit_every;
-        replay = not no_replay;
         hang_timeout_ms;
         breaker_threshold = breaker;
         rejoin_cooldown_ms;
@@ -737,8 +724,7 @@ let fleet_cmd =
         client_linger_ms;
         replay_dir;
         default_deadline_ms = deadline;
-        engine =
-          Some (match engine with Sofia.Cpu.Run_config.Fast -> "fast" | _ -> "ref");
+        engine;
         backend;
         store_dir;
         store_budget;
@@ -858,11 +844,6 @@ let fleet_cmd =
                  compare response content hashes; a child caught lying is quarantined \
                  by majority vote. 0 disables auditing.")
   in
-  let no_replay =
-    Arg.(value & flag & info [ "no-replay" ]
-           ~doc:"Disable the router's content-keyed response replay cache (every \
-                 duplicate job is dispatched to its shard).")
-  in
   let hang_timeout =
     Arg.(value & opt int 5000 & info [ "hang-timeout-ms" ] ~docv:"MS"
            ~doc:"Watchdog: a child owing traffic but silent for $(docv) is killed and \
@@ -916,7 +897,7 @@ let fleet_cmd =
              circuit-breaker with probation rejoin, response-audit supervision and an \
              optionally persistent replay cache at the router")
     Term.(const run $ use_stdin $ socket $ tcp $ accepts $ children $ workers $ queue_arg
-          $ window $ audit_every $ no_replay $ hang_timeout $ breaker $ rejoin_cooldown
+          $ window $ audit_every $ hang_timeout $ breaker $ rejoin_cooldown
           $ rejoin_probes $ restart_backoff $ restart_budget $ client_linger $ replay_dir
           $ deadline_arg $ engine_arg $ backend_arg $ store_dir_arg $ store_budget_arg
           $ socket_dir $ metrics_arg $ json_out_arg)

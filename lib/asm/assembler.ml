@@ -610,16 +610,3 @@ let assemble ?(text_base = Program.default_text_base) ?(data_base = Program.defa
     la_relocs = !la_relocs;
     data_word_relocs = !data_word_relocs;
   }
-
-let assemble_insns ?(text_base = Program.default_text_base) insns =
-  {
-    Program.text = Array.of_list insns;
-    text_base;
-    data = Bytes.create 0;
-    data_base = Program.default_data_base;
-    entry = text_base;
-    symbols = [];
-    indirect_targets = [];
-    la_relocs = [];
-    data_word_relocs = [];
-  }

@@ -43,7 +43,3 @@ val assemble : ?text_base:int -> ?data_base:int -> string -> Program.t
 (** [assemble src] assembles a full source string. The entry point is
     the [start] label when defined, else the first text address.
     @raise Error on malformed input. *)
-
-val assemble_insns : ?text_base:int -> Sofia_isa.Insn.t list -> Program.t
-(** Wrap a raw instruction list as a program (no data, no symbols);
-    convenient for tests. *)

@@ -54,22 +54,20 @@ module Protect = struct
     nonce : int;
   }
 
-  (* [domains] fans per-block MAC-then-Encrypt over OCaml domains; the
-     image is byte-identical whatever the value (see Sofia_util.Par).
-     [backend] selects the protection scheme (default SOFIA). *)
-  let protect_program ?(key_seed = 0x50F1AL) ?(nonce = 1) ?domains ?backend program =
+  (* [backend] selects the protection scheme (default SOFIA). *)
+  let protect_program ?(key_seed = 0x50F1AL) ?(nonce = 1) ?backend program =
     let keys = Sofia_crypto.Keys.generate ~seed:key_seed in
     Result.map
       (fun image -> { program; image; keys; nonce })
-      (Sofia_transform.Transform.protect ?domains ?backend ~keys ~nonce program)
+      (Sofia_transform.Transform.protect ?backend ~keys ~nonce program)
 
   (** Assemble a source string and protect it.
       @raise Sofia_asm.Assembler.Error on assembly errors. *)
-  let protect_source ?key_seed ?nonce ?domains ?backend source =
-    protect_program ?key_seed ?nonce ?domains ?backend (Sofia_asm.Assembler.assemble source)
+  let protect_source ?key_seed ?nonce ?backend source =
+    protect_program ?key_seed ?nonce ?backend (Sofia_asm.Assembler.assemble source)
 
-  let protect_source_exn ?key_seed ?nonce ?domains ?backend source =
-    match protect_source ?key_seed ?nonce ?domains ?backend source with
+  let protect_source_exn ?key_seed ?nonce ?backend source =
+    match protect_source ?key_seed ?nonce ?backend source with
     | Ok p -> p
     | Error e -> invalid_arg (Format.asprintf "Sofia.Protect: %a" Sofia_transform.Layout.pp_error e)
 end

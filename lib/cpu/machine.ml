@@ -67,18 +67,6 @@ let violation_address = function
   | Landing_pad_violation { address } -> address
   | Shadow_stack_mismatch { got; _ } -> got
 
-let stats_counters s =
-  [
-    ("cycles", s.cycles);
-    ("instructions", s.instructions);
-    ("mac_words_fetched", s.mac_words_fetched);
-    ("blocks_entered", s.blocks_entered);
-    ("redirects", s.redirects);
-    ("icache_accesses", s.icache_accesses);
-    ("icache_misses", s.icache_misses);
-    ("load_use_stalls", s.load_use_stalls);
-  ]
-
 let pp_outcome fmt = function
   | Halted code -> Format.fprintf fmt "halted(%d)" code
   | Cpu_reset v -> Format.fprintf fmt "reset: %a" pp_violation v

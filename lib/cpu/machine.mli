@@ -59,10 +59,6 @@ val violation_address : violation -> int
 (** The address the violation reports (block base, faulting address, or
     the offending return target). *)
 
-val stats_counters : run_stats -> (string * int) list
-(** Every stats field with a stable name, for machine-readable
-    emission. *)
-
 type t
 (** Register file + PC + accounting. *)
 

@@ -26,8 +26,3 @@ let default =
 let initial_sp t = (t.mem_size - 16) land lnot 15
 
 let engine_name = function Fast -> "fast" | Ref -> "ref"
-
-let engine_of_name = function
-  | "fast" -> Some Fast
-  | "ref" -> Some Ref
-  | _ -> None

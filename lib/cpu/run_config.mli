@@ -51,4 +51,3 @@ val initial_sp : t -> int
 (** Stack pointer at reset: top of RAM, 16-byte aligned. *)
 
 val engine_name : engine -> string
-val engine_of_name : string -> engine option

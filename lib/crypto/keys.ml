@@ -7,9 +7,6 @@ let generate ~seed =
   let k3 = Rectangle.random_key rng in
   { k1; k2; k3 }
 
-let of_hex ~k1 ~k2 ~k3 =
-  { k1 = Rectangle.key_of_hex k1; k2 = Rectangle.key_of_hex k2; k3 = Rectangle.key_of_hex k3 }
-
 let fingerprint t =
   Printf.sprintf "%s-%s-%s" (Rectangle.key_fingerprint t.k1) (Rectangle.key_fingerprint t.k2)
     (Rectangle.key_fingerprint t.k3)

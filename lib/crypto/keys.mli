@@ -14,7 +14,4 @@ type t = { k1 : Rectangle.key; k2 : Rectangle.key; k3 : Rectangle.key }
 val generate : seed:int64 -> t
 (** Deterministic derivation of three independent keys from a seed. *)
 
-val of_hex : k1:string -> k2:string -> k3:string -> t
-(** Each key as 20 hex digits. *)
-
 val fingerprint : t -> string

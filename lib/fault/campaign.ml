@@ -710,38 +710,11 @@ module FR = Sofia_fleet.Router
 module FC = Sofia_fleet.Child
 module FS = Sofia_fleet.Shard
 
-(* Feed the router from a temp file and collect its responses in
-   another: no pipe-buffer write deadlock is possible at any job count,
-   and the output survives for line-level inspection. *)
-let fleet_cfg ?(children = 3) ?(window = 32) ?(audit_every = 0) ?(replay = true)
-    ?(probe_interval_ms = 100) ?(hang_timeout_ms = 5_000) ?(breaker = 3)
-    ?(redispatch_limit = 2) ?(rejoin_cooldown_ms = 30_000) ?(rejoin_probes = 3)
-    ?(restart_backoff_ms = 25) ?(restart_budget = 6)
-    ?(restart_budget_window_ms = 10_000) ?(client_linger_ms = 5_000) ?replay_dir
-    ?store_dir ?deadline_ms ?child_extra_args ?on_event ~cli () =
-  {
-    FR.default_config with
-    FR.children;
-    window;
-    audit_every;
-    replay;
-    probe_interval_ms;
-    hang_timeout_ms;
-    breaker_threshold = breaker;
-    redispatch_limit;
-    rejoin_cooldown_ms;
-    rejoin_probes;
-    restart_backoff_ms;
-    restart_budget;
-    restart_budget_window_ms;
-    client_linger_ms;
-    replay_dir;
-    store_dir;
-    default_deadline_ms = deadline_ms;
-    cli = Some cli;
-    child_extra_args;
-    on_event;
-  }
+(* The scenarios' base fleet: audits off (the digest-lie scenario turns
+   them on) and 100 ms idle probes; each scenario updates the fields it
+   exercises. *)
+let fleet_cfg ~cli =
+  { FR.default_config with FR.audit_every = 0; probe_interval_ms = 100; cli = Some cli }
 
 let read_responses out_path =
   let responses = ref [] in
@@ -756,10 +729,10 @@ let read_responses out_path =
   close_in ic;
   List.rev !responses
 
-let fleet_run ?children ?window ?audit_every ?replay ?probe_interval_ms
-    ?hang_timeout_ms ?breaker ?redispatch_limit ?rejoin_cooldown_ms ?rejoin_probes
-    ?restart_backoff_ms ?restart_budget ?restart_budget_window_ms ?client_linger_ms
-    ?replay_dir ?store_dir ?deadline_ms ?child_extra_args ?on_event ~cli lines =
+(* Feed the router from a temp file and collect its responses in
+   another: no pipe-buffer write deadlock is possible at any job count,
+   and the output survives for line-level inspection. *)
+let fleet_run cfg lines =
   let in_path = Filename.temp_file "sofia_fleet" ".ndjson" in
   let out_path = Filename.temp_file "sofia_fleet" ".out" in
   Fun.protect
@@ -776,13 +749,6 @@ let fleet_run ?children ?window ?audit_every ?replay ?probe_interval_ms
       close_out oc;
       let cin = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
       let cout = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-      let cfg =
-        fleet_cfg ?children ?window ?audit_every ?replay ?probe_interval_ms
-          ?hang_timeout_ms ?breaker ?redispatch_limit ?rejoin_cooldown_ms
-          ?rejoin_probes ?restart_backoff_ms ?restart_budget
-          ?restart_budget_window_ms ?client_linger_ms ?replay_dir ?store_dir
-          ?deadline_ms ?child_extra_args ?on_event ~cli ()
-      in
       let stats, doc =
         Fun.protect
           ~finally:(fun () ->
@@ -796,11 +762,7 @@ let fleet_run ?children ?window ?audit_every ?replay ?probe_interval_ms
    go in from its own temp file and its responses come back to its own,
    so slow-reader and flood behaviour is per-client observable. Returns
    one response list per client, in order. *)
-let fleet_run_clients ?children ?window ?audit_every ?replay ?probe_interval_ms
-    ?hang_timeout_ms ?breaker ?redispatch_limit ?rejoin_cooldown_ms ?rejoin_probes
-    ?restart_backoff_ms ?restart_budget ?restart_budget_window_ms ?client_linger_ms
-    ?replay_dir ?store_dir ?deadline_ms ?child_extra_args ?on_event ~cli
-    per_client_lines =
+let fleet_run_clients cfg per_client_lines =
   let files =
     List.map
       (fun lines ->
@@ -830,13 +792,6 @@ let fleet_run_clients ?children ?window ?audit_every ?replay ?probe_interval_ms
             ( Unix.openfile i [ Unix.O_RDONLY ] 0,
               Unix.openfile o [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 ))
           files
-      in
-      let cfg =
-        fleet_cfg ?children ?window ?audit_every ?replay ?probe_interval_ms
-          ?hang_timeout_ms ?breaker ?redispatch_limit ?rejoin_cooldown_ms
-          ?rejoin_probes ?restart_backoff_ms ?restart_budget
-          ?restart_budget_window_ms ?client_linger_ms ?replay_dir ?store_dir
-          ?deadline_ms ?child_extra_args ?on_event ~cli ()
       in
       let stats, doc =
         Fun.protect
@@ -943,7 +898,11 @@ let fsc_child_kill cli source =
       end
     | FR.Child_down _ | FR.Child_rejoin _ -> ()
   in
-  let rs, st, _ = fleet_run ~children ~window:4 ~on_event ~cli (fr_lines jobs) in
+  let rs, st, _ =
+    fleet_run
+      { (fleet_cfg ~cli) with FR.children; window = 4; on_event = Some on_event }
+      (fr_lines jobs)
+  in
   let once = fr_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs in
   let ok =
     !killed && fr_all_done rs && once && st.FR.deaths >= 1 && st.FR.restarts >= 1
@@ -988,7 +947,14 @@ let fsc_child_hang cli source =
     | FR.Child_down _ | FR.Child_rejoin _ -> ()
   in
   let rs, st, _ =
-    fleet_run ~children ~window:4 ~hang_timeout_ms:400 ~on_event ~cli (fr_lines jobs)
+    fleet_run
+      { (fleet_cfg ~cli) with
+        FR.children;
+        window = 4;
+        hang_timeout_ms = 400;
+        on_event = Some on_event;
+      }
+      (fr_lines jobs)
   in
   let once = fr_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs in
   let ok =
@@ -1017,7 +983,13 @@ let fsc_clock_skew cli source =
   in
   let extra k = if k = skewed then [ "--test-wall-skew"; "43200" ] else [] in
   let rs, st, _ =
-    fleet_run ~children ~deadline_ms:60_000 ~child_extra_args:extra ~cli (fr_lines jobs)
+    fleet_run
+      { (fleet_cfg ~cli) with
+        FR.children;
+        default_deadline_ms = Some 60_000;
+        child_extra_args = Some extra;
+      }
+      (fr_lines jobs)
   in
   let horizon = Unix.gettimeofday () +. 21_600.0 in
   let skew_visible =
@@ -1054,7 +1026,7 @@ let fsc_wire_corrupt cli source =
     ]
   in
   let jobs = fr_protect_jobs ~prefix:"fw" source 6 in
-  let rs, st, _ = fleet_run ~cli (bad @ fr_lines jobs) in
+  let rs, st, _ = fleet_run (fleet_cfg ~cli) (bad @ fr_lines jobs) in
   let answered = List.length rs in
   let ok =
     st.FR.received = 10 && st.FR.malformed = 4 && st.FR.submitted = 6 && st.FR.done_ = 6
@@ -1088,7 +1060,9 @@ let fsc_digest_quarantine cli source =
     ors;
   let extra k = if k = liar then [ "--test-flip-digest" ] else [] in
   let rs, st, _ =
-    fleet_run ~children ~audit_every:1 ~child_extra_args:extra ~cli (fr_lines jobs)
+    fleet_run
+      { (fleet_cfg ~cli) with FR.children; audit_every = 1; child_extra_args = Some extra }
+      (fr_lines jobs)
   in
   let digests_honest =
     rs <> []
@@ -1141,8 +1115,14 @@ let fsc_breaker_reshed cli source =
   let shares_shard = on_p <> [] in
   let extra _ = [ "--test-exit"; marker ] in
   let rs, st, _ =
-    fleet_run ~children ~window:1 ~breaker:3 ~redispatch_limit:2 ~child_extra_args:extra
-      ~cli
+    fleet_run
+      { (fleet_cfg ~cli) with
+        FR.children;
+        window = 1;
+        breaker_threshold = 3;
+        redispatch_limit = 2;
+        child_extra_args = Some extra;
+      }
       (fr_lines (poison :: jobs))
   in
   let poison_failed =
@@ -1205,7 +1185,8 @@ let fsc_store_poison cli source =
           rs
         |> List.sort compare
       in
-      let rs1, st1, _ = fleet_run ~children ~store_dir:dir ~cli (fr_lines jobs) in
+      let cfg = { (fleet_cfg ~cli) with FR.children; store_dir = Some dir } in
+      let rs1, st1, _ = fleet_run cfg (fr_lines jobs) in
       let shard_dir = Filename.concat dir (Printf.sprintf "shard-%d" poisoned) in
       let tampered = ref 0 in
       (if Sys.file_exists shard_dir && Sys.is_directory shard_dir then
@@ -1227,7 +1208,7 @@ let fsc_store_poison cli source =
                end
              end)
            (Sys.readdir shard_dir));
-      let rs2, st2, doc2 = fleet_run ~children ~store_dir:dir ~cli (fr_lines jobs) in
+      let rs2, st2, doc2 = fleet_run cfg (fr_lines jobs) in
       let corrupt_detected =
         match J.member "children_metrics" doc2 with
         | Some (J.List kids) ->
@@ -1269,7 +1250,7 @@ let fsc_client_flood cli source =
   let nclients = 4 in
   let jobs = fr_protect_jobs ~prefix:"ff" source 25 in
   let lines = fr_lines jobs in
-  let rss, st, _ = fleet_run_clients ~cli (List.init nclients (fun _ -> lines)) in
+  let rss, st, _ = fleet_run_clients (fleet_cfg ~cli) (List.init nclients (fun _ -> lines)) in
   let ids = List.map (fun (j : Job.request) -> j.Job.id) jobs in
   let each_once = rss <> [] && List.for_all (fun rs -> fr_ids_once ids rs) rss in
   let all_done = List.for_all fr_all_done rss in
@@ -1335,7 +1316,7 @@ let fsc_slow_loris cli source =
       let pr, pw = Unix.pipe ~cloexec:true () in
       let gin = Unix.openfile good_in [ Unix.O_RDONLY ] 0 in
       let gout = Unix.openfile good_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-      let cfg = fleet_cfg ~client_linger_ms:200 ~cli () in
+      let cfg = { (fleet_cfg ~cli) with FR.client_linger_ms = 200 } in
       let stats, _ =
         Fun.protect
           ~finally:(fun () ->
@@ -1435,9 +1416,16 @@ let fsc_rejoin_reshed cli source =
       in
       let extra k = if k = victim then [ "--test-exit"; marker ] else [] in
       let cfg =
-        fleet_cfg ~children ~window:1 ~breaker:1 ~probe_interval_ms:20
-          ~rejoin_cooldown_ms:150 ~rejoin_probes:2 ~child_extra_args:extra
-          ~on_event ~cli ()
+        { (fleet_cfg ~cli) with
+          FR.children;
+          window = 1;
+          breaker_threshold = 1;
+          probe_interval_ms = 20;
+          rejoin_cooldown_ms = 150;
+          rejoin_probes = 2;
+          child_extra_args = Some extra;
+          on_event = Some on_event;
+        }
       in
       let stats, _ =
         Fun.protect
@@ -1489,8 +1477,16 @@ let fsc_restart_storm cli source =
   in
   let extra k = if k = victim then [ "--test-exit"; marker ] else [] in
   let rs, st, _ =
-    fleet_run ~children ~window:1 ~breaker:0 ~restart_backoff_ms:10
-      ~restart_budget:3 ~rejoin_cooldown_ms:0 ~child_extra_args:extra ~cli
+    fleet_run
+      { (fleet_cfg ~cli) with
+        FR.children;
+        window = 1;
+        breaker_threshold = 0;
+        restart_backoff_ms = 10;
+        restart_budget = 3;
+        rejoin_cooldown_ms = 0;
+        child_extra_args = Some extra;
+      }
       (fr_lines (poisons @ healthy))
   in
   let once =
@@ -1556,7 +1552,8 @@ let fsc_replay_warm_tamper cli source =
           rs
         |> List.sort compare
       in
-      let rs1, st1, _ = fleet_run ~replay_dir:dir ~cli (fr_lines jobs) in
+      let cfg = { (fleet_cfg ~cli) with FR.replay_dir = Some dir } in
+      let rs1, st1, _ = fleet_run cfg (fr_lines jobs) in
       let tampered =
         match
           Sys.readdir dir |> Array.to_list
@@ -1577,7 +1574,7 @@ let fsc_replay_warm_tamper cli source =
           close_out oc;
           true
       in
-      let rs2, st2, doc2 = fleet_run ~replay_dir:dir ~cli (fr_lines jobs) in
+      let rs2, st2, doc2 = fleet_run cfg (fr_lines jobs) in
       let corrupt_counted =
         match Option.bind (J.member "replay_store" doc2) (J.member "corrupt") with
         | Some (J.Int n) -> n >= 1

@@ -62,14 +62,6 @@ type site =
   | Redirect of { from_exit : int; target : int }
   | Transient of { fetch : int; bit : int }
 
-let pp_site fmt = function
-  | Word_xor { address; mask } ->
-    Format.fprintf fmt "word-xor   addr=0x%08x mask=0x%08x" address mask
-  | Word_swap { a; b } -> Format.fprintf fmt "word-swap  0x%08x <-> 0x%08x" a b
-  | Redirect { from_exit; target } ->
-    Format.fprintf fmt "redirect   0x%08x -> 0x%08x" from_exit target
-  | Transient { fetch; bit } -> Format.fprintf fmt "transient  fetch=%d bit=%d" fetch bit
-
 (* Materialise an image-tamper site. [Redirect]/[Transient] leave the
    stored image untouched — the campaign injects them through the
    frontend query / the runner's fault hook instead. *)

@@ -65,8 +65,6 @@ type site =
   | Transient of { fetch : int; bit : int }
       (** flip [bit] of the [fetch]-th (1-based) fetched block group *)
 
-val pp_site : Format.formatter -> site -> unit
-
 val apply : Sofia_transform.Image.t -> site -> Sofia_transform.Image.t
 (** Materialise an image-tamper site ([Word_xor]/[Word_swap]) as a
     tampered copy; [Redirect]/[Transient] return the image unchanged

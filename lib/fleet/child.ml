@@ -89,12 +89,15 @@ let connect_with_timeout ~socket_path ~pid ~timeout_s =
   in
   loop ()
 
-let start ~cli ~args ~shard ~socket_path ~connect_timeout_s =
+(* how long a freshly spawned child may take to bind its socket *)
+let connect_timeout_s = 10.0
+
+let start ~cli ~args ~shard ~socket_path =
   let pid = spawn ~cli ~args in
   let fd = connect_with_timeout ~socket_path ~pid ~timeout_s:connect_timeout_s in
   { shard; socket_path; pid; fd = Some fd; rbuf = Buffer.create 4096 }
 
-let restart p ~cli ~args ~connect_timeout_s =
+let restart p ~cli ~args =
   Buffer.clear p.rbuf;
   let pid = spawn ~cli ~args in
   let fd = connect_with_timeout ~socket_path:p.socket_path ~pid ~timeout_s:connect_timeout_s in

@@ -32,12 +32,12 @@ val start :
   args:string list ->
   shard:int ->
   socket_path:string ->
-  connect_timeout_s:float ->
   proc
-(** {!spawn} then poll-connect to [socket_path] until the child binds.
+(** {!spawn} then poll-connect to [socket_path] until the child binds
+    (10 s at most).
     @raise Child_failed on exit-before-bind or timeout. *)
 
-val restart : proc -> cli:string -> args:string list -> connect_timeout_s:float -> unit
+val restart : proc -> cli:string -> args:string list -> unit
 (** Fresh process on the same socket path (the serve side handles the
     stale socket file); resets the line buffer. *)
 

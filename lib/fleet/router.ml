@@ -55,24 +55,21 @@ type config = {
   socket_dir : string option;
   store_dir : string option;
   store_budget : int;
-  engine : string option;
+  engine : Sofia_cpu.Run_config.engine;
   backend : Sofia_transform.Backend_id.t;
   default_deadline_ms : int option;
   window : int;
-  replay : bool;
   audit_every : int;
   probe_interval_ms : int;
   hang_timeout_ms : int;
   breaker_threshold : int;
   redispatch_limit : int;
-  connect_timeout_s : float;
   child_extra_args : (int -> string list) option;
   on_event : (event -> unit) option;
   replay_dir : string option;
   rejoin_cooldown_ms : int;
   rejoin_probes : int;
   restart_backoff_ms : int;
-  restart_backoff_max_ms : int;
   restart_budget : int;
   restart_budget_window_ms : int;
   client_linger_ms : int;
@@ -87,24 +84,21 @@ let default_config =
     socket_dir = None;
     store_dir = None;
     store_budget = 0;
-    engine = None;
+    engine = Sofia_cpu.Run_config.Fast;
     backend = Sofia_transform.Backend_id.Sofia;
     default_deadline_ms = None;
     window = 32;
-    replay = true;
     audit_every = 16;
     probe_interval_ms = 250;
     hang_timeout_ms = 5_000;
     breaker_threshold = 3;
     redispatch_limit = 2;
-    connect_timeout_s = 10.0;
     child_extra_args = None;
     on_event = None;
     replay_dir = None;
     rejoin_cooldown_ms = 30_000;
     rejoin_probes = 3;
     restart_backoff_ms = 25;
-    restart_backoff_max_ms = 2_000;
     restart_budget = 6;
     restart_budget_window_ms = 10_000;
     client_linger_ms = 5_000;
@@ -275,6 +269,9 @@ let emit_obs t kind detail =
 let jitter t bound =
   t.rng <- Int64.add (Int64.mul t.rng 6364136223846793005L) 1442695040888963407L;
   Int64.to_int (Int64.rem (Int64.shift_right_logical t.rng 33) (Int64.of_int (max 1 bound)))
+
+(* crash-restart backoff cap: the doubling delay stops growing here *)
+let restart_backoff_max_ms = 2_000
 
 (* ---- client output ------------------------------------------------ *)
 
@@ -473,14 +470,14 @@ let cached_of_payload payload =
 
 let disk_replay_store t (req : Job.request) key c =
   match t.rstore with
-  | Some rs when t.cfg.replay && key <> "" ->
+  | Some rs when key <> "" ->
     Fs.store_replay rs ~backend:req.Job.backend ~keys:(replay_keys t req.Job.key_seed)
       ~nonce:req.Job.nonce ~source:key ~payload:(cached_payload c)
   | _ -> ()
 
 let disk_replay_load t (req : Job.request) key =
   match t.rstore with
-  | Some rs when t.cfg.replay && key <> "" ->
+  | Some rs when key <> "" ->
     Option.bind
       (Fs.load_replay rs ~backend:req.Job.backend ~keys:(replay_keys t req.Job.key_seed)
          ~nonce:req.Job.nonce ~source:key)
@@ -536,7 +533,7 @@ let child_args t k =
       "--json"; Filename.concat t.dir (Printf.sprintf "metrics-%d.json" k);
     ]
   in
-  let engine = match t.cfg.engine with Some e -> [ "--engine"; e ] | None -> [] in
+  let engine = [ "--engine"; Sofia_cpu.Run_config.engine_name t.cfg.engine ] in
   (* passed only when non-default, so an all-SOFIA fleet spawns its
      children with the exact pre-backend command line *)
   let backend =
@@ -645,7 +642,7 @@ and handle_death t k reason =
           (* schedule the replacement: 2^(deaths-1) * base, capped, plus
              up to 25% deterministic jitter *)
           let expo =
-            min t.cfg.restart_backoff_max_ms
+            min restart_backoff_max_ms
               (max 1 t.cfg.restart_backoff_ms
                * (1 lsl min 16 (max 0 (ch.c_consec_deaths - 1))))
           in
@@ -859,7 +856,7 @@ and finalize_primary t d fields =
     let c =
       if status = "done" then begin
         let c = make_cached ~worker:d.d_shard fields in
-        if t.cfg.replay then Hashtbl.replace t.cache d.d_key c;
+        Hashtbl.replace t.cache d.d_key c;
         disk_replay_store t d.d_req d.d_key c;
         Some c
       end
@@ -957,7 +954,7 @@ let admit t cl (req : Job.request) =
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   let admit_t = Clock.mono_s () in
-  let key = if t.cfg.replay && Shard.replayable req then Shard.content_key req else "" in
+  let key = if Shard.replayable req then Shard.content_key req else "" in
   if key <> "" && Hashtbl.mem t.cache key then
     emit_replay t cl ~id:req.Job.id ~seq ~admit:admit_t (Hashtbl.find t.cache key)
   else if key <> "" && Hashtbl.mem t.waiters key then begin
@@ -1071,20 +1068,18 @@ let split_id_tail line =
    through the full parser, which also teaches the memo. *)
 let admit_line t cl line =
   let fast =
-    if not t.cfg.replay then None
-    else
-      match split_id_tail line with
-      | None -> None
-      | Some (id, tail) -> (
-        match Hashtbl.find_opt t.memo tail with
-        | Some key when key <> "" -> (
-          match Hashtbl.find_opt t.cache key with
-          | Some c -> Some (`Replay (id, c))
-          | None -> (
-            match Hashtbl.find_opt t.waiters key with
-            | Some ws -> Some (`Coalesce (id, ws))
-            | None -> None))
-        | _ -> None)
+    match split_id_tail line with
+    | None -> None
+    | Some (id, tail) -> (
+      match Hashtbl.find_opt t.memo tail with
+      | Some key when key <> "" -> (
+        match Hashtbl.find_opt t.cache key with
+        | Some c -> Some (`Replay (id, c))
+        | None -> (
+          match Hashtbl.find_opt t.waiters key with
+          | Some ws -> Some (`Coalesce (id, ws))
+          | None -> None))
+      | _ -> None)
   in
   match fast with
   | Some action ->
@@ -1168,8 +1163,7 @@ let tick t =
             if now -. ch.c_quar_since >= float_of_int t.cfg.rejoin_cooldown_ms /. 1000.0
             then begin
               try
-                Child.restart ch.c ~cli:t.cli ~args:ch.c_args
-                  ~connect_timeout_s:t.cfg.connect_timeout_s;
+                Child.restart ch.c ~cli:t.cli ~args:ch.c_args;
                 ch.c_probation <- 0;
                 ch.c_probe_out <- false;
                 ch.c_last_rx <- now;
@@ -1197,8 +1191,7 @@ let tick t =
         if ch.c_restart_at > 0.0 && now >= ch.c_restart_at then begin
           ch.c_restart_at <- 0.0;
           try
-            Child.restart ch.c ~cli:t.cli ~args:ch.c_args
-              ~connect_timeout_s:t.cfg.connect_timeout_s;
+            Child.restart ch.c ~cli:t.cli ~args:ch.c_args;
             ch.c_last_rx <- now;
             ch.c_restart_times <- now :: ch.c_restart_times;
             t.stats.restarts <- t.stats.restarts + 1;
@@ -1335,7 +1328,6 @@ let metrics_json t =
              ("children", J.Int t.cfg.children);
              ("workers_per_child", J.Int t.cfg.workers);
              ("window", J.Int t.cfg.window);
-             ("replay", J.Bool t.cfg.replay);
              ("audit_every", J.Int t.cfg.audit_every);
            ] );
        ("router", stats_json t.stats);
@@ -1504,10 +1496,7 @@ let create ?(obs = Obs.none) cfg =
         (* a stale socket file from a previous fleet is cleared by the
            janitor above (caller-provided dirs) and, as a second line,
            by the child's own prepare_socket_path probe (PR 4) *)
-        let c =
-          Child.start ~cli ~args ~shard:k ~socket_path:sock
-            ~connect_timeout_s:cfg.connect_timeout_s
-        in
+        let c = Child.start ~cli ~args ~shard:k ~socket_path:sock in
         {
           c;
           cs = stats.shards.(k);

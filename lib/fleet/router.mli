@@ -49,7 +49,7 @@ type config = {
           removed; live sockets and plain files are left alone. *)
   store_dir : string option;  (** parent dir; child [k] gets [shard-k/] *)
   store_budget : int;
-  engine : string option;  (** [--engine] forwarded to children *)
+  engine : Sofia_cpu.Run_config.engine;  (** [--engine] forwarded to children *)
   backend : Sofia_transform.Backend_id.t;
       (** fleet-default protection backend (default SOFIA). Forwarded
           to children as [--backend] (omitted when SOFIA, so all-SOFIA
@@ -59,13 +59,11 @@ type config = {
           could alias one backend's payload under the other's key. *)
   default_deadline_ms : int option;
   window : int;  (** max in-flight jobs per child (< child queue) *)
-  replay : bool;  (** serve duplicate deterministic jobs from cache *)
   audit_every : int;  (** audit every Nth distinct content key; 0 = off *)
   probe_interval_ms : int;  (** idle-child ping cadence; 0 = off *)
   hang_timeout_ms : int;  (** silence-with-traffic-owed before SIGKILL *)
   breaker_threshold : int;  (** consecutive deaths before quarantine *)
   redispatch_limit : int;  (** child incarnations one job may consume *)
-  connect_timeout_s : float;
   child_extra_args : (int -> string list) option;
       (** per-shard extra serve flags (the fault campaign's skew /
           digest-flip / poison-job hooks) *)
@@ -81,8 +79,8 @@ type config = {
           restart; 0 disables rejoin entirely *)
   rejoin_probes : int;
       (** consecutive clean probe responses required to re-admit *)
-  restart_backoff_ms : int;  (** base crash-restart delay (doubles per death) *)
-  restart_backoff_max_ms : int;  (** backoff cap *)
+  restart_backoff_ms : int;
+      (** base crash-restart delay (doubles per death, capped at 2s) *)
   restart_budget : int;
       (** restarts allowed per shard within the budget window before
           the shard is quarantined (breaker cause); 0 = unlimited *)
@@ -93,9 +91,9 @@ type config = {
 }
 
 val default_config : config
-(** 3 children, 1 worker each, window 32, replay on, audit every 16th
-    distinct key, 250ms probes, 5s hang timeout, breaker at 3.
-    Survivability defaults: 25ms base backoff capped at 2s, 6 restarts
+(** 3 children, 1 worker each, [Fast] engine, window 32, audit every
+    16th distinct key, 250ms probes, 5s hang timeout, breaker at 3.
+    Survivability defaults: 25ms base backoff, 6 restarts
     per 10s budget window, 30s rejoin cooldown with 3 clean probes,
     5s slow-client linger, no persistent replay dir. *)
 

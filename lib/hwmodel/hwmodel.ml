@@ -70,12 +70,6 @@ let sofia_additions ~unroll =
    comparator, and a 1x (iterated) RECTANGLE kept solely for the keyed
    state initialisation at reset — it is off the per-fetch path. *)
 
-let sponge_rounds_total = 12
-
-let cycles_per_permutation ~unroll =
-  assert (unroll >= 1 && unroll <= sponge_rounds_total);
-  (sponge_rounds_total + unroll - 1) / unroll
-
 (* One ARX round: a 32-bit carry-chain adder, the 32-bit feedback XOR
    (rotations are wiring) and the round-constant XOR folded into the
    adder LUTs where it fits. *)
@@ -170,10 +164,6 @@ let scfp_area_overhead_pct ?(unroll = 6) () =
   let v = synthesize_vanilla () and s = synthesize_scfp ~unroll () in
   Sofia_util.Stats.percent_overhead ~baseline:(float_of_int v.slices)
     ~measured:(float_of_int s.slices)
-
-let scfp_clock_ratio ?(unroll = 6) () =
-  let v = synthesize_vanilla () and s = synthesize_scfp ~unroll () in
-  v.fmax_mhz /. s.fmax_mhz
 
 let sweep_unroll factors =
   List.map (fun u -> (u, synthesize_sofia ~unroll:u (), cycles_per_cipher_op ~unroll:u)) factors

@@ -75,12 +75,6 @@ val synthesize_vanilla : unit -> synthesis
 val synthesize_sofia : ?unroll:int -> unit -> synthesis
 (** Default unroll 13. *)
 
-val sponge_rounds_total : int
-(** 12 ARX rounds per sponge permutation. *)
-
-val cycles_per_permutation : unroll:int -> int
-(** ⌈12 / unroll⌉ — 2 at the default unroll factor of 6. *)
-
 val synthesize_scfp : ?unroll:int -> unit -> synthesis
 (** Default unroll 6: the permutation takes two cycles per absorbed
     word and the ARX path stays close to the vanilla critical path,
@@ -96,9 +90,6 @@ val clock_ratio : ?unroll:int -> unit -> float
 
 val scfp_area_overhead_pct : ?unroll:int -> unit -> float
 (** SCFP slices over vanilla, default unroll 6. *)
-
-val scfp_clock_ratio : ?unroll:int -> unit -> float
-(** [vanilla fmax / SCFP fmax], default unroll 6. *)
 
 val sweep_unroll : int list -> (int * synthesis * int) list
 (** For each unrolling factor: synthesis result and cycles per cipher

@@ -1,52 +1,27 @@
 (* The first-class protection-backend interface.
 
-   Until PR 8 the SOFIA pipeline was hard-wired through the stack:
-   transform, verifier, frontends and tooling all assumed CTR + CBC-MAC
-   blocks. This record abstracts the four capabilities every backend
-   must provide — protect a program into an image, independently verify
-   an image, deliver a per-edge fetch verdict, and model its hardware
-   cost — so the service, CLI and campaign layers can be written once
-   against the interface and dispatched by {!Sofia_transform.Backend_id}.
+   Without it the SOFIA pipeline would be hard-wired through the stack:
+   transform, verifier and tooling would all assume CTR + CBC-MAC blocks.
+   This record abstracts the two capabilities every backend must
+   provide — protect a program into an image and independently verify
+   that image against its source — so the service and CLI layers can
+   be written once against the interface and dispatched by
+   {!Sofia_transform.Backend_id}.
 
    The execution engines themselves dispatch on the image's backend tag
    inside [Sofia_cpu.Sofia_runner] (the per-edge memo and the compiled
-   cache sit below this interface), so a backend's [fetch] is the same
-   pipeline the simulator runs — not a re-implementation. *)
-
-module Backend_id = Sofia_transform.Backend_id
-module Image = Sofia_transform.Image
-module Layout = Sofia_transform.Layout
-module Verify = Sofia_transform.Verify
-module Keys = Sofia_crypto.Keys
-module Program = Sofia_asm.Program
-
-type hw = {
-  synthesize : unit -> Sofia_hwmodel.Hwmodel.synthesis;
-  area_overhead_pct : unit -> float;
-  clock_ratio : unit -> float;
-}
+   cache sit below this interface). *)
 
 type t = {
-  id : Backend_id.t;
-  describe : string;  (** one-line scheme summary for tooling output *)
+  id : Sofia_transform.Backend_id.t;
   protect :
-    ?domains:int -> keys:Keys.t -> nonce:int -> Program.t -> (Image.t, Layout.error) result;
-  verify : ?domains:int -> keys:Keys.t -> Image.t -> Verify.issue list;
+    keys:Sofia_crypto.Keys.t ->
+    nonce:int ->
+    Sofia_asm.Program.t ->
+    (Sofia_transform.Image.t, Sofia_transform.Layout.error) result;
   verify_against_source :
-    ?domains:int -> keys:Keys.t -> Program.t -> Image.t -> Verify.issue list;
-  fetch :
-    keys:Keys.t -> image:Image.t -> target:int -> prev_pc:int ->
-    Sofia_cpu.Sofia_runner.fetch_outcome;
-  hw : hw;
+    keys:Sofia_crypto.Keys.t ->
+    Sofia_asm.Program.t ->
+    Sofia_transform.Image.t ->
+    Sofia_transform.Verify.issue list;
 }
-
-let name b = Backend_id.name b.id
-
-(* the per-edge verdict: the image must carry this backend's tag —
-   a mixed-up call would silently run the wrong pipeline *)
-let checked_fetch id ~keys ~(image : Image.t) ~target ~prev_pc =
-  if image.Image.backend <> id then
-    invalid_arg
-      (Printf.sprintf "Backend.fetch: image is %s, backend is %s"
-         (Backend_id.name image.Image.backend) (Backend_id.name id));
-  Sofia_cpu.Sofia_runner.fetch_block ~keys ~image ~target ~prev_pc

@@ -1,60 +1,22 @@
 (** First-class protection backends.
 
-    A backend packages the four capabilities the rest of the stack
-    needs from a protection scheme — transform a program into a
-    protected image, independently verify an image, deliver a per-edge
-    fetch verdict, and model the hardware cost — behind one record, so
-    the service, CLI, campaign and bench layers dispatch on
+    A backend packages what the rest of the stack needs from a
+    protection scheme — transform a program into a protected image and
+    independently verify that image against its source — behind one
+    record, so the service, CLI and bench layers dispatch on
     {!Sofia_transform.Backend_id} instead of hard-wiring the SOFIA
-    pipeline. See {!Registry} for the registered backends. *)
-
-type hw = {
-  synthesize : unit -> Sofia_hwmodel.Hwmodel.synthesis;
-  area_overhead_pct : unit -> float;  (** slices over the vanilla core *)
-  clock_ratio : unit -> float;  (** vanilla fmax / backend fmax *)
-}
+    pipeline. See {!Registry} for the two backends. *)
 
 type t = {
   id : Sofia_transform.Backend_id.t;
-  describe : string;  (** one-line scheme summary for tooling output *)
   protect :
-    ?domains:int ->
     keys:Sofia_crypto.Keys.t ->
     nonce:int ->
     Sofia_asm.Program.t ->
     (Sofia_transform.Image.t, Sofia_transform.Layout.error) result;
-  verify :
-    ?domains:int ->
-    keys:Sofia_crypto.Keys.t ->
-    Sofia_transform.Image.t ->
-    Sofia_transform.Verify.issue list;
   verify_against_source :
-    ?domains:int ->
     keys:Sofia_crypto.Keys.t ->
     Sofia_asm.Program.t ->
     Sofia_transform.Image.t ->
     Sofia_transform.Verify.issue list;
-  fetch :
-    keys:Sofia_crypto.Keys.t ->
-    image:Sofia_transform.Image.t ->
-    target:int ->
-    prev_pc:int ->
-    Sofia_cpu.Sofia_runner.fetch_outcome;
-      (** The per-edge verdict — the exact pipeline the simulator's
-          frontends run, not a re-implementation.
-          @raise Invalid_argument if the image carries another
-          backend's tag. *)
-  hw : hw;
 }
-
-val name : t -> string
-
-val checked_fetch :
-  Sofia_transform.Backend_id.t ->
-  keys:Sofia_crypto.Keys.t ->
-  image:Sofia_transform.Image.t ->
-  target:int ->
-  prev_pc:int ->
-  Sofia_cpu.Sofia_runner.fetch_outcome
-(** Tag-checked fetch used by the registered backends' [fetch]
-    fields. *)

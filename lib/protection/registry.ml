@@ -1,73 +1,26 @@
-(* The backend registry: SOFIA re-registered as the first backend,
-   SCFP as the second. [find] is total over Backend_id — a registered
-   entry exists for every id by construction (the register calls below
-   run at module initialisation), and [register] replaces by id so a
-   downstream experiment can swap a variant in. *)
+(* The two backends: SOFIA and SCFP, one constant record each. [find]
+   is total over Backend_id by construction. *)
 
 module Backend_id = Sofia_transform.Backend_id
 module Transform = Sofia_transform.Transform
 module Verify = Sofia_transform.Verify
-module Hwmodel = Sofia_hwmodel.Hwmodel
 
-let registered : Backend.t list ref = ref []
+let backend id : Backend.t =
+  {
+    Backend.id;
+    protect = (fun ~keys ~nonce program -> Transform.protect ~backend:id ~keys ~nonce program);
+    verify_against_source =
+      (fun ~keys program image -> Verify.check_against_source ~keys program image);
+  }
 
-let register (b : Backend.t) =
-  registered := b :: List.filter (fun r -> r.Backend.id <> b.Backend.id) !registered
-
-let all () =
-  List.sort (fun a b -> compare (Backend_id.tag a.Backend.id) (Backend_id.tag b.Backend.id))
-    !registered
-
-let find id = List.find (fun b -> b.Backend.id = id) !registered
-
-let of_name name = Option.map find (Backend_id.of_name name)
-
-(* ---- SOFIA: CTR-mode RECTANGLE keyed per control-flow edge, with
+(* SOFIA: CTR-mode RECTANGLE keyed per control-flow edge, with
    interleaved CBC-MAC words and multiplexor blocks for convergent
-   control flow (de Clercq et al., DATE 2016) ---- *)
-let sofia : Backend.t =
-  {
-    Backend.id = Backend_id.Sofia;
-    describe =
-      "control-flow-keyed CTR encryption + interleaved CBC-MAC, multiplexor blocks for fan-in";
-    protect =
-      (fun ?domains ~keys ~nonce program ->
-        Transform.protect ?domains ~backend:Backend_id.Sofia ~keys ~nonce program);
-    verify = (fun ?domains ~keys image -> Verify.check ?domains ~keys image);
-    verify_against_source =
-      (fun ?domains ~keys program image -> Verify.check_against_source ?domains ~keys program image);
-    fetch = Backend.checked_fetch Backend_id.Sofia;
-    hw =
-      {
-        Backend.synthesize = (fun () -> Hwmodel.synthesize_sofia ());
-        area_overhead_pct = (fun () -> Hwmodel.area_overhead_pct ());
-        clock_ratio = (fun () -> Hwmodel.clock_ratio ());
-      };
-  }
+   control flow (de Clercq et al., DATE 2016) *)
+let sofia = backend Backend_id.Sofia
 
-(* ---- SCFP: one rolling sponge-duplex state per hart; decrypt-and-
-   absorb fetch, clear tag words, patch table for legitimate edges,
-   state divergence as the violation signal (Werner et al.) ---- *)
-let scfp : Backend.t =
-  {
-    Backend.id = Backend_id.Scfp;
-    describe =
-      "sponge-duplex decrypt-and-absorb, patch table per edge, state divergence as violation";
-    protect =
-      (fun ?domains ~keys ~nonce program ->
-        Transform.protect ?domains ~backend:Backend_id.Scfp ~keys ~nonce program);
-    verify = (fun ?domains ~keys image -> Verify.check ?domains ~keys image);
-    verify_against_source =
-      (fun ?domains ~keys program image -> Verify.check_against_source ?domains ~keys program image);
-    fetch = Backend.checked_fetch Backend_id.Scfp;
-    hw =
-      {
-        Backend.synthesize = (fun () -> Hwmodel.synthesize_scfp ());
-        area_overhead_pct = (fun () -> Hwmodel.scfp_area_overhead_pct ());
-        clock_ratio = (fun () -> Hwmodel.scfp_clock_ratio ());
-      };
-  }
+(* SCFP: one rolling sponge-duplex state per hart; decrypt-and-absorb
+   fetch, clear tag words, patch table for legitimate edges, state
+   divergence as the violation signal (Werner et al.) *)
+let scfp = backend Backend_id.Scfp
 
-let () =
-  register sofia;
-  register scfp
+let find = function Backend_id.Sofia -> sofia | Backend_id.Scfp -> scfp

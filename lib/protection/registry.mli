@@ -1,19 +1,5 @@
-(** The protection-backend registry.
-
-    SOFIA (re-registered over the previously hard-wired pipeline) and
-    SCFP are installed at module initialisation; {!find} is therefore
-    total over {!Sofia_transform.Backend_id}. {!register} replaces by
-    id, so an experiment can swap in a variant implementation without
-    touching the dispatch sites. *)
-
-val register : Backend.t -> unit
-
-val all : unit -> Backend.t list
-(** Registered backends in {!Sofia_transform.Backend_id.tag} order. *)
+(** The protection backends: SOFIA (the previously hard-wired
+    pipeline) and SCFP. {!find} is total over
+    {!Sofia_transform.Backend_id}. *)
 
 val find : Sofia_transform.Backend_id.t -> Backend.t
-
-val of_name : string -> Backend.t option
-
-val sofia : Backend.t
-val scfp : Backend.t

@@ -489,9 +489,10 @@ let settle t (p : pending) ~attempts ~worker status =
    ~3x on a single-core host). [workers] is therefore a cap, not a
    demand; the effective count is reported next to the requested one in
    {!metrics_json}. The watchdog domain is outside the cap — it sleeps
-   except for a few microseconds per tick. *)
+   except for a few microseconds per tick. The spare cores are the
+   host's less the caller's own, at least one. *)
 let resolved_workers t =
-  let avail = Sofia_util.Par.recommended () in
+  let avail = max 1 (Domain.recommended_domain_count () - 1) in
   if t.cfg.workers > 0 then max 1 (min t.cfg.workers avail) else avail
 
 let deadline_of t (req : Job.request) =
@@ -730,7 +731,6 @@ let shutdown t =
 let metrics t = t.metrics
 let store t = t.store
 let disk_store t = t.disk
-let queue_depth t = Jobq.length t.queue
 let queue_depth_max t = Jobq.depth_max t.queue
 
 let live_workers t =

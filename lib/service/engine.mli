@@ -58,7 +58,7 @@ type backpressure = Block | Reject
 
 type config = {
   workers : int;
-      (** requested pool size; 0 = {!Sofia_util.Par.recommended}. The
+      (** requested pool size; 0 = one per spare core. The
           engine treats this as a {e cap}: it never spawns more domains
           than the host has spare cores, because every runnable domain
           beyond that makes each stop-the-world minor GC pay a scheduler
@@ -179,7 +179,6 @@ val persist_image :
     MAC tag and the table. Shared with the one-shot [protect] CLI so
     both populate the store identically. *)
 
-val queue_depth : t -> int
 val queue_depth_max : t -> int
 
 val live_workers : t -> int

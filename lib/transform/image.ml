@@ -35,8 +35,6 @@ let authenticated_words t =
   | Backend_id.Scfp -> Array.append t.cipher t.patches
 let word_count t = Array.length t.cipher
 
-let patch_base t = t.text_base + (4 * Array.length t.cipher)
-
 let fetch t addr =
   let rel = addr - t.text_base in
   if rel < 0 || rel mod 4 <> 0 then None

@@ -45,9 +45,6 @@ val authenticated_words : t -> int array
     out of the authenticated span would hand tampered edge bindings to
     a warm start. *)
 
-val patch_base : t -> int
-(** Address of the first patch word (SCFP): text_base + text bytes. *)
-
 val word_count : t -> int
 
 val fetch : t -> int -> int option

@@ -821,20 +821,3 @@ let block_at t address =
   else
     let idx = rel / Block.size_bytes in
     if idx < Array.length t.blocks then Some t.blocks.(idx) else None
-
-let pp_block fmt b =
-  Format.fprintf fmt "@[<v>%08x %a" b.base Block.pp_kind b.kind;
-  (match b.role with
-   | Primary -> ()
-   | Bridge -> Format.fprintf fmt " (bridge)"
-   | Shim -> Format.fprintf fmt " (shim)"
-   | Trampoline -> Format.fprintf fmt " (trampoline)"
-   | Funnel -> Format.fprintf fmt " (funnel)");
-  Format.fprintf fmt " entries:[%s]"
-    (String.concat ";" (List.map (Printf.sprintf "0x%08x") b.entry_prev_pcs));
-  Array.iteri
-    (fun s insn ->
-      Format.fprintf fmt "@   i%d: %a%s" (s + 1) Insn.pp insn
-        (match b.orig_indices.(s) with Some i -> Printf.sprintf "  ; orig #%d" i | None -> ""))
-    b.insns;
-  Format.fprintf fmt "@]"

@@ -96,5 +96,3 @@ val layout_exn : ?backend:Backend_id.t -> Sofia_asm.Program.t -> t
 
 val block_at : t -> int -> block option
 (** Block whose 32-byte span contains the given address. *)
-
-val pp_block : Format.formatter -> block -> unit

@@ -44,13 +44,8 @@ let encrypt_block ~(keys : Keys.t) ~nonce (b : Layout.block) : Image.block =
     orig_indices = b.Layout.orig_indices;
   }
 
-let encrypt_layout ?(domains = 1) ~keys ~nonce (l : Layout.t) : Image.t =
-  (* per-block signing/encryption is embarrassingly parallel: every
-     block's MAC and keystream depend only on the (immutable) keys,
-     nonce and that block's own layout, and Par.map preserves index
-     order — so the parallel image is bit-identical to the sequential
-     one *)
-  let blocks = Sofia_util.Par.map ~domains (encrypt_block ~keys ~nonce) l.Layout.blocks in
+let encrypt_layout ~keys ~nonce (l : Layout.t) : Image.t =
+  let blocks = Array.map (encrypt_block ~keys ~nonce) l.Layout.blocks in
   let cipher =
     Array.concat (Array.to_list (Array.map (fun b -> b.Image.cipher_words) blocks))
   in
@@ -70,14 +65,11 @@ let encrypt_layout ?(domains = 1) ~keys ~nonce (l : Layout.t) : Image.t =
 
 (* SCFP encryption: one duplex walk per block from its canonical
    (position-based) entry state, then a patch-table pass relating
-   every exit state to its successors' entry states. The per-block
-   walk is independent (canonical states are position-based), so the
-   parallel image is byte-identical to the sequential one; the patch
-   pass needs all exit states and runs sequentially. *)
-let scfp_encrypt_layout ?(domains = 1) ~keys ~nonce (l : Layout.t) : Image.t =
+   every exit state to its successors' entry states. *)
+let scfp_encrypt_layout ~keys ~nonce (l : Layout.t) : Image.t =
   let s0 = Scfp.init ~keys ~nonce in
   let encrypted =
-    Sofia_util.Par.map ~domains
+    Array.map
       (fun (b : Layout.block) ->
         assert (b.Layout.kind = Block.Exec);
         let insn_words = Array.map Encoding.encode b.Layout.insns in
@@ -174,17 +166,17 @@ let scfp_encrypt_layout ?(domains = 1) ~keys ~nonce (l : Layout.t) : Image.t =
       };
   }
 
-let protect ?domains ?(backend = Backend_id.Sofia) ~keys ~nonce program =
+let protect ?(backend = Backend_id.Sofia) ~keys ~nonce program =
   if nonce < 0 || nonce > 0xFF then invalid_arg "Transform.protect: nonce must be 8-bit";
   let encrypt =
     match backend with
-    | Backend_id.Sofia -> encrypt_layout ?domains ~keys ~nonce
-    | Backend_id.Scfp -> scfp_encrypt_layout ?domains ~keys ~nonce
+    | Backend_id.Sofia -> encrypt_layout ~keys ~nonce
+    | Backend_id.Scfp -> scfp_encrypt_layout ~keys ~nonce
   in
   Result.map encrypt (Layout.layout ~backend program)
 
-let protect_exn ?domains ?backend ~keys ~nonce program =
-  match protect ?domains ?backend ~keys ~nonce program with
+let protect_exn ?backend ~keys ~nonce program =
+  match protect ?backend ~keys ~nonce program with
   | Ok image -> image
   | Error e -> invalid_arg (Format.asprintf "Transform.protect: %a" Layout.pp_error e)
 

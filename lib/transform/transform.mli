@@ -15,7 +15,6 @@
       (Fig. 8). *)
 
 val protect :
-  ?domains:int ->
   ?backend:Backend_id.t ->
   keys:Sofia_crypto.Keys.t ->
   nonce:int ->
@@ -25,16 +24,9 @@ val protect :
     8-bit program-version nonce stored with the binary. [backend]
     (default [Sofia]) selects the protection scheme: SOFIA's
     CTR + CBC-MAC pipeline above, or SCFP's sponge duplex with a
-    patch table (see {!Scfp}).
-
-    [domains] (default 1) fans the per-block work out over that many
-    OCaml domains; block signing is independent per block under both
-    backends, so the produced image is byte-identical to the
-    sequential one (see the determinism battery in
-    [test/parallel_tests.ml]). *)
+    patch table (see {!Scfp}). *)
 
 val protect_exn :
-  ?domains:int ->
   ?backend:Backend_id.t ->
   keys:Sofia_crypto.Keys.t ->
   nonce:int ->
@@ -42,14 +34,12 @@ val protect_exn :
   Image.t
 (** @raise Invalid_argument on transformation errors. *)
 
-val encrypt_layout :
-  ?domains:int -> keys:Sofia_crypto.Keys.t -> nonce:int -> Layout.t -> Image.t
+val encrypt_layout : keys:Sofia_crypto.Keys.t -> nonce:int -> Layout.t -> Image.t
 (** Encrypt an already-computed layout with the SOFIA pipeline
     (exposed so tests can inspect the plaintext layout and its
     encryption separately). *)
 
-val scfp_encrypt_layout :
-  ?domains:int -> keys:Sofia_crypto.Keys.t -> nonce:int -> Layout.t -> Image.t
+val scfp_encrypt_layout : keys:Sofia_crypto.Keys.t -> nonce:int -> Layout.t -> Image.t
 (** Encrypt an already-computed SCFP-profile layout with the sponge
     duplex and build its patch table. *)
 

@@ -49,9 +49,8 @@ module Obs = Sofia_obs.Obs
 module Event = Sofia_obs.Event
 module Metrics = Sofia_obs.Metrics
 
-(* Pure per-block check: no obs, no shared mutable state — safe to fan
-   out over domains. Returns the block's issues (in discovery order)
-   and whether its stored MAC words matched. *)
+(* Pure per-block check: no obs. Returns the block's issues (in
+   discovery order) and whether its stored MAC words matched. *)
 let check_block ~(keys : Keys.t) ~(image : Image.t) ~exits (b : Image.block) =
   let issues = ref [] in
   let issue i = issues := i :: !issues in
@@ -196,9 +195,8 @@ let scfp_check_block ~(image : Image.t) ~exits ~s0 ~s_exits i (b : Image.block) 
   fill 3;
   (List.rev !issues, macs_ok)
 
-let check ?(obs = Obs.none) ?domains ~(keys : Keys.t) (image : Image.t) =
-  (* valid exit addresses of the image, for linkage checking; built
-     before the fan-out and only read afterwards *)
+let check ?(obs = Obs.none) ~(keys : Keys.t) (image : Image.t) =
+  (* valid exit addresses of the image, for linkage checking *)
   let exits = Hashtbl.create 64 in
   Array.iter
     (fun (b : Image.block) -> Hashtbl.replace exits (b.Image.base + Block.exit_offset) ())
@@ -206,7 +204,7 @@ let check ?(obs = Obs.none) ?domains ~(keys : Keys.t) (image : Image.t) =
   let results =
     match image.Image.backend with
     | Backend_id.Sofia ->
-      Sofia_util.Par.map ?domains (check_block ~keys ~image ~exits) image.Image.blocks
+      Array.map (check_block ~keys ~image ~exits) image.Image.blocks
     | Backend_id.Scfp ->
       let s0 = Scfp.init ~keys ~nonce:image.Image.nonce in
       let s_exits =
@@ -218,13 +216,9 @@ let check ?(obs = Obs.none) ?domains ~(keys : Keys.t) (image : Image.t) =
             s_exit)
           image.Image.blocks
       in
-      Sofia_util.Par.map ?domains
-        (fun i -> scfp_check_block ~image ~exits ~s0 ~s_exits i image.Image.blocks.(i))
-        (Array.init (Array.length image.Image.blocks) Fun.id)
+      Array.mapi (scfp_check_block ~image ~exits ~s0 ~s_exits) image.Image.blocks
   in
-  (* obs accounting runs on the caller's domain, in block order, off the
-     per-block results — identical counters and event stream whether the
-     checks themselves ran on 1 domain or 8 *)
+  (* obs accounting, in block order, off the per-block results *)
   Array.iteri
     (fun i (issues, macs_ok) ->
       let b = image.Image.blocks.(i) in
@@ -255,8 +249,8 @@ let semantic_shape (insn : Insn.t) =
   | Insn.Alu_i (Or, rd, rs, _) when Sofia_isa.Reg.equal rd rs -> Insn.Alu_i (Or, rd, rs, 0)
   | Insn.Alu_r _ | Insn.Alu_i _ | Insn.Load _ | Insn.Store _ | Insn.Jalr _ | Insn.Halt _ -> insn
 
-let check_against_source ?(obs = Obs.none) ?domains ~keys (program : Program.t) (image : Image.t) =
-  let issues = ref (check ~obs ?domains ~keys image) in
+let check_against_source ?(obs = Obs.none) ~keys (program : Program.t) (image : Image.t) =
+  let issues = ref (check ~obs ~keys image) in
   let issue i =
     (match obs.Obs.metrics with
      | Some m -> m.Metrics.verify_issues <- m.Metrics.verify_issues + 1

@@ -37,23 +37,15 @@ type issue =
 
 val pp_issue : Format.formatter -> issue -> unit
 
-val check :
-  ?obs:Sofia_obs.Obs.t -> ?domains:int -> keys:Sofia_crypto.Keys.t -> Image.t -> issue list
+val check : ?obs:Sofia_obs.Obs.t -> keys:Sofia_crypto.Keys.t -> Image.t -> issue list
 (** Structure + cryptography + linkage. [obs] counts blocks checked,
     re-derived MAC verifications and issues found, and emits a
     [Mac_verify] event per block — so a release-signing pipeline can
     expose the verifier's work the same way the simulator exposes the
-    frontend's.
-
-    [domains] (default 1) fans the per-block re-derivation out over
-    that many OCaml domains. Each block's check is pure; all obs
-    accounting and event emission happens on the caller's domain in
-    block order after the join, so the issue list, counters and event
-    stream are identical whatever [domains] is. *)
+    frontend's. *)
 
 val check_against_source :
   ?obs:Sofia_obs.Obs.t ->
-  ?domains:int ->
   keys:Sofia_crypto.Keys.t -> Sofia_asm.Program.t -> Image.t -> issue list
 (** Everything in {!check} plus source coverage. *)
 

@@ -3,10 +3,6 @@
    monotonic source is bechamel's CLOCK_MONOTONIC stub (already a repo
    dependency through the bench harness). *)
 
-let mono_ns () = Monotonic_clock.now ()
-
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-let mono_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
 
 let wall_s () = Unix.gettimeofday ()

@@ -9,15 +9,9 @@
     The monotonic source is [CLOCK_MONOTONIC] via bechamel's stub
     (OCaml 5.1's [Unix] does not expose [clock_gettime]). *)
 
-val mono_ns : unit -> int64
-(** Monotonic nanoseconds since an arbitrary epoch. *)
-
 val mono_s : unit -> float
 (** Monotonic seconds since an arbitrary epoch. Use only for
     differences, never as a timestamp. *)
-
-val mono_ms : unit -> float
-(** Monotonic milliseconds since an arbitrary epoch. *)
 
 val wall_s : unit -> float
 (** [Unix.gettimeofday] — reported timestamps only. *)

@@ -23,7 +23,6 @@ let () =
       ("rectangle-diff", Rectangle_diff_tests.suite);
       ("sponge-diff", Sponge_diff_tests.suite);
       ("ks-cache", Ks_cache_tests.suite);
-      ("parallel", Parallel_tests.suite);
       ("fuzz", Fuzz_tests.suite);
       ("differential", Differential_tests.suite);
       ("service", Service_tests.suite);

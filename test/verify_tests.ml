@@ -61,15 +61,28 @@ let test_wrong_keys_fail_verification () =
        (function Verify.Mac_words_wrong _ | Verify.Ciphertext_mismatch _ -> true | _ -> false)
        (Verify.check ~keys:wrong image))
 
+(* One flipped ciphertext bit is reported at its address: in the
+   sample's first block, and mid-image in every benchmark workload. *)
 let test_tampered_ciphertext_detected () =
+  let tamper_detected name (image : Image.t) ~addr ~mask =
+    let old = Option.get (Image.fetch image addr) in
+    let tampered = Image.with_tampered_word image ~address:addr ~value:(old lxor mask) in
+    Alcotest.(check bool) (name ^ ": ciphertext mismatch reported") true
+      (List.exists
+         (function Verify.Ciphertext_mismatch { address } -> address = addr | _ -> false)
+         (Verify.check ~keys tampered))
+  in
   let _, image = sample () in
-  let addr = image.Image.text_base + 16 in
-  let old = Option.get (Image.fetch image addr) in
-  let tampered = Image.with_tampered_word image ~address:addr ~value:(old lxor 1) in
-  Alcotest.(check bool) "ciphertext mismatch reported" true
-    (List.exists
-       (function Verify.Ciphertext_mismatch { address } -> address = addr | _ -> false)
-       (Verify.check ~keys tampered))
+  tamper_detected "sample" image ~addr:(image.Image.text_base + 16) ~mask:1;
+  List.iter
+    (fun (w : Sofia.Workloads.Workload.t) ->
+      let image =
+        Transform.protect_exn ~keys ~nonce:0x66 (Sofia.Workloads.Workload.assemble w)
+      in
+      let mid = image.Image.blocks.(Array.length image.Image.blocks / 2) in
+      tamper_detected w.Sofia.Workloads.Workload.name image ~addr:(mid.Image.base + 12)
+        ~mask:0x10000)
+    (Sofia.Workloads.Registry.benchmark_suite ())
 
 let test_altered_instruction_detected () =
   let program, image = sample () in
