@@ -25,30 +25,34 @@ open Sofia_util
    LUI values are already masked to u32 (mirroring [Machine.execute]'s
    [Word.u32 imm]), branch/jal offsets are pre-scaled to bytes, and
    load/store/jalr offsets stay raw (they are added to a register
-   before masking). [costs.(i)] is [Timing.insn_cost], precomputed.
-   [insns.(i)] keeps the original decoded instruction for the
-   [on_retire] slow path only — never touched when no retire callback
-   is attached. *)
+   before masking). [insns.(i)] keeps the original decoded instruction
+   for the [on_retire] slow path only — never touched when no retire
+   callback is attached.
+
+   [cost_pre] and [stall_pre] hold [n + 1] prefix sums, so a block
+   visit that retires its first [c] slots adds [cost_pre.(c)] cycles
+   and [stall_pre.(c)] load-use stalls in one step: [Timing.insn_cost]
+   of every slot before [c], plus [load_use_stall] for each slot from 1
+   on that reads the register the slot before it loads. Those stalls
+   depend only on the block's own code; slot 0's stall depends on the
+   latch the block is entered with and is left to the engine. *)
 
 type t = {
   ops : int array;
   imms : int array;
-  costs : int array;
+  cost_pre : int array;
+  stall_pre : int array;
   insns : Insn.t array;
 }
-
-(* Whole-word sentinels for lazily-compiled tables (the vanilla core
-   compiles per index on first execution): both are negative, so a
-   single sign test separates them from every packed instruction. *)
-let unresolved = -1
-let invalid = -2
 
 let no_read = 32
 let no_load = 63
 
-let read1 w = (w lsr 21) land 63
-let read2 w = (w lsr 27) land 63
 let loaded_dest w = (w lsr 33) land 63
+
+(* Read fields hold 0-31 or [no_read]; the latch holds 0-31 or
+   [no_load], so a slot never stalls behind an empty latch. *)
+let uses w latch = (w lsr 21) land 63 = latch || (w lsr 27) land 63 = latch
 
 (* Micro-opcodes: 0-12 register ALU (Insn.alu_op order), 13-25
    immediate ALU, then the rest. Dense from 0 so the dispatch match
@@ -132,26 +136,23 @@ let compile_one (insn : Insn.t) =
   | Insn.Halt code ->
     (pack ~op:op_halt ~rd:0 ~rs1:0 ~rs2:0 ~r1:no_read ~r2:no_read ~ld:no_load, code)
 
-let create n =
-  {
-    ops = Array.make n unresolved;
-    imms = Array.make n 0;
-    costs = Array.make n 0;
-    insns = Array.make n Insn.nop;
-  }
-
-let set t ~(timing : Timing.t) i insn =
-  let w, imm = compile_one insn in
-  t.ops.(i) <- w;
-  t.imms.(i) <- imm;
-  t.costs.(i) <- Timing.insn_cost timing insn;
-  t.insns.(i) <- insn
-
-let compile ~timing insns =
+let compile ~(timing : Timing.t) insns =
   let n = Array.length insns in
-  let t = create n in
-  Array.iteri (fun i insn -> set t ~timing i insn) insns;
-  t
+  let ops = Array.make n 0 in
+  let imms = Array.make n 0 in
+  let cost_pre = Array.make (n + 1) 0 in
+  let stall_pre = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i insn ->
+      let w, imm = compile_one insn in
+      ops.(i) <- w;
+      imms.(i) <- imm;
+      let stall = if i > 0 && uses w (loaded_dest ops.(i - 1)) then 1 else 0 in
+      cost_pre.(i + 1) <-
+        cost_pre.(i) + Timing.insn_cost timing insn + (stall * timing.Timing.load_use_stall);
+      stall_pre.(i + 1) <- stall_pre.(i) + stall)
+    insns;
+  { ops; imms; cost_pre; stall_pre; insns }
 
 (* Execution result, encoded as an immediate int so the hot path never
    allocates a [Machine.action]: [-1] is fall-through to the next

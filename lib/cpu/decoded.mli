@@ -7,7 +7,9 @@
     all of it once, packing each instruction into immediate ints in
     flat arrays, so the hot loop does array loads, an int-dispatch
     jump table, and nothing else: no [Option] cells, no per-step
-    {!Sofia_isa.Encoding.decode}, no allocation.
+    {!Sofia_isa.Encoding.decode}, no allocation. Cycle costs and
+    intra-block load-use stalls are prefix-summed at compile time, so
+    an engine accounts a block visit once, at the slot it leaves by.
 
     {!exec} is semantics-preserving by construction against
     {!Machine.execute}: identical u32 masking, identical division /
@@ -19,44 +21,33 @@
 type t = {
   ops : int array;  (** packed op/operand/read-set words (see decoded.ml) *)
   imms : int array;  (** pre-normalised immediates (u32-masked or byte-scaled) *)
-  costs : int array;  (** precomputed {!Timing.insn_cost} per slot *)
+  cost_pre : int array;
+      (** [n + 1] entries: [cost_pre.(c)] is the cycle cost of slots
+          [0 .. c-1] — {!Timing.insn_cost} of each plus the load-use
+          stalls between them (never slot 0's own stall) *)
+  stall_pre : int array;  (** [n + 1] entries: the stalls counted in [cost_pre.(c)] *)
   insns : Sofia_isa.Insn.t array;
       (** original instructions — only touched by the [on_retire] slow
           path *)
 }
 
-val unresolved : int
-(** Whole-word [ops] sentinel: slot not yet compiled (lazy tables). *)
-
-val invalid : int
-(** Whole-word [ops] sentinel: the slot's word does not decode. *)
-
 val no_load : int
 (** Value of {!loaded_dest} for a slot that is not a load; doubles as
-    the "no pending load" latch value, so the latch assignment is
-    branch-free. *)
-
-val read1 : int -> int
-val read2 : int -> int
-(** The packed word's source registers (0-31), or a sentinel that
-    matches no latch value — comparing both against the pending-load
-    latch is exactly [Vanilla.reads_reg insn rd]. *)
+    the "no pending load" latch value. *)
 
 val loaded_dest : int -> int
 (** Destination register if the packed word is a load, else
     {!no_load}. *)
 
-val create : int -> t
-(** [create n] is an [n]-slot table with every slot {!unresolved} —
-    the lazily-compiled form the vanilla core fills on first
-    execution. *)
-
-val set : t -> timing:Timing.t -> int -> Sofia_isa.Insn.t -> unit
-(** Compile one instruction into slot [i]. *)
+val uses : int -> int -> bool
+(** [uses w latch]: the packed word reads the register a pending load
+    writes — exactly [Vanilla.reads_reg insn rd] when [latch] is [rd],
+    and never true for {!no_load}. *)
 
 val compile : timing:Timing.t -> Sofia_isa.Insn.t array -> t
-(** Compile a whole verified block eagerly (the SOFIA engine compiles
-    at MAC-verify time, never before). *)
+(** Compile a straight-line run of instructions. The SOFIA engine
+    compiles each verified block at MAC-verify time, never before; the
+    vanilla engine compiles each line-bounded run on first entry. *)
 
 val res_next : int
 (** {!exec} result: fall through to the next slot. *)

@@ -2,35 +2,55 @@ type config = { size_bytes : int; line_bytes : int }
 
 let default = { size_bytes = 4096; line_bytes = 32 }
 
+(* Geometry is restricted to powers of two, so a probe indexes with a
+   shift and a mask instead of three divisions. *)
 type t = {
-  config : config;
   lines : int array;  (* tag per set; -1 = invalid *)
+  line_shift : int;  (* log2 line_bytes *)
+  tag_shift : int;  (* log2 number of sets *)
   mutable n_access : int;
   mutable n_miss : int;
-  probe : (addr:int -> hit:bool -> unit) option;
 }
 
-let create ?probe config =
+let is_pow2 x = x > 0 && x land (x - 1) = 0
+
+let log2 x =
+  let rec go k = if 1 lsl k >= x then k else go (k + 1) in
+  go 0
+
+let create config =
+  if
+    not
+      (is_pow2 config.line_bytes && is_pow2 config.size_bytes
+      && config.size_bytes >= config.line_bytes)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Icache.create: %d-byte cache of %d-byte lines (both must be powers of two, the \
+          cache at least one line)"
+         config.size_bytes config.line_bytes);
   let nsets = config.size_bytes / config.line_bytes in
-  assert (nsets > 0);
-  { config; lines = Array.make nsets (-1); n_access = 0; n_miss = 0; probe }
+  {
+    lines = Array.make nsets (-1);
+    line_shift = log2 config.line_bytes;
+    tag_shift = log2 nsets;
+    n_access = 0;
+    n_miss = 0;
+  }
 
 let access t addr =
-  let line_addr = addr / t.config.line_bytes in
-  let nsets = Array.length t.lines in
-  let set = line_addr mod nsets in
-  let tag = line_addr / nsets in
+  let line_addr = addr lsr t.line_shift in
+  let set = line_addr land (Array.length t.lines - 1) in
+  let tag = line_addr lsr t.tag_shift in
   t.n_access <- t.n_access + 1;
-  let hit =
-    if t.lines.(set) = tag then true
-    else begin
-      t.n_miss <- t.n_miss + 1;
-      t.lines.(set) <- tag;
-      false
-    end
-  in
-  (match t.probe with Some f -> f ~addr ~hit | None -> ());
-  hit
+  if Array.unsafe_get t.lines set = tag then true
+  else begin
+    t.n_miss <- t.n_miss + 1;
+    Array.unsafe_set t.lines set tag;
+    false
+  end
+
+let hit_same_line t n = t.n_access <- t.n_access + n
 
 let accesses t = t.n_access
 let misses t = t.n_miss

@@ -11,13 +11,20 @@ val default : config
 
 type t
 
-val create : ?probe:(addr:int -> hit:bool -> unit) -> config -> t
-(** [probe] (observability hook) fires on every access with the
-    hit/miss outcome; absent by default and free when absent. *)
+val create : config -> t
+(** @raise Invalid_argument unless both sizes are powers of two and the
+    cache holds at least one line. *)
 
 val access : t -> int -> bool
-(** [access t addr] touches the line containing [addr]; returns [true]
-    on hit, [false] on miss (the line is then filled). *)
+(** [access t addr] touches the line containing [addr] (a non-negative
+    address); returns [true] on hit, [false] on miss (the line is then
+    filled). *)
+
+val hit_same_line : t -> int -> unit
+(** [hit_same_line t n] records [n] further accesses to the line the
+    last {!access} touched: all hits, since nothing can evict a line
+    between two accesses to it. The vanilla engine probes once per
+    line-bounded block and counts the block's other fetches here. *)
 
 val accesses : t -> int
 val misses : t -> int

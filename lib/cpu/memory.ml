@@ -34,7 +34,7 @@ let in_mmio addr = addr >= mmio_base && addr < mmio_limit
 let read32 t addr =
   if addr land 3 <> 0 then raise (Bus_error addr)
   else if in_mmio addr then 0
-  else if in_ram t addr 4 then Sofia_util.Word.word32_of_bytes_le t.ram addr
+  else if in_ram t addr 4 then Int32.to_int (Bytes.get_int32_le t.ram addr) land 0xFFFF_FFFF
   else raise (Bus_error addr)
 
 let write32 t addr v =
@@ -49,8 +49,7 @@ let write32 t addr v =
       Buffer.add_char t.chars (Char.chr (v land 0xFF))
   end
   else if in_mmio addr then ()
-  else if in_ram t addr 4 then
-    Bytes.blit (Sofia_util.Word.bytes_of_word32_le v) 0 t.ram addr 4
+  else if in_ram t addr 4 then Bytes.set_int32_le t.ram addr (Int32.of_int v)
   else raise (Bus_error addr)
 
 let read8 t addr =

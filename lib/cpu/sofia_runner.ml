@@ -331,16 +331,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
   List.iteri (fun i v -> if i < 8 then Machine.write_reg machine (Reg.a i) v) args;
   let tracing = Obs.tracing obs in
   let mx = obs.Obs.metrics in
-  let icache_probe =
-    match mx with
-    | Some m ->
-      Some
-        (fun ~addr:_ ~hit ->
-          if hit then m.Metrics.icache_hits <- m.Metrics.icache_hits + 1
-          else m.Metrics.icache_misses <- m.Metrics.icache_misses + 1)
-    | None -> None
-  in
-  let icache = Icache.create ?probe:icache_probe config.Run_config.icache in
+  let icache = Icache.create config.Run_config.icache in
   let ks_cache =
     match config.Run_config.ks_cache_slots with
     | Some slots -> Some (Ctr.Cache.create ~slots ())
@@ -396,6 +387,14 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
        m.Metrics.ks_cache_misses <- m.Metrics.ks_cache_misses + Ctr.Cache.misses c;
        m.Metrics.ks_cache_evictions <- m.Metrics.ks_cache_evictions + Ctr.Cache.evictions c
      | _ -> ());
+    (* the icache is probed per block visit; its totals reach the
+       metrics once, here *)
+    (match mx with
+     | Some m ->
+       let misses = Icache.misses icache in
+       m.Metrics.icache_hits <- m.Metrics.icache_hits + Icache.accesses icache - misses;
+       m.Metrics.icache_misses <- m.Metrics.icache_misses + misses
+     | None -> ());
     (match on_finish with Some f -> f ~machine ~mem | None -> ());
     {
       Machine.outcome;
@@ -540,8 +539,6 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
      specific to this path. ---- *)
   let run_fast () =
     let regs = Machine.regs machine in
-    let pending = ref Decoded.no_load in
-    let bcost = ref 0 in
     let ctable : compiled Edge_tbl.t = Edge_tbl.create 1024 in
     (* Warm-start seeding from a persisted {!Block_table}: every entry
        was individually MAC-verified when the table was built and the
@@ -578,11 +575,13 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
          tbl
      | _ -> ());
     let fuel = config.Run_config.fuel in
+    let hooks = tracing || Option.is_some on_retire in
+    let live = Obs.live obs in
+    let faults = Option.is_some fault in
     let decoupled = timing.Timing.frontend = Timing.Decoupled in
     let mac2 = 2 * timing.Timing.mac_word_cycle in
     let miss_penalty = timing.Timing.icache_miss_penalty in
     let redirect_extra = timing.Timing.decrypt_redirect_extra in
-    let stall = timing.Timing.load_use_stall in
     let branch_penalty = timing.Timing.taken_branch_penalty in
     let compile_outcome = function
       | Block_ok { base; kind; insns } ->
@@ -662,7 +661,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       if !instructions >= fuel then finish Machine.Out_of_fuel
       else begin
         count_fetch ~target ~prev_pc;
-        if fault_armed () then
+        if faults && fault_armed () then
           exec_c (compile_outcome (faulted_fetch ~target ~prev_pc)) ~redirected:false
         else if not memoise then
           exec_c
@@ -675,7 +674,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
             r.cb_fall <- c;
             exec_c c ~redirected:false
           | c ->
-            memo_hit ~target ~prev_pc c;
+            if live then memo_hit ~target ~prev_pc c;
             exec_c c ~redirected:false
         end
       end
@@ -683,7 +682,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       if !instructions >= fuel then finish Machine.Out_of_fuel
       else begin
         count_fetch ~target ~prev_pc;
-        if fault_armed () then
+        if faults && fault_armed () then
           exec_c (compile_outcome (faulted_fetch ~target ~prev_pc)) ~redirected:true
         else if not memoise then
           exec_c
@@ -693,7 +692,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
           let key = edge_key ~target ~prev_pc in
           if r.cb_last_key = key then begin
             let c = r.cb_last in
-            memo_hit ~target ~prev_pc c;
+            if live then memo_hit ~target ~prev_pc c;
             exec_c c ~redirected:true
           end
           else begin
@@ -704,17 +703,31 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
           end
         end
       end
-    (* [bcost] is hoisted (and the slot walk takes its state as
-       arguments) so a block visit allocates nothing *)
-    and finalize_block (r : cblock) ~(missed : bool) ~(redirected : bool) =
+    and finalize_block (r : cblock) ~(missed : bool) ~(redirected : bool) bcost =
       let c0 = !cycles in
-      if decoupled then cycles := !cycles + (if !bcost > r.cb_floor then !bcost else r.cb_floor)
-      else cycles := !cycles + !bcost + mac2;
+      if decoupled then cycles := !cycles + (if bcost > r.cb_floor then bcost else r.cb_floor)
+      else cycles := !cycles + bcost + mac2;
       if missed then cycles := !cycles + miss_penalty;
       if redirected then cycles := !cycles + redirect_extra;
       match mx with
       | Some m -> Metrics.hist_observe m.Metrics.block_cycles (!cycles - c0)
       | None -> ()
+    (* the [c >= 1] slots a visit retired, accounted once; [extra] is
+       the taken-branch penalty when the visit left by a redirect *)
+    and leave (r : cblock) ~missed ~redirected ~extra c =
+      let dec = r.cb_dec in
+      instructions := !instructions + c;
+      (match mx with Some m -> m.Metrics.retires <- m.Metrics.retires + c | None -> ());
+      load_use := !load_use + Array.unsafe_get dec.Decoded.stall_pre c;
+      Machine.set_pc machine (r.cb_first + (4 * (c - 1)));
+      finalize_block r ~missed ~redirected (Array.unsafe_get dec.Decoded.cost_pre c + extra)
+    (* Block-at-a-time accounting. The load-use latch is clear at
+       every block entry, so a slot's cost and stall depend only on the
+       block's own code and are prefix-summed at compile time
+       ({!Decoded.t}). A visit runs at most [fuel - instructions]
+       slots, so fuel runs out on the same instruction as in [Ref]; the
+       slot walk does [Decoded.exec] and one hook test per slot, and
+       [leave] accounts the visit at the slot it exits by. *)
     and exec_block r ~redirected =
       incr blocks;
       (match mx with
@@ -725,54 +738,49 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       if tracing then Obs.emit obs (Event.Block_enter { base; icache_hit = not missed });
       if redirected then incr redirects;
       mac_words := !mac_words + 2;
-      pending := Decoded.no_load;
-      bcost := 0;
       let dec = r.cb_dec in
-      exec_slots r dec.Decoded.ops dec.Decoded.imms dec.Decoded.costs
-        (Array.length dec.Decoded.ops) r.cb_first missed redirected 0
-    and exec_slots (r : cblock) (ops : int array) (imms : int array) (costs : int array)
-        (n : int) (first : int) (missed : bool) (redirected : bool) (i : int) =
-      if i >= n then begin
-        finalize_block r ~missed ~redirected;
-        continue_fall r
-      end
-      else if !instructions >= fuel then begin
-        finalize_block r ~missed ~redirected;
-        finish Machine.Out_of_fuel
-      end
-      else begin
-        let w = Array.unsafe_get ops i in
-        let pc = first + (4 * i) in
-        Machine.set_pc machine pc;
-        incr instructions;
-        (match mx with Some m -> m.Metrics.retires <- m.Metrics.retires + 1 | None -> ());
-        if tracing then Obs.emit obs (Event.Retire { pc });
-        (match on_retire with
-         | Some f -> f ~pc ~insn:(Array.unsafe_get r.cb_dec.Decoded.insns i)
-         | None -> ());
-        bcost := !bcost + Array.unsafe_get costs i;
-        let p = !pending in
-        if Decoded.read1 w = p || Decoded.read2 w = p then begin
-          bcost := !bcost + stall;
-          incr load_use
-        end;
-        pending := Decoded.loaded_dest w;
-        match Decoded.exec ~w ~imm:(Array.unsafe_get imms i) ~regs ~mem ~pc with
-        | exception Memory.Bus_error address ->
-          finalize_block r ~missed ~redirected;
-          violation_invalidate (Machine.Bus_fault { address })
-        | res ->
-          if res = Decoded.res_next then exec_slots r ops imms costs n first missed redirected (i + 1)
-          else if res >= 0 then begin
-            bcost := !bcost + branch_penalty;
-            finalize_block r ~missed ~redirected;
-            continue_redirect r ~target:res ~prev_pc:pc
-          end
-          else begin
-            finalize_block r ~missed ~redirected;
-            finish (Machine.Halted (Decoded.halt_code res))
-          end
-      end
+      let ops = dec.Decoded.ops and imms = dec.Decoded.imms and first = r.cb_first in
+      let n = Array.length ops in
+      (* every entry path checked fuel first, so [room >= 1] and the
+         visit retires at least one slot *)
+      let room = fuel - !instructions in
+      let lim = if room < n then room else n in
+      let next = Decoded.res_next in
+      let i = ref 0 and res = ref next in
+      match
+        while !res = next && !i < lim do
+          let pc = first + (4 * !i) in
+          if hooks then begin
+            if tracing then Obs.emit obs (Event.Retire { pc });
+            match on_retire with
+            | Some f -> f ~pc ~insn:(Array.unsafe_get dec.Decoded.insns !i)
+            | None -> ()
+          end;
+          res :=
+            Decoded.exec ~w:(Array.unsafe_get ops !i) ~imm:(Array.unsafe_get imms !i) ~regs ~mem
+              ~pc;
+          incr i
+        done
+      with
+      | exception Memory.Bus_error address ->
+        leave r ~missed ~redirected ~extra:0 (!i + 1);
+        violation_invalidate (Machine.Bus_fault { address })
+      | () ->
+        let c = !i and res = !res in
+        if res = next then begin
+          (* fell off the block, or out of fuel: [continue_fall] checks
+             fuel before it fetches *)
+          leave r ~missed ~redirected ~extra:0 c;
+          continue_fall r
+        end
+        else if res >= 0 then begin
+          leave r ~missed ~redirected ~extra:branch_penalty c;
+          continue_redirect r ~target:res ~prev_pc:(first + (4 * (c - 1)))
+        end
+        else begin
+          leave r ~missed ~redirected ~extra:0 c;
+          finish (Machine.Halted (Decoded.halt_code res))
+        end
     in
     if !instructions >= fuel then finish Machine.Out_of_fuel
     else

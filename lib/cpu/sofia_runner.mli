@@ -25,9 +25,11 @@
     differential oracle) and the default pre-decoded engine ([Fast]),
     which caches a flattened {!Decoded} form of each block per verified
     edge — strictly after the MAC verdict, never serving a block the
-    comparator rejected — and invalidates the cache on violation. Both
-    produce bit-identical results, traces and counters (modulo the
-    [engine_*] counters); [test/engine_tests.ml] pins the equivalence.
+    comparator rejected — and invalidates the cache on violation, and
+    which accounts cycles, stalls and retires once per block visit
+    rather than per instruction. Both produce bit-identical results,
+    traces and counters (modulo the [engine_*] counters);
+    [test/engine_tests.ml] pins the equivalence.
 
     The frontend dispatches on the image's backend tag
     ({!Sofia_transform.Backend_id}): SOFIA images fetch through the

@@ -44,16 +44,7 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
   List.iteri (fun i v -> if i < 8 then Machine.write_reg machine (Reg.a i) v) args;
   let tracing = Obs.tracing obs in
   let mx = obs.Obs.metrics in
-  let icache_probe =
-    match mx with
-    | Some m ->
-      Some
-        (fun ~addr:_ ~hit ->
-          if hit then m.Metrics.icache_hits <- m.Metrics.icache_hits + 1
-          else m.Metrics.icache_misses <- m.Metrics.icache_misses + 1)
-    | None -> None
-  in
-  let icache = Icache.create ?probe:icache_probe config.Run_config.icache in
+  let icache = Icache.create config.Run_config.icache in
   let timing = config.Run_config.timing in
   let n = Array.length text in
   let cycles = ref 0 in
@@ -77,6 +68,14 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
        end
      | Machine.Halted code -> if tracing then Obs.emit obs (Event.Halt { code })
      | Machine.Out_of_fuel -> if tracing then Obs.emit obs Event.Fuel_exhausted);
+    (* the fast engine counts most icache hits in batches; the totals
+       reach the metrics once, here *)
+    (match mx with
+     | Some m ->
+       let misses = Icache.misses icache in
+       m.Metrics.icache_hits <- m.Metrics.icache_hits + Icache.accesses icache - misses;
+       m.Metrics.icache_misses <- m.Metrics.icache_misses + misses
+     | None -> ());
     (match on_finish with Some f -> f ~machine ~mem | None -> ());
     {
       Machine.outcome;
@@ -152,84 +151,125 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
     in
     step ()
   in
-  (* ---- fast engine: the text is compiled index-by-index on first
-     execution into a pre-decoded table ({!Decoded}); every revisit
-     runs from flat int arrays. Same event/metric stream as the
-     reference loop modulo the engine_* counters. ---- *)
+  (* ---- fast engine: straight-line blocks, compiled on first entry
+     and keyed by entry index. A block ends after a control transfer,
+     before an undecodable word, at the end of an icache line or at
+     the end of the text; an undecodable entry word compiles to an
+     empty block, the invalid-opcode trap. One icache probe covers a
+     visit: the block's other fetches are hits on the same line. The
+     load-use latch carries across a fall-through, so slot 0's stall
+     is checked against the incoming latch and the rest come from the
+     block's prefixes. Same event/metric stream as the reference loop
+     modulo the engine_* counters, which count blocks. ---- *)
   let run_fast () =
     let regs = Machine.regs machine in
-    let dec = Decoded.create n in
-    let ops = dec.Decoded.ops in
-    let imms = dec.Decoded.imms in
-    let costs = dec.Decoded.costs in
-    let pending = ref Decoded.no_load in
-    let rec step () =
-      if !instructions >= config.Run_config.fuel then finish Machine.Out_of_fuel
+    let fuel = config.Run_config.fuel in
+    let hooks = tracing || Option.is_some on_retire in
+    let miss_penalty = timing.Timing.icache_miss_penalty in
+    let stall = timing.Timing.load_use_stall in
+    let branch_penalty = timing.Timing.taken_branch_penalty in
+    let line_mask = lnot (config.Run_config.icache.Icache.line_bytes - 1) in
+    (* [unbuilt] (compared physically) marks an entry not compiled yet *)
+    let unbuilt = Decoded.compile ~timing [||] in
+    let blocks = Array.make n unbuilt in
+    let compile i =
+      let line = (text_base + (4 * i)) land line_mask in
+      let rec collect j acc =
+        if j >= n || (text_base + (4 * j)) land line_mask <> line then acc
+        else
+          match Encoding.decode text.(j) with
+          | None -> acc
+          | Some insn ->
+            if Insn.is_control_flow insn then insn :: acc else collect (j + 1) (insn :: acc)
+      in
+      Decoded.compile ~timing (Array.of_list (List.rev (collect i [])))
+    in
+    let block i =
+      let d = Array.unsafe_get blocks i in
+      if d != unbuilt then begin
+        (match mx with Some m -> m.Metrics.engine_hits <- m.Metrics.engine_hits + 1 | None -> ());
+        d
+      end
       else begin
-        let pc = Machine.pc machine in
+        (match mx with
+         | Some m -> m.Metrics.engine_misses <- m.Metrics.engine_misses + 1
+         | None -> ());
+        let d = compile i in
+        blocks.(i) <- d;
+        d
+      end
+    in
+    (* account the first [c >= 1] slots of a visit whose slot 0
+       stalled [s0] (0 or 1) times *)
+    let leave (d : Decoded.t) s0 c =
+      instructions := !instructions + c;
+      (match mx with Some m -> m.Metrics.retires <- m.Metrics.retires + c | None -> ());
+      cycles := !cycles + Array.unsafe_get d.Decoded.cost_pre c + (s0 * stall);
+      load_use := !load_use + Array.unsafe_get d.Decoded.stall_pre c + s0;
+      Icache.hit_same_line icache (c - 1)
+    in
+    let rec enter pc latch =
+      Machine.set_pc machine pc;
+      if !instructions >= fuel then finish Machine.Out_of_fuel
+      else begin
         let rel = pc - text_base in
-        if rel < 0 || rel mod 4 <> 0 || rel / 4 >= n then
+        if rel < 0 || rel land 3 <> 0 || rel lsr 2 >= n then
           finish (Machine.Cpu_reset (Machine.Bus_fault { address = pc }))
         else begin
-          let i = rel / 4 in
-          if not (Icache.access icache pc) then
-            cycles := !cycles + timing.Timing.icache_miss_penalty;
-          let w0 = Array.unsafe_get ops i in
-          let w =
-            if w0 >= 0 then begin
-              (match mx with
-               | Some m -> m.Metrics.engine_hits <- m.Metrics.engine_hits + 1
-               | None -> ());
-              w0
-            end
-            else if w0 = Decoded.unresolved then begin
-              (match Encoding.decode text.(i) with
-               | Some insn -> Decoded.set dec ~timing i insn
-               | None -> dec.Decoded.ops.(i) <- Decoded.invalid);
-              (match mx with
-               | Some m -> m.Metrics.engine_misses <- m.Metrics.engine_misses + 1
-               | None -> ());
-              Array.unsafe_get ops i
-            end
-            else w0
-          in
-          if w < 0 then
+          let i = rel lsr 2 in
+          let d = block i in
+          if not (Icache.access icache pc) then cycles := !cycles + miss_penalty;
+          let ops = d.Decoded.ops and imms = d.Decoded.imms in
+          let len = Array.length ops in
+          if len = 0 then
             finish (Machine.Cpu_reset (Machine.Invalid_opcode { address = pc; word = text.(i) }))
           else begin
-            incr instructions;
-            (match mx with Some m -> m.Metrics.retires <- m.Metrics.retires + 1 | None -> ());
-            if tracing then Obs.emit obs (Event.Retire { pc });
-            (match on_retire with
-             | Some f -> f ~pc ~insn:(Array.unsafe_get dec.Decoded.insns i)
-             | None -> ());
-            cycles := !cycles + Array.unsafe_get costs i;
-            let p = !pending in
-            if Decoded.read1 w = p || Decoded.read2 w = p then begin
-              cycles := !cycles + timing.Timing.load_use_stall;
-              incr load_use
-            end;
-            pending := Decoded.loaded_dest w;
-            match Decoded.exec ~w ~imm:(Array.unsafe_get imms i) ~regs ~mem ~pc with
+            let room = fuel - !instructions in
+            let lim = if room < len then room else len in
+            let s0 = if Decoded.uses (Array.unsafe_get ops 0) latch then 1 else 0 in
+            (* the slot walk: [Decoded.exec] and one hook test per slot *)
+            let next = Decoded.res_next in
+            let k = ref 0 and res = ref next in
+            match
+              while !res = next && !k < lim do
+                let pc = pc + (4 * !k) in
+                if hooks then begin
+                  if tracing then Obs.emit obs (Event.Retire { pc });
+                  match on_retire with
+                  | Some f -> f ~pc ~insn:(Array.unsafe_get d.Decoded.insns !k)
+                  | None -> ()
+                end;
+                res :=
+                  Decoded.exec ~w:(Array.unsafe_get ops !k) ~imm:(Array.unsafe_get imms !k) ~regs
+                    ~mem ~pc;
+                incr k
+              done
+            with
             | exception Memory.Bus_error address ->
+              leave d s0 (!k + 1);
+              Machine.set_pc machine (pc + (4 * !k));
               finish (Machine.Cpu_reset (Machine.Bus_fault { address }))
-            | r ->
-              if r = Decoded.res_next then begin
-                Machine.set_pc machine (pc + 4);
-                step ()
-              end
-              else if r >= 0 then begin
+            | () ->
+              let c = !k and res = !res in
+              leave d s0 c;
+              if res = next then
+                (* fell off the block, or out of fuel: [enter] checks
+                   fuel before anything else *)
+                enter (pc + (4 * c)) (Decoded.loaded_dest (Array.unsafe_get ops (c - 1)))
+              else if res >= 0 then begin
                 incr redirects;
-                cycles := !cycles + timing.Timing.taken_branch_penalty;
-                pending := Decoded.no_load;
-                Machine.set_pc machine r;
-                step ()
+                cycles := !cycles + branch_penalty;
+                enter res Decoded.no_load
               end
-              else finish (Machine.Halted (Decoded.halt_code r))
+              else begin
+                Machine.set_pc machine (pc + (4 * (c - 1)));
+                finish (Machine.Halted (Decoded.halt_code res))
+              end
           end
         end
       end
     in
-    step ()
+    enter entry Decoded.no_load
   in
   match config.Run_config.engine with
   | Run_config.Fast -> run_fast ()

@@ -42,8 +42,9 @@ type t = {
   mutable ks_cache_misses : int;
   mutable ks_cache_evictions : int;
   mutable engine_hits : int;
-      (** fast engine: verified-block visits served from the
-          pre-decoded cache *)
+      (** fast engine: block visits served from the pre-decoded cache
+          (SOFIA: verified blocks per edge; vanilla: line-bounded
+          straight-line blocks per entry address) *)
   mutable engine_misses : int;  (** fast engine: block compilations *)
   mutable engine_invalidations : int;
       (** fast engine: pre-decoded cache flushes (violation/reset) *)

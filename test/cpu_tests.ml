@@ -74,6 +74,22 @@ let test_icache_behaviour () =
   Icache.reset_stats c;
   check_int "reset" 0 (Icache.accesses c)
 
+let test_icache_geometry () =
+  List.iter
+    (fun (size_bytes, line_bytes) ->
+      match Icache.create { Icache.size_bytes; line_bytes } with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%d-byte cache of %d-byte lines accepted" size_bytes line_bytes)
+    [ (96, 32); (128, 24); (0, 32); (16, 32) ];
+  (* a probe plus a counted run of same-line hits: one access per
+     fetch, one miss *)
+  let c = Icache.create Icache.default in
+  Alcotest.(check bool) "probe misses" false (Icache.access c 0x40);
+  Icache.hit_same_line c 7;
+  Alcotest.(check bool) "line stays resident" true (Icache.access c 0x5C);
+  check_int "accesses" 9 (Icache.accesses c);
+  check_int "misses" 1 (Icache.misses c)
+
 (* ---------------- machine semantics ---------------- *)
 
 let exec_one insn =
@@ -358,6 +374,7 @@ let suite =
     Alcotest.test_case "MMIO output device" `Quick test_mmio;
     Alcotest.test_case "section loading" `Quick test_load_bytes;
     Alcotest.test_case "icache behaviour" `Quick test_icache_behaviour;
+    Alcotest.test_case "icache geometry and batched hits" `Quick test_icache_geometry;
     Alcotest.test_case "call linkage" `Quick test_linkage;
     Alcotest.test_case "r0 hardwired to zero" `Quick test_r0_is_zero;
     Alcotest.test_case "branch resolution" `Quick test_branch_resolution;

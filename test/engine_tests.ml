@@ -37,33 +37,27 @@ type capture = {
   mem : Bytes.t;  (* the whole RAM *)
 }
 
-let run_sofia ?config ?fault image =
+(* [~retires:false] is the path the service takes: no retire callback,
+   no trace, no metrics — only [on_finish], to read the final state. *)
+let capture ~retires run =
   let stream = ref [] in
   let state = ref None in
-  let result =
-    Sofia.Cpu.Sofia_runner.run ?config ?fault
-      ~on_retire:(fun ~pc ~insn -> stream := (pc, insn) :: !stream)
-      ~on_finish:(fun ~machine ~mem -> state := Some (machine, mem))
-      ~keys image
+  let on_retire =
+    if retires then Some (fun ~pc ~insn -> stream := (pc, insn) :: !stream) else None
   in
+  let result = run ~on_retire ~on_finish:(fun ~machine ~mem -> state := Some (machine, mem)) in
   let machine, mem = Option.get !state in
   let regs = Array.init 33 (fun i -> if i = 32 then Machine.pc machine else Machine.read_reg machine (Reg.of_int i)) in
   { result; stream = List.rev !stream; regs;
     mem = Memory.read_range mem ~addr:0 ~len:(Memory.size_bytes mem) }
 
-let run_vanilla ?config program =
-  let stream = ref [] in
-  let state = ref None in
-  let result =
-    Sofia.Cpu.Vanilla.run ?config
-      ~on_retire:(fun ~pc ~insn -> stream := (pc, insn) :: !stream)
-      ~on_finish:(fun ~machine ~mem -> state := Some (machine, mem))
-      program
-  in
-  let machine, mem = Option.get !state in
-  let regs = Array.init 33 (fun i -> if i = 32 then Machine.pc machine else Machine.read_reg machine (Reg.of_int i)) in
-  { result; stream = List.rev !stream; regs;
-    mem = Memory.read_range mem ~addr:0 ~len:(Memory.size_bytes mem) }
+let run_sofia ?config ?fault ?(retires = true) image =
+  capture ~retires (fun ~on_retire ~on_finish ->
+      Sofia.Cpu.Sofia_runner.run ?config ?fault ?on_retire ~on_finish ~keys image)
+
+let run_vanilla ?config ?(retires = true) program =
+  capture ~retires (fun ~on_retire ~on_finish ->
+      Sofia.Cpu.Vanilla.run ?config ?on_retire ~on_finish program)
 
 let outcome_t = Alcotest.testable Machine.pp_outcome ( = )
 
@@ -94,7 +88,8 @@ let check_captures name (f : capture) (r : capture) =
       (Char.code (Bytes.get r.mem !i))
   end
 
-let protect w = Sofia.Transform.Transform.protect_exn ~keys ~nonce (Workload.assemble w)
+let protect ?backend w =
+  Sofia.Transform.Transform.protect_exn ?backend ~keys ~nonce (Workload.assemble w)
 
 (* ---- every registry workload, clean, both cores ---- *)
 
@@ -108,6 +103,163 @@ let test_workload (w : Workload.t) () =
   check_captures (name ^ " (vanilla)")
     (run_vanilla ~config:fast program)
     (run_vanilla ~config:refc program)
+
+(* ---- the hook-free path, every workload, both cores, both backends ---- *)
+
+let test_hook_free (w : Workload.t) () =
+  let name = w.Workload.name in
+  List.iter
+    (fun backend ->
+      let image = protect ~backend w in
+      check_captures
+        (Printf.sprintf "%s (%s, no hooks)" name (Sofia.Transform.Backend_id.name backend))
+        (run_sofia ~config:fast ~retires:false image)
+        (run_sofia ~config:refc ~retires:false image))
+    Sofia.Transform.Backend_id.all;
+  let program = Workload.assemble w in
+  check_captures (name ^ " (vanilla, no hooks)")
+    (run_vanilla ~config:fast ~retires:false program)
+    (run_vanilla ~config:refc ~retires:false program)
+
+(* ---- fuel boundaries: out of fuel on the same instruction ---- *)
+
+(* Retire counts [k <= 200] after which either engine may leave a block:
+   the next retired pc is not the fall-through, the retired instruction
+   transfers control, or the next pc starts an icache line. *)
+let exit_counts (stream : (int * Insn.t) list) =
+  let a = Array.of_list stream in
+  let exits = ref [] in
+  for k = 1 to min 200 (Array.length a - 1) do
+    let pc0, i0 = a.(k - 1) and pc1, _ = a.(k) in
+    if pc1 <> pc0 + 4 || Insn.is_control_flow i0 || pc1 land 31 = 0 then exits := k :: !exits
+  done;
+  !exits
+
+let fuel_values stream =
+  List.sort_uniq compare
+    (List.init 65 Fun.id
+    @ List.concat_map (fun k -> [ k - 1; k; k + 1 ]) (exit_counts stream))
+
+let with_fuel fuel (c : Run_config.t) = { c with Run_config.fuel }
+
+let test_fuel_sweep (w : Workload.t) () =
+  let name = w.Workload.name in
+  let sweep label stream run =
+    List.iter
+      (fun fuel ->
+        check_captures
+          (Printf.sprintf "%s (%s) fuel %d" name label fuel)
+          (run (with_fuel fuel fast)) (run (with_fuel fuel refc)))
+      (fuel_values stream)
+  in
+  List.iter
+    (fun backend ->
+      let image = protect ~backend w in
+      let head = run_sofia ~config:(with_fuel 201 refc) image in
+      sweep (Sofia.Transform.Backend_id.name backend) head.stream (fun config ->
+          run_sofia ~config ~retires:false image))
+    Sofia.Transform.Backend_id.all;
+  let program = Workload.assemble w in
+  let head = run_vanilla ~config:(with_fuel 201 refc) program in
+  sweep "vanilla" head.stream (fun config -> run_vanilla ~config ~retires:false program)
+
+(* ---- one instruction: [Decoded.exec] against [Machine.execute] ---- *)
+
+module Decoded = Sofia.Cpu.Decoded
+
+let mem_bytes = 4096
+
+let gen_insn =
+  let open QCheck.Gen in
+  let reg = map Reg.of_int (int_range 0 31) in
+  let alu =
+    oneofl
+      Insn.[ Add; Sub; And; Or; Xor; Sll; Srl; Sra; Mul; Div; Rem; Slt; Sltu ]
+  in
+  let cond = oneofl Insn.[ Eq; Ne; Lt; Ge; Ltu; Geu; Gt; Le; Gtu; Leu ] in
+  let width = oneofl Insn.[ W32; W8 ] in
+  let off = oneof [ int_range (-8) 8; int_range (-32768) 32767 ] in
+  oneof
+    [
+      map4 (fun op a b c -> Insn.Alu_r (op, a, b, c)) alu reg reg reg;
+      map4 (fun op a b imm -> Insn.Alu_i (op, a, b, imm)) alu reg reg (int_range (-32768) 65535);
+      map2 (fun a imm -> Insn.Lui (a, imm)) reg (int_range 0 65535);
+      map4 (fun w a b o -> Insn.Load (w, a, b, o)) width reg reg off;
+      map4 (fun w a b o -> Insn.Store (w, a, b, o)) width reg reg off;
+      map4 (fun c a b o -> Insn.Branch (c, a, b, o)) cond reg reg (int_range (-2048) 2047);
+      map2 (fun a o -> Insn.Jal (a, o)) reg (int_range (-(1 lsl 20)) ((1 lsl 20) - 1));
+      map3 (fun a b o -> Insn.Jalr (a, b, o)) reg reg off;
+      map (fun c -> Insn.Halt c) (int_range 0 ((1 lsl 26) - 1));
+    ]
+
+(* register values: the u32 edge cases, random words, and addresses
+   that land aligned, misaligned, in MMIO or past RAM *)
+let gen_value =
+  let open QCheck.Gen in
+  let mmio = Sofia.Asm.Program.mmio_base in
+  oneof
+    [
+      oneofl [ 0; 1; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ];
+      map (fun x -> x land 0xFFFF_FFFF) int;
+      map (fun k -> 4 * k) (int_range 0 ((mem_bytes / 4) - 1));
+      int_range 0 (mem_bytes - 1);
+      oneofl [ mmio; mmio + 4; mmio + 5; mmio + 8; mmio + 0xFC; mmio + 0x100 ];
+      map (fun k -> mem_bytes + k) (int_range (-4) 64);
+    ]
+
+type case = { insn : Insn.t; pc : int; values : int array }
+
+let gen_case =
+  let open QCheck.Gen in
+  map3
+    (fun insn pc values -> { insn; pc; values })
+    gen_insn
+    (oneof [ map (fun k -> 4 * k) (int_range 0 1023); return 0xFFFF_FFFC ])
+    (array_repeat 32 gen_value)
+
+let print_case c =
+  Printf.sprintf "%s at 0x%08x, regs [%s]" (Insn.to_string c.insn) c.pc
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "0x%x") c.values)))
+
+(* outcome of one step: the [Decoded.exec] result encoding, or the
+   faulting address *)
+type step = Res of int | Fault of int
+
+let prop_exec_single =
+  QCheck.Test.make ~count:3000 ~name:"Decoded.exec = Machine.execute on one instruction"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let setup () =
+        let m = Machine.create ~entry:c.pc ~sp:0 in
+        Array.iteri (fun i v -> Machine.write_reg m (Reg.of_int i) v) c.values;
+        let mem = Memory.create ~size_bytes:mem_bytes () in
+        Memory.load_bytes mem ~addr:0 (Bytes.init mem_bytes (fun i -> Char.chr ((i * 37) land 0xFF)));
+        (m, mem)
+      in
+      let mr, memr = setup () and mf, memf = setup () in
+      let reference =
+        match Machine.execute mr memr c.insn with
+        | Machine.Next -> Res Decoded.res_next
+        | Machine.Redirect t -> Res t
+        | Machine.Halt code -> Res (-2 - code)
+        | exception Memory.Bus_error a -> Fault a
+      in
+      let d = Decoded.compile ~timing:Sofia.Cpu.Timing.leon3_default [| c.insn |] in
+      let fast =
+        match
+          Decoded.exec ~w:d.Decoded.ops.(0) ~imm:d.Decoded.imms.(0) ~regs:(Machine.regs mf)
+            ~mem:memf ~pc:c.pc
+        with
+        | r -> Res r
+        | exception Memory.Bus_error a -> Fault a
+      in
+      let regs m = List.init 32 (fun i -> Machine.read_reg m (Reg.of_int i)) in
+      let ram mem = Memory.read_range mem ~addr:0 ~len:mem_bytes in
+      reference = fast
+      && regs mr = regs mf
+      && Bytes.equal (ram memr) (ram memf)
+      && Memory.outputs memr = Memory.outputs memf
+      && String.equal (Memory.output_text memr) (Memory.output_text memf))
 
 (* ---- tampered images: violations at the same instruction index ---- *)
 
@@ -158,24 +310,25 @@ let test_transient_faults () =
 let engine_counter name =
   name = "engine_hits" || name = "engine_misses" || name = "engine_invalidations"
 
-let observed config image =
+let observed_with run =
   let trace = Trace.create ~capacity:4096 () in
   let metrics = Metrics.create () in
-  let obs = Obs.create ~trace ~metrics () in
-  let r = Sofia.Cpu.Sofia_runner.run ~config ~obs ~keys image in
+  let r = run (Obs.create ~trace ~metrics ()) in
   (r, Trace.to_list trace, Metrics.counters metrics)
 
-let test_obs_equality () =
-  let w = List.hd (Sofia.Workloads.Registry.benchmark_suite ()) in
-  let image = protect w in
-  let rf, ef, cf = observed fast image in
-  let rr, er, cr = observed refc image in
-  Alcotest.(check bool) "traced run_result bit-identical" true (rf = rr);
-  Alcotest.(check int) "same event count" (List.length er) (List.length ef);
+let observed config image =
+  observed_with (fun obs -> Sofia.Cpu.Sofia_runner.run ~config ~obs ~keys image)
+
+let observed_vanilla config program =
+  observed_with (fun obs -> Sofia.Cpu.Vanilla.run ~config ~obs program)
+
+let check_observed name (rf, ef, cf) (rr, er, cr) =
+  Alcotest.(check bool) (name ^ ": traced run_result bit-identical") true (rf = rr);
+  Alcotest.(check int) (name ^ ": same event count") (List.length er) (List.length ef);
   List.iteri
     (fun i (a, b) ->
       if a <> b then
-        Alcotest.failf "event streams diverge at seq %d: fast %s, ref %s" i
+        Alcotest.failf "%s: event streams diverge at seq %d: fast %s, ref %s" name i
           (Sofia.Obs.Json.to_string (Event.to_json ~seq:i a))
           (Sofia.Obs.Json.to_string (Event.to_json ~seq:i b)))
     (List.combine ef er);
@@ -183,8 +336,15 @@ let test_obs_equality () =
     (fun (n1, v1) (n2, v2) ->
       Alcotest.(check string) "counter order" n1 n2;
       if not (engine_counter n1) then
-        Alcotest.(check int) ("counter " ^ n1) v2 v1)
+        Alcotest.(check int) (name ^ ": counter " ^ n1) v2 v1)
     cf cr
+
+let test_obs_equality () =
+  let w = List.hd (Sofia.Workloads.Registry.benchmark_suite ()) in
+  let image = protect w in
+  check_observed "sofia" (observed fast image) (observed refc image);
+  let program = Workload.assemble w in
+  check_observed "vanilla" (observed_vanilla fast program) (observed_vanilla refc program)
 
 (* ---- engine counters: do what they say ---- *)
 
@@ -210,7 +370,19 @@ let test_engine_counters () =
   let value = match Image.fetch image address with Some v -> v lxor 4 | None -> 0 in
   let tampered = Image.with_tampered_word image ~address ~value in
   let _, _, cv = observed fast tampered in
-  Alcotest.(check int) "fast: violation invalidates once" 1 (get cv "engine_invalidations")
+  Alcotest.(check int) "fast: violation invalidates once" 1 (get cv "engine_invalidations");
+  (* vanilla: the counters count line-bounded blocks, not instructions *)
+  let program = Workload.assemble w in
+  let _, _, vf = observed_vanilla fast program in
+  let _, _, vr = observed_vanilla refc program in
+  let visits = get vf "engine_hits" + get vf "engine_misses" in
+  Alcotest.(check bool) "vanilla fast: blocks compiled and revisited" true
+    (get vf "engine_misses" > 0 && get vf "engine_hits" > 0);
+  Alcotest.(check bool) "vanilla fast: fewer block visits than retires" true
+    (visits < get vf "retires");
+  List.iter
+    (fun n -> Alcotest.(check int) ("vanilla ref: " ^ n ^ " = 0") 0 (get vr n))
+    [ "engine_hits"; "engine_misses"; "engine_invalidations" ]
 
 (* ---- the cold frontend (edge_memo = false) ---- *)
 
@@ -250,7 +422,16 @@ let suite =
     (fun (w : Workload.t) ->
       Alcotest.test_case ("fast=ref: " ^ w.Workload.name) `Quick (test_workload w))
     (Sofia.Workloads.Registry.all ())
+  @ List.map
+      (fun (w : Workload.t) ->
+        Alcotest.test_case ("fast=ref, no hooks: " ^ w.Workload.name) `Quick (test_hook_free w))
+      (Sofia.Workloads.Registry.all ())
+  @ List.map
+      (fun (w : Workload.t) ->
+        Alcotest.test_case ("fuel sweep: " ^ w.Workload.name) `Quick (test_fuel_sweep w))
+      (Sofia.Workloads.Registry.all ())
   @ [
+      QCheck_alcotest.to_alcotest prop_exec_single;
       Alcotest.test_case "tampered images" `Quick test_tampered;
       Alcotest.test_case "transient fetch faults" `Quick test_transient_faults;
       Alcotest.test_case "trace events and counters" `Quick test_obs_equality;
