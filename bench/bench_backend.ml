@@ -8,7 +8,7 @@
    and benchmarked elsewhere); overhead from a vanilla-vs-protected run
    pair per workload; area from the lib/hwmodel synthesis of each
    backend's frontend. The [backends] rows land in the bench JSON and
-   are gated by tools/bench_compare --backend-floor. *)
+   are gated by bench/gates.json. *)
 
 module BI = Sofia.Transform.Backend_id
 module Workload = Sofia.Workloads.Workload
@@ -83,7 +83,7 @@ let rows ?(backends = BI.all) ?(trials = 3) ?(seed = 0xF417AL) () =
     backends
 
 (* geometric-mean protected/vanilla cycle ratio of one backend's rows —
-   the number --backend-floor holds *)
+   the number bench/gates.json holds under a per-backend ceiling *)
 let geomean_cycle_ratio backend rows =
   let rs =
     List.filter_map

@@ -1,5 +1,5 @@
 (* The micro-benchmark suite, as a library so both the bench harness
-   (bench/main.ml) and the regression gate (tools/bench_compare.ml)
+   (bench/main.ml) and the bench gate (tools/bench_compare.ml)
    run the *same* measurements. Names are a stable interface: perf
    baselines (BENCH_*.json) and CI compare by name, so renaming or
    removing a row invalidates history — add rows instead. *)

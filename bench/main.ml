@@ -3,13 +3,15 @@
 
      dune exec bench/main.exe                  run everything
      dune exec bench/main.exe -- ID ...        run selected experiments
-     dune exec bench/main.exe -- --json FILE   also write a machine-readable
-                                               report (micro, e2-cycles and
-                                               x1-workloads with obs counters)
+     dune exec bench/main.exe -- --json FILE   also write the machine-readable
+                                               report (micro, e2-cycles,
+                                               x1-workloads, fault, backends;
+                                               bench/bench_report.ml)
 
    Experiment ids: table1 e1-codesize e2-cycles e3-exectime s1-forgery
    s2-cfi fig1-pipeline fig2-cfi fig3-6-si fig7-8-mux fig9-tree
-   x1-workloads x2-unroll x3-attacks micro service fault *)
+   x1-workloads x2-unroll x3-attacks x4-frontend x5-faults x6-toolchain
+   x7-gadgets backends micro fault *)
 
 module H = Sofia.Hwmodel.Hwmodel
 module Machine = Sofia.Cpu.Machine
@@ -490,286 +492,32 @@ let backends_exp () =
 (* micro: Bechamel microbenchmarks (X4)                                *)
 (* ------------------------------------------------------------------ *)
 
-let micro_rows () = Sofia_benchlib.Bench_micro.rows ()
-
 let micro () =
   section "micro" "microbenchmarks of the implementation itself (Bechamel)";
-  List.iter (fun (name, est) -> Format.printf "  %-34s %14.1f ns/run@." name est) (micro_rows ())
-
-(* ------------------------------------------------------------------ *)
-(* service: the lib/service load generator                             *)
-(* ------------------------------------------------------------------ *)
-
-let service () =
-  section "service" "serving-layer throughput: batch engine vs sequential one-shot";
-  let m = Sofia_benchlib.Bench_service.measure () in
-  Format.printf "%a" Sofia_benchlib.Bench_service.pp m;
-  let r = Sofia_benchlib.Bench_service.measure_restart () in
-  Format.printf "%a" Sofia_benchlib.Bench_service.pp_restart r;
-  (match Sofia_benchlib.Bench_service.measure_fleet () with
-  | Some f -> Format.printf "%a" Sofia_benchlib.Bench_service.pp_fleet f
-  | None -> Format.printf "  fleet: skipped (sofia_cli binary not found; set SOFIA_CLI)@.");
-  match Sofia_benchlib.Bench_service.measure_fleet_restart () with
-  | Some f -> Format.printf "%a" Sofia_benchlib.Bench_service.pp_fleet_restart f
-  | None ->
-    Format.printf "  fleet restart: skipped (sofia_cli binary not found; set SOFIA_CLI)@."
+  List.iter
+    (fun (name, est) -> Format.printf "  %-34s %14.1f ns/run@." name est)
+    (Sofia_benchlib.Bench_micro.rows ())
 
 (* ------------------------------------------------------------------ *)
 (* fault: the lib/fault campaign (detection coverage + recovery)       *)
 (* ------------------------------------------------------------------ *)
 
-let fault_trials = 5
-let fault_seed = 0xF417AL
-
 let fault () =
   section "fault" "fault-injection campaign: detection coverage + supervised recovery";
   Format.printf "%a" Sofia.Fault.Campaign.pp
     (Sofia.Fault.Campaign.run ~backends:Sofia.Transform.Backend_id.all
-       ~trials:fault_trials ~seed:fault_seed ())
+       ~trials:Sofia_benchlib.Bench_report.fault_trials
+       ~seed:Sofia_benchlib.Bench_report.fault_seed ())
 
 (* ------------------------------------------------------------------ *)
-(* --json: machine-readable benchmark report                           *)
+(* --json: machine-readable benchmark report (bench/bench_report.ml)   *)
 (* ------------------------------------------------------------------ *)
-
-module J = Sofia.Obs.Json
-module Metrics = Sofia.Obs.Metrics
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Overhead row with SOFIA-side obs counters attached. The metrics
-   handle rides only on the SOFIA run, so [obs] reports the protected
-   core's pipeline work (decryptions, MAC checks, memo behaviour). *)
-let observed_overhead w =
-  let m = Metrics.create () in
-  let obs = Sofia.Obs.Obs.create ~metrics:m () in
-  let o = Sofia.Report.overhead_of_workload ~sofia_obs:obs w in
-  (o, m)
-
-let overhead_json (o : Sofia.Report.overhead) (m : Metrics.t) =
-  J.Obj
-    [
-      ("name", J.Str o.Sofia.Report.name);
-      (* Report.overhead_of_workload runs the original SOFIA pipeline;
-         SCFP rows live in the "backends" experiment *)
-      ("backend", J.Str "sofia");
-      ("vanilla_cycles", J.Int o.Sofia.Report.vanilla_cycles);
-      ("sofia_cycles", J.Int o.Sofia.Report.sofia_cycles);
-      ("cycle_overhead_pct", J.Float o.Sofia.Report.cycle_overhead_pct);
-      ("text_bytes_vanilla", J.Int o.Sofia.Report.text_bytes_vanilla);
-      ("text_bytes_sofia", J.Int o.Sofia.Report.text_bytes_sofia);
-      ("expansion", J.Float o.Sofia.Report.expansion);
-      ("total_time_overhead_pct", J.Float o.Sofia.Report.total_time_overhead_pct);
-      ("outputs_ok", J.Bool o.Sofia.Report.outputs_ok);
-      ("obs", Metrics.to_json m);
-    ]
-
-let json_micro () =
-  let rows, wall = timed micro_rows in
-  Format.printf "  [json] micro: %d measurements in %.1f s@." (List.length rows) wall;
-  J.Obj
-    [
-      ("id", J.Str "micro");
-      ("wall_time_s", J.Float wall);
-      ( "results",
-        J.List
-          (List.map
-             (fun (name, ns) -> J.Obj [ ("name", J.Str name); ("ns_per_run", J.Float ns) ])
-             rows) );
-    ]
-
-let json_e2_cycles () =
-  let rows, wall =
-    timed (fun () ->
-        List.map
-          (fun (label, variant) ->
-            let o, m = observed_overhead (Adpcm.workload ~samples:4096 ~variant ()) in
-            (label, o, m))
-          [ ("compiled (default)", Adpcm.Compiled); ("if-converted", Adpcm.Scheduled);
-            ("naive branchy", Adpcm.Branchy) ])
-  in
-  Format.printf "  [json] e2-cycles: %d ADPCM variants in %.1f s@." (List.length rows) wall;
-  J.Obj
-    [
-      ("id", J.Str "e2-cycles");
-      ("wall_time_s", J.Float wall);
-      ( "rows",
-        J.List
-          (List.map
-             (fun (label, o, m) ->
-               match overhead_json o m with
-               | J.Obj fields -> J.Obj (("variant", J.Str label) :: fields)
-               | j -> j)
-             rows) );
-    ]
-
-let json_x1_workloads () =
-  let rows, wall =
-    timed (fun () ->
-        List.map observed_overhead (Sofia.Workloads.Registry.benchmark_suite ()))
-  in
-  Format.printf "  [json] x1-workloads: %d workloads in %.1f s@." (List.length rows) wall;
-  let geomean =
-    Sofia.Util.Stats.geomean
-      (List.map (fun (o, _) -> 1.0 +. (o.Sofia.Report.cycle_overhead_pct /. 100.0)) rows)
-  in
-  J.Obj
-    [
-      ("id", J.Str "x1-workloads");
-      ("wall_time_s", J.Float wall);
-      ("geomean_cycle_ratio", J.Float geomean);
-      ("rows", J.List (List.map (fun (o, m) -> overhead_json o m) rows));
-    ]
-
-let json_fault () =
-  let module C = Sofia.Fault.Campaign in
-  let module S = Sofia.Fault.Site in
-  let r, wall =
-    timed (fun () ->
-        C.run ~backends:Sofia.Transform.Backend_id.all ~trials:fault_trials
-          ~seed:fault_seed ())
-  in
-  let d, t = C.in_model_trials r in
-  Format.printf "  [json] fault: %d/%d in-model detected, %d escape(s), service %s, in %.1f s@."
-    d t (C.in_model_escapes r)
-    (if C.service_ok r then "ok" else "FAILED")
-    wall;
-  J.Obj
-    [
-      ("id", J.Str "fault");
-      ("wall_time_s", J.Float wall);
-      ("seed", J.Str (Printf.sprintf "0x%Lx" fault_seed));
-      ("trials_per_cell", J.Int fault_trials);
-      ("in_model_trials", J.Int t);
-      ("in_model_detected", J.Int d);
-      ("in_model_escapes", J.Int (C.in_model_escapes r));
-      ("service_ok", J.Bool (C.service_ok r));
-      ( "rows",
-        J.List
-          (List.map
-             (fun (c : C.cell) ->
-               J.Obj
-                 [
-                   ("class", J.Str (S.name c.C.clazz));
-                   ("backend", J.Str (Sofia.Transform.Backend_id.name c.C.backend));
-                   ("in_model", J.Bool (S.in_model c.C.clazz));
-                   ("applicable", J.Bool c.C.applicable);
-                   ("trials", J.Int c.C.trials);
-                   ("detected", J.Int c.C.detected);
-                   ( "detection_rate",
-                     J.Float
-                       (if c.C.trials = 0 then 1.0
-                        else float_of_int c.C.detected /. float_of_int c.C.trials) );
-                   ("latency_max_insns", J.Int c.C.lat_max);
-                 ])
-             (C.by_class r)) );
-      ( "service",
-        J.List
-          (List.map
-             (fun (s : C.service_check) ->
-               J.Obj
-                 [ ("name", J.Str s.C.name); ("ok", J.Bool s.C.ok);
-                   ("detail", J.Str s.C.detail) ])
-             r.C.service) );
-    ]
-
-let json_service () =
-  let m, wall = timed (fun () -> Sofia_benchlib.Bench_service.measure ()) in
-  Format.printf "  [json] service: %d jobs, %.2fx batch speedup, in %.1f s@."
-    m.Sofia_benchlib.Bench_service.jobs m.Sofia_benchlib.Bench_service.speedup wall;
-  (* a second, smaller mix protected by the SCFP backend: the serving
-     layer must hold its batch speedup when every job re-keys a sponge
-     instead of a CTR keystream *)
-  let scfp_m, swall =
-    timed (fun () ->
-        Sofia_benchlib.Bench_service.measure ~backend:Sofia.Transform.Backend_id.Scfp
-          ~clients:16 ())
-  in
-  Format.printf "  [json] service (scfp): %d jobs, %.2fx batch speedup, in %.1f s@."
-    scfp_m.Sofia_benchlib.Bench_service.jobs scfp_m.Sofia_benchlib.Bench_service.speedup
-    swall;
-  let r, rwall = timed (fun () -> Sofia_benchlib.Bench_service.measure_restart ()) in
-  Format.printf
-    "  [json] warm restart: %.2fx over cold, %d disk hits / %d corrupt, in %.1f s@."
-    r.Sofia_benchlib.Bench_service.restart_speedup r.Sofia_benchlib.Bench_service.disk_hits
-    r.Sofia_benchlib.Bench_service.disk_corrupt rwall;
-  let fleet, fwall = timed (fun () -> Sofia_benchlib.Bench_service.measure_fleet ()) in
-  (match fleet with
-  | Some f ->
-    Format.printf "  [json] fleet: %.2fx over single-process serve, in %.1f s@."
-      f.Sofia_benchlib.Bench_service.fl_ratio fwall
-  | None -> Format.printf "  [json] fleet: skipped (sofia_cli binary not found)@.");
-  let fleet_restart, frwall =
-    timed (fun () -> Sofia_benchlib.Bench_service.measure_fleet_restart ())
-  in
-  (match fleet_restart with
-  | Some f ->
-    Format.printf
-      "  [json] fleet restart: %.2fx warm, %d disk replays / %d corrupt, in %.1f s@."
-      f.Sofia_benchlib.Bench_service.fr_speedup
-      f.Sofia_benchlib.Bench_service.fr_disk_replays
-      f.Sofia_benchlib.Bench_service.fr_replay_corrupt frwall
-  | None -> Format.printf "  [json] fleet restart: skipped (sofia_cli binary not found)@.");
-  match
-    Sofia_benchlib.Bench_service.to_json ~restart:r ?fleet ?fleet_restart
-      ~extra_rows:[ Sofia_benchlib.Bench_service.throughput_row scfp_m ]
-      m
-  with
-  | J.Obj fields -> J.Obj (("id", J.Str "service") :: ("wall_time_s", J.Float wall) :: fields)
-  | j -> j
-
-let json_backends () =
-  let rows, wall = timed (fun () -> Sofia_benchlib.Bench_backend.rows ()) in
-  Format.printf "  [json] backends: %d (backend x workload) rows in %.1f s@."
-    (List.length rows) wall;
-  J.Obj
-    [
-      ("id", J.Str "backends");
-      ("wall_time_s", J.Float wall);
-      ( "geomean_cycle_ratio",
-        J.Obj
-          (List.map
-             (fun b ->
-               ( Sofia.Transform.Backend_id.name b,
-                 J.Float (Sofia_benchlib.Bench_backend.geomean_cycle_ratio b rows) ))
-             Sofia.Transform.Backend_id.all) );
-      ("rows", J.List (List.map Sofia_benchlib.Bench_backend.row_json rows));
-    ]
-
-(* The report always carries these six, whatever else was selected on
-   the command line, so downstream perf tracking has a stable schema. *)
-let json_experiments =
-  [ ("micro", json_micro); ("e2-cycles", json_e2_cycles); ("x1-workloads", json_x1_workloads);
-    ("service", json_service); ("fault", json_fault); ("backends", json_backends) ]
-
-(* Best-effort commit id for report provenance; "unknown" outside a
-   work tree (e.g. a release tarball). *)
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let rev = try String.trim (input_line ic) with End_of_file -> "" in
-    match (Unix.close_process_in ic, rev) with
-    | Unix.WEXITED 0, rev when rev <> "" -> rev
-    | _ -> "unknown"
-  with _ -> "unknown"
 
 let write_json path =
   section "json" (Printf.sprintf "machine-readable benchmark report -> %s" path);
-  let experiments = List.map (fun (_, f) -> f ()) json_experiments in
-  let report =
-    J.Obj
-      [
-        ("schema", J.Str "sofia-bench/3");
-        ("version", J.Str Sofia.version);
-        ("created_unix", J.Int (int_of_float (Unix.time ())));
-        ("git_rev", J.Str (git_rev ()));
-        ("experiments", J.List experiments);
-      ]
-  in
+  let report = Sofia_benchlib.Bench_report.build () in
   let oc = open_out path in
-  J.output oc report;
+  Sofia.Obs.Json.output oc report;
   output_char oc '\n';
   close_out oc;
   Format.printf "  wrote %s@." path
@@ -798,7 +546,6 @@ let all_experiments =
     ("x7-gadgets", x7_gadgets);
     ("backends", backends_exp);
     ("micro", micro);
-    ("service", service);
     ("fault", fault);
   ]
 
@@ -817,7 +564,9 @@ let () =
   let args =
     match json_path with
     | None -> args
-    | Some _ -> List.filter (fun id -> not (List.mem_assoc id json_experiments)) args
+    | Some _ -> List.filter
+        (fun id -> not (List.mem_assoc id Sofia_benchlib.Bench_report.experiments))
+        args
   in
   (match args with
   | [] when json_path <> None -> ()

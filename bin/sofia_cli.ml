@@ -772,7 +772,7 @@ let fleet_cmd =
          with Unix.Unix_error (e, _, _) ->
            or_die (Error (Printf.sprintf "%s: bind failed: %s" spec (Unix.error_message e))));
         Unix.listen srv 8;
-        (* report the actual port (the CI smoke binds port 0) *)
+        (* report the actual port (the serve-smoke TCP case binds port 0) *)
         let name =
           match Unix.getsockname srv with
           | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p

@@ -145,9 +145,10 @@ end
     requests (a fleet re-requesting the same release image — the store's
     cache-hit case), one independent verification, one release
     attestation and one QA simulation on the SOFIA core. The same list
-    drives [sofia_cli batch @registry] and the [service-throughput] /
-    [service-p99] bench rows, so CLI results and committed bench numbers
-    are directly comparable. *)
+    drives [sofia_cli batch @registry] and the registry-mix case of
+    [test/service_tests.ml]. It holds only one distinct image per
+    workload, so it measures store dedup, not compute: serving speed is
+    measured by [benchmark/]. *)
 module Service_load = struct
   module Job = Sofia_service.Job
 

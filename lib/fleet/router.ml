@@ -1249,11 +1249,6 @@ let tick t =
 
 (* ---- metrics ------------------------------------------------------ *)
 
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n /. 100.0)) - 1))
-
 let shard_json (ch : child_state) =
   let lat = Array.of_list ch.cs.ss_lat_ms in
   Array.sort compare lat;
@@ -1266,8 +1261,8 @@ let shard_json (ch : child_state) =
       ("restarts", J.Int ch.cs.ss_restarts);
       ("hangs", J.Int ch.cs.ss_hangs);
       ("quarantined", J.Bool ch.cs.ss_quarantined);
-      ("p50_ms", J.Float (percentile lat 50.0));
-      ("p99_ms", J.Float (percentile lat 99.0));
+      ("p50_ms", J.Float (Sofia_util.Stats.percentile lat 50.0));
+      ("p99_ms", J.Float (Sofia_util.Stats.percentile lat 99.0));
     ]
 
 let stats_json (s : stats) =

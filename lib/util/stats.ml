@@ -24,6 +24,11 @@ let median = function
     let n = Array.length a in
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
+let percentile sorted p =
+  match Array.length sorted with
+  | 0 -> 0.0
+  | n -> sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n /. 100.0)) - 1)))
+
 let percent_overhead ~baseline ~measured = (measured -. baseline) /. baseline *. 100.0
 
 let linear_fit points =

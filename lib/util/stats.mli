@@ -12,6 +12,11 @@ val stddev : float list -> float
 val median : float list -> float
 (** Median; 0 on the empty list. *)
 
+val percentile : float array -> float -> float
+(** [percentile sorted p]: the nearest-rank [p]th percentile
+    ([0 <= p <= 100]) of an ascending array — the element at rank
+    [ceil (p * n / 100)], clamped to [1..n]; 0 on the empty array. *)
+
 val percent_overhead : baseline:float -> measured:float -> float
 (** [(measured - baseline) / baseline * 100]. *)
 

@@ -88,6 +88,30 @@ let test_by_class_aggregates () =
         agg.C.detected)
     (C.by_class r)
 
+(* The --multi-fault report shape: stacked flips bump the schema, say
+   how many faults each trial carried and roll coverage up per backend,
+   rather than silently running single-fault trials. *)
+let test_multi_fault_report_shape () =
+  let r =
+    C.run ~multi_fault:2 ~backends:Sofia.Transform.Backend_id.all ~with_service:false
+      ~workloads:(small_workloads ()) ~trials:2 ~seed:0xF417AL ()
+  in
+  let j = C.to_json r in
+  check_bool "schema" true (Json.member "schema" j = Some (Json.Str "sofia-fault-campaign/3"));
+  check_bool "faults_per_trial" true (Json.member "faults_per_trial" j = Some (Json.Int 2));
+  let rollup =
+    match Json.member "by_backend" j with
+    | Some (Json.List l) ->
+      List.map
+        (fun b ->
+          match (Json.member "backend" b, Json.member "in_model_detection_rate" b) with
+          | Some (Json.Str name), Some _ -> name
+          | _ -> Alcotest.fail "by_backend entry lacks backend or detection rate")
+        l
+    | _ -> Alcotest.fail "report lacks the by_backend rollup"
+  in
+  Alcotest.(check (list string)) "by_backend names both backends" [ "sofia"; "scfp" ] rollup
+
 let test_site_apply_out_of_text () =
   let keys = Sofia.Crypto.Keys.generate ~seed:0x1L in
   let program =
@@ -118,5 +142,6 @@ let suite =
       test_full_detection_zero_latency;
     Alcotest.test_case "campaign is seed-reproducible" `Slow test_seed_reproducible;
     Alcotest.test_case "by_class aggregates the matrix" `Quick test_by_class_aggregates;
+    Alcotest.test_case "multi-fault report shape" `Quick test_multi_fault_report_shape;
     Alcotest.test_case "site application bounds" `Quick test_site_apply_out_of_text;
   ]

@@ -52,7 +52,8 @@ let pinned_jobs ~children ~pred ~prefix source want =
 let lines_of jobs = List.map (fun r -> Json.to_string (Job.request_to_json r)) jobs
 
 (* Feed [lines] to an in-process router over temp files (the same
-   mechanism the fault campaign uses) and return (responses, stats). *)
+   mechanism the fault campaign uses) and return (responses, stats,
+   fleet metrics document). *)
 let fleet_run ?(tweak = fun (c : FR.config) -> c) lines =
   let in_path = Filename.temp_file "sofia_fleet_in" ".ndjson" in
   let out_path = Filename.temp_file "sofia_fleet_out" ".ndjson" in
@@ -70,7 +71,7 @@ let fleet_run ?(tweak = fun (c : FR.config) -> c) lines =
       let cin = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
       let cout = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
       let cfg = tweak { FR.default_config with FR.cli = Some cli } in
-      let stats, _doc =
+      let stats, doc =
         Fun.protect
           ~finally:(fun () ->
             (try Unix.close cin with Unix.Unix_error _ -> ());
@@ -88,7 +89,7 @@ let fleet_run ?(tweak = fun (c : FR.config) -> c) lines =
          done
        with End_of_file -> ());
       close_in ic;
-      (List.rev !responses, stats))
+      (List.rev !responses, stats, doc))
 
 let r_str k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
 let r_status j = Option.value ~default:"?" (r_str "status" j)
@@ -197,7 +198,7 @@ let test_mix_matches_oneshot () =
   else begin
     let n = 24 in
     let jobs = List.init n mixed_request in
-    let rs, st = fleet_run (lines_of jobs) in
+    let rs, st, _ = fleet_run (lines_of jobs) in
     check_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs;
     Alcotest.(check bool) "conserved" true (FR.conserved st);
     List.iter
@@ -229,13 +230,65 @@ let test_replay_byte_identical () =
           Job.make ~id:(Printf.sprintf "dup-%d" i) ~nonce:7
             (Job.Protect { source = sources.(0) }))
     in
-    let rs, st = fleet_run (lines_of jobs) in
+    let rs, st, _ = fleet_run (lines_of jobs) in
     check_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs;
     let prints = List.sort_uniq compare (List.map payload_fingerprint rs) in
     Alcotest.(check int) "all ten payloads byte-identical" 1 (List.length prints);
     Alcotest.(check bool) "replay cache actually served" true (st.FR.replays >= 1);
     Alcotest.(check bool) "at most one dispatch reached a child" true
       (st.FR.replays + st.FR.coalesced >= 9);
+    Alcotest.(check bool) "conserved" true (FR.conserved st)
+  end
+
+(* The steady state a long-running router lives in: the mix sent again
+   once every first-pass answer is back must come entirely from the
+   replay cache. A warm-pass job that reached a child would carry a
+   nonzero [attempts]; the router's own replays carry 0. *)
+let test_warm_pass_routes_nothing () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    let jobs = List.init 24 mixed_request in
+    let lines = lines_of jobs in
+    let req_r, req_w = Unix.pipe ~cloexec:true () in
+    let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+    let client =
+      Domain.spawn (fun () ->
+          let oc = Unix.out_channel_of_descr req_w in
+          let ic = Unix.in_channel_of_descr resp_r in
+          let pass () =
+            List.iter
+              (fun l ->
+                output_string oc l;
+                output_char oc '\n')
+              lines;
+            flush oc;
+            List.map (fun _ -> Option.get (Json.parse_opt (input_line ic))) lines
+          in
+          let cold = pass () in
+          let warm = pass () in
+          close_out oc;
+          close_in ic;
+          (cold, warm))
+    in
+    let st, _ =
+      FR.run { FR.default_config with FR.cli = Some cli } ~client_in:req_r ~client_out:resp_w
+    in
+    Unix.close req_r;
+    Unix.close resp_w;
+    let cold, warm = Domain.join client in
+    let ids = List.map (fun (j : Job.request) -> j.Job.id) jobs in
+    check_ids_once ids cold;
+    check_ids_once ids warm;
+    let fp rs =
+      List.sort compare
+        (List.map (fun j -> (Option.get (r_str "id" j), payload_fingerprint j)) rs)
+    in
+    Alcotest.(check bool) "warm payloads byte-identical to cold" true (fp cold = fp warm);
+    List.iter
+      (fun j ->
+        if Json.member "attempts" j <> Some (Json.Int 0) then
+          Alcotest.failf "warm-pass %s reached a child" (Option.get (r_str "id" j)))
+      warm;
     Alcotest.(check bool) "conserved" true (FR.conserved st)
   end
 
@@ -259,7 +312,7 @@ let test_child_kill_exactly_once () =
         end
       | FR.Child_down _ | FR.Child_rejoin _ -> ()
     in
-    let rs, st =
+    let rs, st, _ =
       fleet_run
         ~tweak:(fun c -> { c with FR.children; window = 4; on_event = Some on_event })
         (lines_of jobs)
@@ -284,7 +337,7 @@ let test_breaker_quarantine_and_reshed () =
     let healthy =
       pinned_jobs ~children ~pred:(fun k -> k = pshard) ~prefix:"hb" sources.(0) 4
     in
-    let rs, st =
+    let rs, st, _ =
       fleet_run
         ~tweak:(fun c ->
           { c with
@@ -314,7 +367,7 @@ let test_malformed_at_router () =
       @ lines_of good
       @ [ "{\"id\":\"bad-nonce\",\"op\":\"protect\",\"source\":\"halt\",\"nonce\":9999}" ]
     in
-    let rs, st = fleet_run ~tweak:(fun c -> { c with FR.children = 2 }) lines in
+    let rs, st, _ = fleet_run ~tweak:(fun c -> { c with FR.children = 2 }) lines in
     (* every input line — including garbage — gets exactly one response
        line, and the children never see the garbage *)
     Alcotest.(check int) "one response per input line" (List.length lines)
@@ -335,7 +388,7 @@ let test_ping_round_trip () =
   if not (have_cli ()) then Alcotest.skip ()
   else begin
     let jobs = List.init 3 (fun i -> Job.make ~id:(Printf.sprintf "ping-%d" i) Job.Ping) in
-    let rs, st = fleet_run ~tweak:(fun c -> { c with FR.children = 2 }) (lines_of jobs) in
+    let rs, st, _ = fleet_run ~tweak:(fun c -> { c with FR.children = 2 }) (lines_of jobs) in
     check_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs;
     List.iter
       (fun j ->
@@ -352,7 +405,7 @@ let test_window_one_conservation () =
   else begin
     let n = 30 in
     let jobs = List.init n mixed_request in
-    let rs, st =
+    let rs, st, _ =
       fleet_run ~tweak:(fun c -> { c with FR.children = 2; window = 1 }) (lines_of jobs)
     in
     check_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs;
@@ -384,7 +437,7 @@ let test_stale_socket_recovery () =
             Unix.close dead)
           [ 0; 1 ];
         let jobs = List.init 6 mixed_request in
-        let rs, st =
+        let rs, st, _ =
           fleet_run
             ~tweak:(fun c -> { c with FR.children = 2; socket_dir = Some dir })
             (lines_of jobs)
@@ -480,7 +533,7 @@ let test_socket_dir_janitor () =
         Unix.bind dead (Unix.ADDR_UNIX (Filename.concat dir "shard-0.sock"));
         Unix.close dead;
         let jobs = List.init 4 mixed_request in
-        let rs, st =
+        let rs, st, _ =
           fleet_run
             ~tweak:(fun c -> { c with FR.children = 2; socket_dir = Some dir })
             (lines_of jobs)
@@ -519,8 +572,8 @@ let test_replay_survives_restart () =
                 (Job.Protect { source = sources.(0) }))
         in
         let tweak c = { c with FR.children = 2; FR.replay_dir = Some dir } in
-        let r1, st1 = fleet_run ~tweak (lines_of jobs) in
-        let r2, st2 = fleet_run ~tweak (lines_of jobs) in
+        let r1, st1, _ = fleet_run ~tweak (lines_of jobs) in
+        let r2, st2, doc2 = fleet_run ~tweak (lines_of jobs) in
         let ids = List.map (fun (j : Job.request) -> j.Job.id) jobs in
         check_ids_once ids r1;
         check_ids_once ids r2;
@@ -535,6 +588,9 @@ let test_replay_survives_restart () =
         Alcotest.(check int) "warm run served everything from disk" 6
           st2.FR.disk_replays;
         Alcotest.(check int) "warm run never dispatched to a child" 0 (routed st2);
+        Alcotest.(check bool) "warm reload found nothing corrupt" true
+          (Option.bind (Json.member "replay_store" doc2) (Json.member "corrupt")
+          = Some (Json.Int 0));
         let fp rs =
           List.sort compare
             (List.map (fun j -> (Option.get (r_str "id" j), payload_fingerprint j)) rs)
@@ -718,6 +774,7 @@ let suite =
     Alcotest.test_case "3-child mix matches one-shot payloads" `Slow
       test_mix_matches_oneshot;
     Alcotest.test_case "replay cache is byte-identical" `Slow test_replay_byte_identical;
+    Alcotest.test_case "warm pass routes nothing" `Slow test_warm_pass_routes_nothing;
     Alcotest.test_case "child kill -9: zero lost, zero duplicated" `Slow
       test_child_kill_exactly_once;
     Alcotest.test_case "breaker quarantine + re-shed" `Slow

@@ -33,7 +33,13 @@ let test_overhead_shapes () =
   Alcotest.(check bool)
     (Printf.sprintf "clock ratio %.2f ~ 1.84" ratio)
     true
-    (ratio > 1.75 && ratio < 1.95)
+    (ratio > 1.75 && ratio < 1.95);
+  (* SCFP drops the mux trees and per-edge keystream muxes: its
+     frontend must synthesize strictly smaller than SOFIA's *)
+  let scfp = H.scfp_area_overhead_pct () in
+  Alcotest.(check bool)
+    (Printf.sprintf "scfp area %.1f%% below sofia %.1f%%" scfp area)
+    true (scfp < area)
 
 let test_cipher_cycles () =
   check_int "unroll 13 -> 2 cycles (paper §III)" 2 (H.cycles_per_cipher_op ~unroll:13);

@@ -107,6 +107,54 @@ let payload_keys = function
   | Job.Run_image _ -> [ "outcome"; "status" ]
   | Job.Ping -> [ "shard"; "workers"; "status" ]
 
+(* scheduling metadata legitimately differs across processes and
+   transports; everything else in a response must match byte for byte *)
+let volatile = [ "seq"; "completion"; "attempts"; "worker"; "latency_ms"; "ts_unix"; "cached" ]
+
+(* (id, the response minus [volatile]) of one response line, which
+   must be a done response *)
+let stripped line =
+  match Json.parse_opt line with
+  | Some (Json.Obj fields) ->
+    let id =
+      match List.assoc_opt "id" fields with
+      | Some (Json.Str s) -> s
+      | _ -> Alcotest.failf "response lacks id: %s" line
+    in
+    if List.assoc_opt "status" fields <> Some (Json.Str "done") then
+      Alcotest.failf "%s: not done: %s" id line;
+    (id, Json.to_string (Json.Obj (List.filter (fun (k, _) -> not (List.mem k volatile)) fields)))
+  | _ -> Alcotest.failf "response is not a JSON object: %s" line
+
+let write_requests oc reqs =
+  List.iter
+    (fun r ->
+      output_string oc (Json.to_string (Job.request_to_json r));
+      output_char oc '\n')
+    reqs
+
+(* [reqs] as an NDJSON file for the duration of [f] *)
+let with_requests reqs f =
+  let path = Filename.temp_file "sofia_smoke" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> write_requests oc reqs);
+      f path)
+
+(* stdout lines of [sofia_cli args < path], which must exit 0 *)
+let cli_lines args path =
+  let cmd =
+    Printf.sprintf "%s %s < %s 2>/dev/null" (Filename.quote cli)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote path)
+  in
+  let ic = Unix.open_process_in cmd in
+  let lines = In_channel.input_lines ic in
+  if Unix.close_process_in ic <> Unix.WEXITED 0 then
+    Alcotest.failf "sofia_cli %s did not exit cleanly" (String.concat " " args);
+  lines
+
 (* ---- socket mode ---- *)
 
 let wait_for pred =
@@ -242,101 +290,95 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-(* The same job mix through two *separate* server processes sharing one
-   --store-dir: run 2 must answer every request with identical payload
-   fields (the persistent tier re-verifies everything it serves) and
-   must report nonzero disk hits and zero corrupt entries in its
-   metrics document — a real warm start, not a silent re-protect. *)
-let test_warm_restart_across_processes () =
+let json_file path =
+  match Json.parse_opt (In_channel.with_open_bin path In_channel.input_all) with
+  | Some j -> j
+  | None -> Alcotest.failf "%s is not JSON" path
+
+let counter doc path =
+  match List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some doc) path with
+  | Some (Json.Int v) -> v
+  | _ -> Alcotest.failf "metrics lack %s" (String.concat "." path)
+
+(* The same job mix through two *separate* [sofia_cli args DIR --json
+   M] processes sharing one persistent DIR: run 2 must answer every
+   request with run 1's payload (the persistent tier re-verifies
+   everything it serves), and [check_warm] holds run 2's metrics
+   document to a real warm start, not a silent recompute. *)
+let warm_restart args check_warm =
   if not (Sys.file_exists cli) then Alcotest.skip ()
   else begin
     let n = 40 in
-    let store_dir = Filename.temp_file "sofia_warm_store" "" in
-    Sys.remove store_dir;
-    let req_path = Filename.temp_file "sofia_warm" ".ndjson" in
+    let dir = Filename.temp_file "sofia_warm_dir" "" in
+    Sys.remove dir;
     let metrics1 = Filename.temp_file "sofia_warm_m1" ".json" in
     let metrics2 = Filename.temp_file "sofia_warm_m2" ".json" in
     Fun.protect
       ~finally:(fun () ->
-        List.iter
-          (fun p -> if Sys.file_exists p then Sys.remove p)
-          [ req_path; metrics1; metrics2 ];
-        if Sys.file_exists store_dir then rm_rf store_dir)
+        List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ metrics1; metrics2 ];
+        if Sys.file_exists dir then rm_rf dir)
       (fun () ->
-        let oc = open_out req_path in
-        for i = 0 to n - 1 do
-          output_string oc (Json.to_string (Job.request_to_json (request i)));
-          output_char oc '\n'
-        done;
-        close_out oc;
-        let run_once metrics_path =
-          let cmd =
-            Printf.sprintf
-              "%s serve --stdin --workers 2 --store-dir %s --json %s < %s 2>/dev/null"
-              (Filename.quote cli) (Filename.quote store_dir) (Filename.quote metrics_path)
-              (Filename.quote req_path)
-          in
-          let ic = Unix.open_process_in cmd in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> ());
-          let status = Unix.close_process_in ic in
-          Alcotest.(check bool) "server exited cleanly" true (status = Unix.WEXITED 0);
-          List.rev !lines
-        in
-        let pick_fields line =
-          match Json.parse_opt line with
-          | None -> Alcotest.failf "response is not JSON: %s" line
-          | Some j ->
-            let id =
-              match Json.member "id" j with
-              | Some (Json.Str s) -> s
-              | _ -> Alcotest.failf "response lacks id: %s" line
-            in
-            let req = request (int_of_string (String.sub id 4 3)) in
-            (id, List.map (fun k -> (k, Json.member k j)) (payload_keys req.Job.spec))
-        in
-        let cold = run_once metrics1 in
-        let warm = run_once metrics2 in
-        Alcotest.(check int) "cold answered all" n (List.length cold);
-        Alcotest.(check int) "warm answered all" n (List.length warm);
-        let by_id = Hashtbl.create n in
-        List.iter
-          (fun line ->
-            let id, fields = pick_fields line in
-            Hashtbl.replace by_id id fields)
-          cold;
-        List.iter
-          (fun line ->
-            let id, fields = pick_fields line in
-            match Hashtbl.find_opt by_id id with
-            | None -> Alcotest.failf "warm run answered unknown id %s" id
-            | Some cold_fields ->
-              if fields <> cold_fields then
-                Alcotest.failf "%s: warm payload differs from cold run" id)
-          warm;
-        (* the warm process must have actually served from disk *)
-        let metrics_doc =
-          let ic = open_in metrics2 in
-          let s = In_channel.input_all ic in
-          close_in ic;
-          match Json.parse_opt s with
-          | Some j -> j
-          | None -> Alcotest.fail "warm metrics document is not JSON"
-        in
-        let disk_counter name =
-          match Option.bind (Json.member "disk" metrics_doc) (Json.member name) with
-          | Some (Json.Int v) -> v
-          | _ -> Alcotest.failf "warm metrics lack disk.%s" name
-        in
-        Alcotest.(check bool) "warm run hit the disk store" true (disk_counter "hits" > 0);
-        Alcotest.(check int) "no corrupt entries" 0 (disk_counter "corrupt"))
+        with_requests (List.init n request) (fun req_path ->
+            let run_once metrics = cli_lines (args @ [ dir; "--json"; metrics ]) req_path in
+            let cold = run_once metrics1 in
+            let warm = run_once metrics2 in
+            Alcotest.(check int) "cold answered all" n (List.length cold);
+            Alcotest.(check int) "warm answered all" n (List.length warm);
+            let by_id = Hashtbl.create n in
+            List.iter
+              (fun line ->
+                let id, fields = stripped line in
+                Hashtbl.replace by_id id fields)
+              cold;
+            List.iter
+              (fun line ->
+                let id, fields = stripped line in
+                match Hashtbl.find_opt by_id id with
+                | None -> Alcotest.failf "warm run answered unknown id %s" id
+                | Some cold_fields ->
+                  if fields <> cold_fields then
+                    Alcotest.failf "%s: warm payload differs from cold run" id)
+              warm);
+        check_warm (json_file metrics2))
   end
 
+(* serve over --store-dir: the warm process serves from disk and
+   re-protects none of the mix *)
+let test_warm_restart_across_processes () =
+  warm_restart [ "serve"; "--stdin"; "--workers"; "2"; "--store-dir" ] (fun doc ->
+      Alcotest.(check bool) "warm run hit the disk store" true (counter doc [ "disk"; "hits" ] > 0);
+      Alcotest.(check int) "no corrupt entries" 0 (counter doc [ "disk"; "corrupt" ]);
+      Alcotest.(check int) "no disk misses" 0 (counter doc [ "disk"; "misses" ]);
+      Alcotest.(check int) "no disk writes" 0 (counter doc [ "disk"; "writes" ]))
+
+(* fleet over --replay-dir: the restarted router answers the mix from
+   its persistent replay tier without dispatching a job to a child *)
+let test_fleet_warm_restart_across_processes () =
+  warm_restart [ "fleet"; "--stdin"; "--children"; "2"; "--replay-dir" ] (fun doc ->
+      Alcotest.(check bool) "warm router replayed from disk" true
+        (counter doc [ "router"; "disk_replays" ] > 0);
+      Alcotest.(check int) "no corrupt reloads" 0 (counter doc [ "replay_store"; "corrupt" ]);
+      let routed =
+        match Json.member "shards" doc with
+        | Some (Json.List shards) ->
+          List.fold_left (fun acc sh -> acc + counter sh [ "routed" ]) 0 shards
+        | _ -> Alcotest.fail "fleet metrics lack shards"
+      in
+      Alcotest.(check int) "warm run dispatched nothing to a child" 0 routed)
+
 (* ---- fleet smoke: the full mix through a real 3-child fleet ---- *)
+
+(* [reqs] through a single-process [serve --stdin]: id -> stripped
+   response, the reference a fleet must reproduce *)
+let serve_reference reqs =
+  let reference = Hashtbl.create 64 in
+  List.iter
+    (fun line ->
+      let id, fields = stripped line in
+      Hashtbl.replace reference id fields)
+    (with_requests reqs (cli_lines [ "serve"; "--stdin"; "--workers"; "2" ]));
+  Alcotest.(check int) "serve answered all" (List.length reqs) (Hashtbl.length reference);
+  reference
 
 (* 200 mixed jobs through [sofia_cli fleet --children 3], with one
    child kill -9'd mid-mix (pid scraped from the router's stderr
@@ -349,53 +391,11 @@ let test_fleet_mix_kill9_vs_serve () =
   else begin
     let n = 200 in
     let reqs = List.init n request in
-    let payload_of line =
-      match Json.parse_opt line with
-      | None -> Alcotest.failf "response is not JSON: %s" line
-      | Some j ->
-        let id =
-          match Json.member "id" j with
-          | Some (Json.Str s) -> s
-          | _ -> Alcotest.failf "response lacks id: %s" line
-        in
-        let req = request (int_of_string (String.sub id 4 3)) in
-        (id, List.map (fun k -> (k, Json.member k j)) (payload_keys req.Job.spec))
-    in
-    (* reference: the same mix through single-process serve *)
-    let req_path = Filename.temp_file "sofia_fleet_smoke" ".ndjson" in
+    let reference = serve_reference reqs in
     let err_path = Filename.temp_file "sofia_fleet_smoke" ".stderr" in
     Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ req_path; err_path ])
+      ~finally:(fun () -> if Sys.file_exists err_path then Sys.remove err_path)
       (fun () ->
-        let oc = open_out req_path in
-        List.iter
-          (fun r ->
-            output_string oc (Json.to_string (Job.request_to_json r));
-            output_char oc '\n')
-          reqs;
-        close_out oc;
-        let cmd =
-          Printf.sprintf "%s serve --stdin --workers 2 < %s 2>/dev/null"
-            (Filename.quote cli) (Filename.quote req_path)
-        in
-        let ic = Unix.open_process_in cmd in
-        let serve_lines = ref [] in
-        (try
-           while true do
-             serve_lines := input_line ic :: !serve_lines
-           done
-         with End_of_file -> ());
-        (match Unix.close_process_in ic with
-         | Unix.WEXITED 0 -> ()
-         | _ -> Alcotest.fail "reference serve did not exit cleanly");
-        let reference = Hashtbl.create n in
-        List.iter
-          (fun line ->
-            let id, fields = payload_of line in
-            Hashtbl.replace reference id fields)
-          !serve_lines;
-        Alcotest.(check int) "serve answered all" n (Hashtbl.length reference);
         (* the fleet, interactively, so we can kill a child mid-mix *)
         let err_fd =
           Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
@@ -467,7 +467,7 @@ let test_fleet_mix_kill9_vs_serve () =
         let seen = Hashtbl.create n in
         List.iter
           (fun line ->
-            let id, fields = payload_of line in
+            let id, fields = stripped line in
             if Hashtbl.mem seen id then Alcotest.failf "fleet answered %s twice" id;
             Hashtbl.add seen id ();
             match Hashtbl.find_opt reference id with
@@ -476,6 +476,92 @@ let test_fleet_mix_kill9_vs_serve () =
               if fields <> ref_fields then
                 Alcotest.failf "%s: fleet payload differs from single serve" id)
           !fleet_lines)
+  end
+
+(* ---- the CLI's TCP fleet ---- *)
+
+(* [sofia_cli fleet --tcp 127.0.0.1:0 --accepts 2]: the router binds an
+   ephemeral port, names it on stderr, serves two concurrent clients
+   from one select loop and exits 0 after the second (the fleet binary
+   exits 0 only when its counters conserve). Each client must get every
+   id once, each payload equal to single-process [serve]'s. *)
+let test_fleet_tcp_two_clients () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let reqs = List.init 40 request in
+    let reference = serve_reference reqs in
+    let err_path = Filename.temp_file "sofia_fleet_tcp" ".stderr" in
+    let err_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let pid =
+      Unix.create_process cli
+        [| cli; "fleet"; "--tcp"; "127.0.0.1:0"; "--accepts"; "2"; "--children"; "3" |]
+        Unix.stdin Unix.stdout err_fd
+    in
+    Unix.close err_fd;
+    Fun.protect
+      ~finally:(fun () ->
+        (* a router that never finishes is killed, not leaked *)
+        (match Unix.waitpid [ Unix.WNOHANG ] pid with
+         | 0, _ ->
+           Unix.kill pid Sys.sigkill;
+           ignore (Unix.waitpid [] pid)
+         | _ -> ()
+         | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ());
+        Sys.remove err_path)
+      (fun () ->
+        let port = ref None in
+        let listening () =
+          List.iter
+            (fun line ->
+              match Scanf.sscanf_opt line "fleet: listening on 127.0.0.1:%d%!" Fun.id with
+              | Some p -> port := Some p
+              | None -> ())
+            (In_channel.with_open_bin err_path In_channel.input_lines);
+          !port <> None
+        in
+        if not (wait_for listening) then Alcotest.fail "fleet never reported its TCP port";
+        let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Option.get !port) in
+        let client () =
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          (* a wedged router fails the test instead of hanging it *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+          Unix.connect fd addr;
+          let oc = Unix.out_channel_of_descr fd in
+          write_requests oc reqs;
+          flush oc;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let ic = Unix.in_channel_of_descr fd in
+          let lines = In_channel.input_lines ic in
+          close_in_noerr ic;
+          lines
+        in
+        let d1 = Domain.spawn client in
+        let d2 = Domain.spawn client in
+        let answers = [ Domain.join d1; Domain.join d2 ] in
+        let status = ref None in
+        let exited () =
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> false
+          | _, st ->
+            status := Some st;
+            true
+        in
+        if not (wait_for exited) then Alcotest.fail "fleet still running after two accepts";
+        Alcotest.(check bool) "fleet exited 0" true (!status = Some (Unix.WEXITED 0));
+        List.iteri
+          (fun i lines ->
+            Alcotest.(check int) (Printf.sprintf "client %d answered all" i)
+              (List.length reqs) (List.length lines);
+            let seen = Hashtbl.create 64 in
+            List.iter
+              (fun line ->
+                let id, fields = stripped line in
+                if Hashtbl.mem seen id then Alcotest.failf "client %d got %s twice" i id;
+                Hashtbl.add seen id ();
+                if Hashtbl.find_opt reference id <> Some fields then
+                  Alcotest.failf "client %d, %s: payload differs from single serve" i id)
+              lines)
+          answers)
   end
 
 let suite =
@@ -488,4 +574,8 @@ let suite =
     Alcotest.test_case "socket mode, 50 mixed requests" `Slow test_socket_mode_50;
     Alcotest.test_case "socket client disconnect mid-stream" `Slow
       test_socket_client_disconnect;
+    Alcotest.test_case "fleet --tcp: two concurrent clients" `Slow
+      test_fleet_tcp_two_clients;
+    Alcotest.test_case "fleet warm restart across processes" `Slow
+      test_fleet_warm_restart_across_processes;
   ]

@@ -730,6 +730,44 @@ let test_metrics_json_shape () =
   | Json.Obj fields -> check_bool "histogram count" true (List.mem_assoc "count" fields)
   | _ -> Alcotest.fail "latency histogram must be an object"
 
+(* ---- the registry mix ---- *)
+
+(* [cached] is the one payload field a store hit flips *)
+let uncached = function
+  | Job.Done (Job.Protected r) -> Job.Done (Job.Protected { r with cached = false })
+  | Job.Done (Job.Verified r) -> Job.Done (Job.Verified { r with cached = false })
+  | Job.Done (Job.Simulated r) -> Job.Done (Job.Simulated { r with cached = false })
+  | Job.Done (Job.Attested r) -> Job.Done (Job.Attested { r with cached = false })
+  | s -> s
+
+(* The registry mix [batch @registry] serves (63 jobs over 9 distinct
+   images) under each backend: every answer equals the one-shot
+   pipeline's, each image is built once and every other job is a store
+   hit, and the terminal counters conserve. One worker keeps the store
+   counts exact: racing workers may both build a key. *)
+let test_registry_mix () =
+  let images = List.length (Sofia.Workloads.Registry.all ()) in
+  List.iter
+    (fun backend ->
+      let jobs = Sofia.Service_load.registry_jobs ~backend () in
+      let responses, t =
+        Engine.run_batch { Engine.default_config with Engine.workers = 1 } jobs
+      in
+      check_int "one response per job" (List.length jobs) (List.length responses);
+      List.iter2
+        (fun (req : Job.request) (r : Job.response) ->
+          (match r.Job.status with
+           | Job.Done _ -> ()
+           | _ -> Alcotest.failf "%s: not done" req.Job.id);
+          check_bool (req.Job.id ^ " equals one-shot") true
+            (uncached r.Job.status = uncached (Engine.execute_oneshot req)))
+        jobs responses;
+      let st = Engine.store t in
+      check_int "one build per distinct image" images (Store.misses st);
+      check_int "every other job a store hit" (List.length jobs - images) (Store.hits st);
+      check_conservation (Engine.metrics t))
+    backends
+
 let suite =
   [
     Alcotest.test_case "jobq fifo and close" `Quick test_jobq_fifo;
@@ -767,4 +805,5 @@ let suite =
       test_verify_disk_entry_reprotects;
     Alcotest.test_case "serve_channels" `Quick test_serve_channels;
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
+    Alcotest.test_case "registry mix matches one-shot" `Quick test_registry_mix;
   ]

@@ -114,6 +114,20 @@ let test_stats_fit () =
   check_float "slope" 2.0 a;
   check_float "intercept" 1.0 b
 
+(* Stats.percentile keeps the fleet router's nearest-rank rounding: the
+   formula it replaced, on random ascending samples *)
+let prop_percentile_nearest_rank =
+  QCheck.Test.make ~count:1000 ~name:"percentile = the router's nearest-rank formula"
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 64) (float_range 0.0 1000.0))
+        (oneof [ float_range 0.001 100.0; oneofl [ 50.0; 99.0; 100.0 ] ]))
+    (fun (xs, p) ->
+      let sorted = Array.of_list (List.sort compare xs) in
+      let n = Array.length sorted in
+      Stats.percentile sorted p
+      = sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n /. 100.0)) - 1)))
+
 let check_hex64 msg want got =
   Alcotest.(check string) msg (Printf.sprintf "%016Lx" want) (Printf.sprintf "%016Lx" got)
 
@@ -183,6 +197,7 @@ let suite =
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
     Alcotest.test_case "statistics basics" `Quick test_stats_basic;
     Alcotest.test_case "least-squares fit" `Quick test_stats_fit;
+    QCheck_alcotest.to_alcotest prop_percentile_nearest_rank;
     Alcotest.test_case "hash known answers" `Quick test_hash_kats;
     Alcotest.test_case "hash sub-ranges" `Quick test_hash_ranges;
     Alcotest.test_case "hash basis names store files" `Quick test_hash_basis;
