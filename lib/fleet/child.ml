@@ -10,7 +10,7 @@ type proc = {
   socket_path : string;
   mutable pid : int;  (* -1 when not running *)
   mutable fd : Unix.file_descr option;
-  rbuf : Buffer.t;  (* partial-line accumulation between selects *)
+  lines : Sofia_util.Lines.t;  (* partial-line accumulation between selects *)
 }
 
 (* Resolve the sofia_cli binary for spawning children. Callers that ARE
@@ -95,10 +95,10 @@ let connect_timeout_s = 10.0
 let start ~cli ~args ~shard ~socket_path =
   let pid = spawn ~cli ~args in
   let fd = connect_with_timeout ~socket_path ~pid ~timeout_s:connect_timeout_s in
-  { shard; socket_path; pid; fd = Some fd; rbuf = Buffer.create 4096 }
+  { shard; socket_path; pid; fd = Some fd; lines = Sofia_util.Lines.create () }
 
 let restart p ~cli ~args =
-  Buffer.clear p.rbuf;
+  Sofia_util.Lines.clear p.lines;
   let pid = spawn ~cli ~args in
   let fd = connect_with_timeout ~socket_path:p.socket_path ~pid ~timeout_s:connect_timeout_s in
   p.pid <- pid;
@@ -123,31 +123,19 @@ let send_line p line =
     try push 0
     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) -> false)
 
-(* Pull every complete line out of the buffer; keep the partial tail. *)
-let take_lines p =
-  let s = Buffer.contents p.rbuf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some i ->
-    Buffer.clear p.rbuf;
-    Buffer.add_substring p.rbuf s (i + 1) (String.length s - i - 1);
-    List.filter
-      (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' (String.sub s 0 i))
-
-(* After select reported readability: read what is there. [`Eof] covers
-   both an orderly close and a died child (its socket end closes with
-   it). *)
-let drain_input p =
+(* After select reported readability: read what is there into the
+   caller's [chunk] and return the complete non-blank lines; the partial
+   tail waits for the next read. [`Eof] covers both an orderly close and
+   a died child (its socket end closes with it). *)
+let drain_input p chunk =
   match p.fd with
   | None -> `Eof
   | Some fd -> (
-    let chunk = Bytes.create 65536 in
-    match Unix.read fd chunk 0 65536 with
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> `Eof
     | n ->
-      Buffer.add_subbytes p.rbuf chunk 0 n;
-      `Lines (take_lines p)
+      `Lines
+        (List.filter (fun l -> String.trim l <> "") (Sofia_util.Lines.feed p.lines chunk n))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
       `Eof)

@@ -11,7 +11,7 @@ type proc = {
   socket_path : string;
   mutable pid : int;  (** [-1] when not running *)
   mutable fd : Unix.file_descr option;
-  rbuf : Buffer.t;
+  lines : Sofia_util.Lines.t;  (** the partial line between reads *)
 }
 
 exception Child_failed of string
@@ -44,9 +44,10 @@ val restart : proc -> cli:string -> args:string list -> unit
 val send_line : proc -> string -> bool
 (** Blocking full write of one line; [false] = connection dead. *)
 
-val drain_input : proc -> [ `Lines of string list | `Eof ]
-(** Read what select said is there; complete lines only (a partial
-    line waits in [rbuf] for the next readable event). *)
+val drain_input : proc -> Bytes.t -> [ `Lines of string list | `Eof ]
+(** Read what select said is there into the given scratch buffer
+    (reused across calls; not retained); complete non-blank lines only
+    (a partial line waits in [lines] for the next readable event). *)
 
 val alive : int -> bool
 val signal : proc -> int -> unit

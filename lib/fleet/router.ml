@@ -40,6 +40,8 @@ module Event = Sofia_obs.Event
 module Clock = Sofia_util.Clock
 module Fs = Sofia_store_fs.Store_fs
 module Keys = Sofia_crypto.Keys
+module Lru = Sofia_util.Lru
+module Lines = Sofia_util.Lines
 
 type event =
   | Client_response of int  (** running count of client-visible job responses *)
@@ -112,8 +114,13 @@ type shard_stats = {
   mutable ss_restarts : int;
   mutable ss_hangs : int;
   mutable ss_quarantined : bool;
-  mutable ss_lat_ms : float list;  (* router-observed, newest first *)
+  ss_lat_ms : float array;  (* ring of the last [latency_samples] router-observed latencies *)
+  mutable ss_lat_n : int;  (* latencies ever recorded *)
 }
+
+(* The per-shard latency ring: p50/p99 describe the most recent jobs,
+   and a router that serves for months holds 32 KiB per shard. *)
+let latency_samples = 4096
 
 type stats = {
   mutable received : int;
@@ -160,7 +167,7 @@ type client = {
   cl_id : int;
   cl_in : Unix.file_descr;
   cl_out : Unix.file_descr;
-  cl_rbuf : Buffer.t;
+  cl_lines : Lines.t;
   cl_wbuf : Buffer.t;
   mutable cl_eof : bool;
   mutable cl_gone : bool;
@@ -238,8 +245,8 @@ type t = {
   stats : stats;
   obs : Obs.t;
   kids : child_state array;
-  cache : (string, cached) Hashtbl.t;  (* content key -> rendered template *)
-  memo : (string, string) Hashtbl.t;  (* raw request tail -> content key *)
+  cache : (string, cached) Lru.t;  (* content key -> rendered template *)
+  memo : (string, string) Lru.t;  (* raw request tail -> content key, shared with [cache] *)
   waiters : (string, waiter list ref) Hashtbl.t;  (* key -> parked duplicates *)
   audits : (string, audit_state) Hashtbl.t;  (* primary iid -> state *)
   mutable next_seq : int;
@@ -255,8 +262,14 @@ type t = {
   mutable accepts_left : int;  (* 0 = no more accepts; < 0 = unlimited *)
   mutable rng : int64;  (* deterministic jitter state *)
   rstore : Fs.t option;  (* persistent replay tier, when configured *)
-  rkeys : (int64, Keys.t) Hashtbl.t;  (* key_seed -> derived device keys *)
 }
+
+(* Entries each of [memo] and [cache] may hold. An evicted key only
+   falls back to paths that exist anyway — a full parse, coalescing,
+   the zero-trust disk reload, a child — so the cap trades a recompute
+   for flat memory and can never serve a wrong or unverified payload
+   (DESIGN §13). *)
+let replay_cap = 1024
 
 let fire t e = match t.cfg.on_event with Some f -> f e | None -> ()
 
@@ -346,7 +359,11 @@ let count_status t ss status latency_ms =
    | "rejected" -> t.stats.rejected <- t.stats.rejected + 1
    | "timed_out" -> t.stats.timed_out <- t.stats.timed_out + 1
    | _ -> t.stats.failed <- t.stats.failed + 1);
-  (match ss with Some s -> s.ss_lat_ms <- latency_ms :: s.ss_lat_ms | None -> ());
+  (match ss with
+   | Some s ->
+     s.ss_lat_ms.(s.ss_lat_n mod latency_samples) <- latency_ms;
+     s.ss_lat_n <- s.ss_lat_n + 1
+   | None -> ());
   t.settled <- t.settled + 1;
   fire t (Client_response t.settled)
 
@@ -438,15 +455,10 @@ let emit_router_failure t cl ~id ~op ~seq ~admit msg =
    reload re-checks kind, codec, nonce, key fingerprint, CRC, CBC-MAC
    and the full source text, and store_fs additionally re-derives the
    payload's 64-bit fingerprint (store_replay meta) before a byte is
-   believed. A failed check is a miss, never served. *)
-
-let replay_keys t seed =
-  match Hashtbl.find_opt t.rkeys seed with
-  | Some k -> k
-  | None ->
-    let k = Keys.generate ~seed in
-    Hashtbl.add t.rkeys seed k;
-    k
+   believed. A failed check is a miss, never served. The keys are
+   derived at each access: a derivation costs microseconds beside an
+   envelope write that fsyncs, and a table of them would grow with
+   every distinct seed. *)
 
 let cached_payload (c : cached) =
   Bytes.of_string
@@ -471,7 +483,7 @@ let cached_of_payload payload =
 let disk_replay_store t (req : Job.request) key c =
   match t.rstore with
   | Some rs when key <> "" ->
-    Fs.store_replay rs ~backend:req.Job.backend ~keys:(replay_keys t req.Job.key_seed)
+    Fs.store_replay rs ~backend:req.Job.backend ~keys:(Keys.generate ~seed:req.Job.key_seed)
       ~nonce:req.Job.nonce ~source:key ~payload:(cached_payload c)
   | _ -> ()
 
@@ -479,7 +491,7 @@ let disk_replay_load t (req : Job.request) key =
   match t.rstore with
   | Some rs when key <> "" ->
     Option.bind
-      (Fs.load_replay rs ~backend:req.Job.backend ~keys:(replay_keys t req.Job.key_seed)
+      (Fs.load_replay rs ~backend:req.Job.backend ~keys:(Keys.generate ~seed:req.Job.key_seed)
          ~nonce:req.Job.nonce ~source:key)
       cached_of_payload
   | _ -> None
@@ -855,8 +867,7 @@ and finalize_primary t d fields =
   if d.d_key <> "" then begin
     let c =
       if status = "done" then begin
-        let c = make_cached ~worker:d.d_shard fields in
-        Hashtbl.replace t.cache d.d_key c;
+        let c = Lru.add t.cache d.d_key (make_cached ~worker:d.d_shard fields) in
         disk_replay_store t d.d_req d.d_key c;
         Some c
       end
@@ -948,27 +959,29 @@ let handle_child_line t k line =
 
 (* ---- admission ---------------------------------------------------- *)
 
-let admit t cl (req : Job.request) =
+(* [key] is the request's content key ("" when not replayable). A key
+   the bounded tables evicted arrives here like a new one: it is
+   reloaded from disk or routed again, and counts as distinct again
+   for the audit cadence. *)
+let admit t cl ~key (req : Job.request) =
   t.stats.submitted <- t.stats.submitted + 1;
   cl.cl_pending <- cl.cl_pending + 1;
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   let admit_t = Clock.mono_s () in
-  let key = if Shard.replayable req then Shard.content_key req else "" in
-  if key <> "" && Hashtbl.mem t.cache key then
-    emit_replay t cl ~id:req.Job.id ~seq ~admit:admit_t (Hashtbl.find t.cache key)
-  else if key <> "" && Hashtbl.mem t.waiters key then begin
+  match if key = "" then None else Lru.find t.cache key with
+  | Some c -> emit_replay t cl ~id:req.Job.id ~seq ~admit:admit_t c
+  | None when key <> "" && Hashtbl.mem t.waiters key ->
     t.stats.coalesced <- t.stats.coalesced + 1;
     let ws = Hashtbl.find t.waiters key in
     ws := { w_id = req.Job.id; w_seq = seq; w_admit = admit_t; w_client = cl } :: !ws
-  end
-  else begin
+  | None -> (
     match disk_replay_load t req key with
     | Some c ->
       (* the persistent tier survived a router restart: re-install the
          template in the memory cache and serve it as an ordinary
          replay — it already passed the full zero-trust reload *)
-      Hashtbl.replace t.cache key c;
+      let c = Lru.add t.cache key c in
       t.stats.disk_replays <- t.stats.disk_replays + 1;
       emit_replay t cl ~id:req.Job.id ~seq ~admit:admit_t c
     | None -> (
@@ -1035,15 +1048,14 @@ let admit t cl (req : Job.request) =
              in
              enqueue t ak ad
            | None -> ());
-        enqueue t k d)
-  end
+        enqueue t k d))
 
 (* Textual id/tail split of a raw request line. Our own serializer puts
    [id] first and the ids in every mix are escape-free; anything that
    deviates simply takes the full parser. The tail (everything from the
    id's closing quote on) identifies the request content: the semantic
    content key is a pure function of it, so [t.memo] can map tails to
-   keys permanently. *)
+   keys for as long as it holds them. *)
 let split_id_tail line =
   let pfx = {|{"id":"|} in
   let pl = String.length pfx in
@@ -1067,19 +1079,18 @@ let split_id_tail line =
    else (first occurrence, non-replayable op, unusual framing) goes
    through the full parser, which also teaches the memo. *)
 let admit_line t cl line =
+  let split = split_id_tail line in
+  let memo_key = match split with Some (_, tail) -> Lru.find t.memo tail | None -> None in
   let fast =
-    match split_id_tail line with
-    | None -> None
-    | Some (id, tail) -> (
-      match Hashtbl.find_opt t.memo tail with
-      | Some key when key <> "" -> (
-        match Hashtbl.find_opt t.cache key with
-        | Some c -> Some (`Replay (id, c))
-        | None -> (
-          match Hashtbl.find_opt t.waiters key with
-          | Some ws -> Some (`Coalesce (id, ws))
-          | None -> None))
-      | _ -> None)
+    match (split, memo_key) with
+    | Some (id, _), Some key when key <> "" -> (
+      match Lru.find t.cache key with
+      | Some c -> Some (`Replay (id, c))
+      | None -> (
+        match Hashtbl.find_opt t.waiters key with
+        | Some ws -> Some (`Coalesce (id, ws))
+        | None -> None))
+    | _ -> None
   in
   match fast with
   | Some action ->
@@ -1101,12 +1112,16 @@ let admit_line t cl line =
        backend's payload for the other's key *)
     match Job.request_of_line ~default_backend:t.cfg.backend line with
     | Ok req ->
-      (match split_id_tail line with
-       | Some (_, tail) ->
-         Hashtbl.replace t.memo tail
-           (if Shard.replayable req then Shard.content_key req else "")
-       | None -> ());
-      admit t cl req;
+      (* one string per content key: the memo's value, the dispatch's
+         [d_key] and the cache's key are the same *)
+      let key =
+        match memo_key with
+        | Some key -> key
+        | None -> (
+          let key = if Shard.replayable req then Shard.content_key req else "" in
+          match split with Some (_, tail) -> Lru.add t.memo tail key | None -> key)
+      in
+      admit t cl ~key req;
       Ok ()
     | Error msg -> Error msg)
 
@@ -1249,8 +1264,9 @@ let tick t =
 
 (* ---- metrics ------------------------------------------------------ *)
 
+(* p50/p99 over the most recent [latency_samples] routed jobs *)
 let shard_json (ch : child_state) =
-  let lat = Array.of_list ch.cs.ss_lat_ms in
+  let lat = Array.sub ch.cs.ss_lat_ms 0 (min ch.cs.ss_lat_n latency_samples) in
   Array.sort compare lat;
   J.Obj
     [
@@ -1265,7 +1281,8 @@ let shard_json (ch : child_state) =
       ("p99_ms", J.Float (Sofia_util.Stats.percentile lat 99.0));
     ]
 
-let stats_json (s : stats) =
+let stats_json t =
+  let s = t.stats in
   J.Obj
     [
       ("received", J.Int s.received);
@@ -1292,6 +1309,8 @@ let stats_json (s : stats) =
       ("quar_integrity", J.Int s.quar_integrity);
       ("disk_replays", J.Int s.disk_replays);
       ("slow_client_drops", J.Int s.slow_client_drops);
+      ("replay_entries", J.Int (Lru.length t.cache));
+      ("replay_evictions", J.Int (Lru.evictions t.cache));
     ]
 
 (* The per-child serve metrics documents (written by `serve --json` at
@@ -1325,7 +1344,7 @@ let metrics_json t =
              ("window", J.Int t.cfg.window);
              ("audit_every", J.Int t.cfg.audit_every);
            ] );
-       ("router", stats_json t.stats);
+       ("router", stats_json t);
        ("shards", J.List (Array.to_list (Array.map shard_json t.kids)));
        ("children_metrics", child_metrics_json t);
      ]
@@ -1418,7 +1437,7 @@ let sink_client () =
     cl_id = -1;
     cl_in = Unix.stdin;
     cl_out = Unix.stdout;
-    cl_rbuf = Buffer.create 1;
+    cl_lines = Lines.create ();
     cl_wbuf = Buffer.create 1;
     cl_eof = true;
     cl_gone = true;  (* writes are dropped; pending is never read *)
@@ -1461,7 +1480,8 @@ let create ?(obs = Obs.none) cfg =
         Array.init cfg.children (fun k ->
             {
               ss_shard = k; ss_routed = 0; ss_done = 0; ss_deaths = 0;
-              ss_restarts = 0; ss_hangs = 0; ss_quarantined = false; ss_lat_ms = [];
+              ss_restarts = 0; ss_hangs = 0; ss_quarantined = false;
+              ss_lat_ms = Array.make latency_samples 0.0; ss_lat_n = 0;
             });
     }
   in
@@ -1469,8 +1489,8 @@ let create ?(obs = Obs.none) cfg =
     {
       cfg; cli; dir; dir_created; stats; obs;
       kids = [||];
-      cache = Hashtbl.create 512;
-      memo = Hashtbl.create 512;
+      cache = Lru.create replay_cap;
+      memo = Lru.create replay_cap;
       waiters = Hashtbl.create 64;
       audits = Hashtbl.create 16;
       next_seq = 0; next_iid = 0; completion = 0; distinct_keys = 0; settled = 0;
@@ -1482,7 +1502,6 @@ let create ?(obs = Obs.none) cfg =
       accepts_left = 0;
       rng = 0x5EEDL;
       rstore;
-      rkeys = Hashtbl.create 8;
     }
   in
   let kids =
@@ -1518,7 +1537,7 @@ let add_client t ~owned fd_in fd_out =
       cl_id = t.next_client;
       cl_in = fd_in;
       cl_out = fd_out;
-      cl_rbuf = Buffer.create 4096;
+      cl_lines = Lines.create ();
       cl_wbuf = Buffer.create 4096;
       cl_eof = false;
       cl_gone = false;
@@ -1530,15 +1549,6 @@ let add_client t ~owned fd_in fd_out =
   t.next_client <- t.next_client + 1;
   t.clients <- t.clients @ [ cl ];
   cl
-
-let take_client_lines cl =
-  let s = Buffer.contents cl.cl_rbuf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some i ->
-    Buffer.clear cl.cl_rbuf;
-    Buffer.add_substring cl.cl_rbuf s (i + 1) (String.length s - i - 1);
-    String.split_on_char '\n' (String.sub s 0 i)
 
 let client_active cl = not (cl.cl_eof || cl.cl_gone)
 
@@ -1580,6 +1590,7 @@ let serve ?(signals = false) t =
         | exception (Invalid_argument _ | Sys_error _) -> ())
       [ Sys.sigint; Sys.sigterm ]
   end;
+  (* the one read buffer for every client and child *)
   let chunk = Bytes.create 65536 in
   let finished () =
     (t.stop || clients_done t)
@@ -1627,7 +1638,7 @@ let serve ?(signals = false) t =
       (fun k ch ->
         match ch.c.Child.fd with
         | Some fd when List.memq fd readable -> (
-          match Child.drain_input ch.c with
+          match Child.drain_input ch.c chunk with
           | `Eof ->
             if
               (t.stop || clients_done t)
@@ -1663,9 +1674,7 @@ let serve ?(signals = false) t =
         if client_active cl && List.memq cl.cl_in readable then begin
           match Unix.read cl.cl_in chunk 0 (Bytes.length chunk) with
           | 0 -> cl.cl_eof <- true
-          | n ->
-            Buffer.add_subbytes cl.cl_rbuf chunk 0 n;
-            List.iter (handle_client_line t cl) (take_client_lines cl)
+          | n -> List.iter (handle_client_line t cl) (Lines.feed cl.cl_lines chunk n)
           | exception
               Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
             ()
@@ -1681,11 +1690,8 @@ let serve ?(signals = false) t =
     (* a trailing unterminated line at EOF is still a request *)
     List.iter
       (fun cl ->
-        if cl.cl_eof && Buffer.length cl.cl_rbuf > 0 then begin
-          let line = Buffer.contents cl.cl_rbuf in
-          Buffer.clear cl.cl_rbuf;
-          handle_client_line t cl line
-        end)
+        if cl.cl_eof && Lines.pending cl.cl_lines > 0 then
+          handle_client_line t cl (Lines.take_rest cl.cl_lines))
       t.clients;
     tick t;
     (* retire clients that are fully answered (or gone) *)

@@ -105,7 +105,10 @@ type shard_stats = {
   mutable ss_restarts : int;
   mutable ss_hangs : int;
   mutable ss_quarantined : bool;
-  mutable ss_lat_ms : float list;  (** router-observed, newest first *)
+  ss_lat_ms : float array;
+      (** ring of the most recent router-observed latencies; slot
+          [i mod length] holds the [i]th *)
+  mutable ss_lat_n : int;  (** latencies ever recorded *)
 }
 
 type stats = {
@@ -139,7 +142,14 @@ val conserved : stats -> bool
 (** [submitted = done + rejected + timed_out + failed] — the fleet-wide
     terminal-counter conservation law. *)
 
-val stats_json : stats -> Sofia_obs.Json.t
+val replay_cap : int
+(** Entries the replay cache (content key → rendered answer) may hold,
+    and as many again for the raw-line memo (request tail → content
+    key), each an exact LRU. A key evicted from either falls back to a
+    full parse, coalescing, the [replay_dir] reload or a child — never
+    to a wrong or unverified payload. The fleet metrics document's
+    [router] object reports [replay_entries] (at most this) and
+    [replay_evictions]. *)
 
 val run :
   ?obs:Sofia_obs.Obs.t ->

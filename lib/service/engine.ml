@@ -79,9 +79,9 @@ type t = {
   queue : pending Jobq.t;
   store : Store.t;
   disk : Fs.t option;  (** the persistent tier, when [store_dir] is set *)
-  m : Mutex.t;  (* guards responses, metrics, counters, wstates, breaker *)
+  m : Mutex.t;  (* guards log, metrics, counters, wstates, breaker *)
   settled : Condition.t;
-  mutable responses : Job.response list;  (* newest first *)
+  mutable log : Job.response list;  (* newest first; kept only without [on_response] *)
   mutable terminal : int;
   mutable next_seq : int;
   mutable wstates : wstate list;
@@ -380,7 +380,7 @@ let create ?(obs = Obs.none) ?on_response cfg =
         cfg.store_dir;
     m = Mutex.create ();
     settled = Condition.create ();
-    responses = [];
+    log = [];
     terminal = 0;
     next_seq = 0;
     wstates = [];
@@ -408,10 +408,13 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* Record the single terminal response of a job. Completion index,
-   status counter, latency histogram and response list are updated
-   under the one lock, so the completion order is total — but the
-   stream callback runs OUTSIDE it. The callback does client I/O (wire
-   mode writes to a socket), and a client that stops reading must stall
+   status counter and latency histogram are updated under the one
+   lock, so the completion order is total. The response itself goes
+   to exactly one place: the stream callback when there is one (every
+   [serve], which would never read a log, so its memory stays flat
+   however many jobs it serves), otherwise the log [drain] returns.
+   The callback runs OUTSIDE the lock. It does client I/O (wire mode
+   writes to a socket), and a client that stops reading must stall
    only its own worker, never submit/drain/other settles; a callback
    that re-enters the engine must not deadlock. Stream consumers that
    need the total order have the [completion] index on the response.
@@ -443,7 +446,7 @@ let settle t (p : pending) ~attempts ~worker status =
             }
           in
           let resp = match t.cfg.mangle with Some f -> f resp | None -> resp in
-          t.responses <- resp :: t.responses;
+          if Option.is_none t.on_response then t.log <- resp :: t.log;
           t.terminal <- t.terminal + 1;
           (match status with
            | Job.Done _ ->
@@ -699,8 +702,7 @@ let drain t =
       while t.terminal < t.next_seq do
         Condition.wait t.settled t.m
       done);
-  with_lock t (fun () ->
-      List.sort (fun a b -> compare a.Job.seq b.Job.seq) t.responses)
+  with_lock t (fun () -> List.sort (fun a b -> compare a.Job.seq b.Job.seq) t.log)
 
 (* Join workers until none is joinable: a crashing worker registers its
    replacement under t.m before its domain exits, so re-scanning after
@@ -765,11 +767,8 @@ let metrics_json t =
       @ (match t.disk with Some d -> [ ("disk", Fs.counters_json d) ] | None -> []))
   | j -> j
 
-let responses t =
-  with_lock t (fun () -> List.sort (fun a b -> compare a.Job.seq b.Job.seq) t.responses)
-
-let run_batch ?obs ?on_response cfg reqs =
-  let t = create ?obs ?on_response cfg in
+let run_batch ?obs cfg reqs =
+  let t = create ?obs cfg in
   start t;
   List.iter (submit t) reqs;
   let rs = drain t in

@@ -18,10 +18,12 @@
     count ({!Svc_metrics.terminal_sum}) — no job is ever silently
     dropped, {e including} the victims of supervision: a settle-once
     latch per job guarantees exactly one terminal response even when
-    the watchdog and a zombie worker race to settle it. Responses are
-    delivered twice: streamed through the [on_response] callback as
-    they complete (wire mode), and collected by {!drain} in admission
-    order (batch mode).
+    the watchdog and a zombie worker race to settle it. Each response
+    is delivered once: streamed through the [on_response] callback as
+    it completes when the engine has one (wire mode), otherwise
+    collected for {!drain} in admission order (batch mode). A streaming
+    engine keeps no response log, so its memory does not grow with the
+    number of jobs it serves.
 
     {b Clocks.} Deadlines, retry budgets, the watchdog and the breaker
     cooldown all read the {e monotonic} clock ({!Sofia_util.Clock}): a
@@ -133,6 +135,7 @@ val create : ?obs:Sofia_obs.Obs.t -> ?on_response:(Job.response -> unit) -> conf
     (wire mode uses its own output mutex) and use the response's
     [completion] index to recover the total completion order. Every
     callback has returned by the time {!shutdown} joins the workers.
+    With [on_response] the engine keeps no log: {!drain} returns [].
     [obs] receives [service_error] events for failed jobs, worker
     crashes/hangs and breaker trips. *)
 
@@ -143,12 +146,14 @@ val start : t -> unit
 val submit : t -> Job.request -> unit
 (** Admit one job. With [Reject] backpressure and a full queue — or an
     engine already shut down, or an open circuit breaker — the job
-    terminates immediately as [Rejected] (the response is recorded and
-    streamed like any other). With [Block], blocks until a slot frees. *)
+    terminates immediately as [Rejected] (the response is delivered
+    like any other). With [Block], blocks until a slot frees. *)
 
 val drain : t -> Job.response list
-(** Wait until every submitted job has a terminal response; responses
-    in admission ([seq]) order. Requires {!start} (or nothing pending).
+(** Wait until every submitted job has a terminal response; the
+    responses so far in admission ([seq]) order, or [] on an engine
+    created with [on_response] (those went to the callback). Requires
+    {!start} (or nothing pending).
     Supervision keeps this live: crashed and hung workers' jobs are
     settled by the supervisor, so drain cannot wedge on a dead domain. *)
 
@@ -193,15 +198,7 @@ val metrics_json : t -> Sofia_obs.Json.t
     gauge/high-water mark, worker-pool gauges and the breaker state —
     the ["service_metrics"] object of the bench JSON schema. *)
 
-val responses : t -> Job.response list
-(** Terminal responses so far, admission order (snapshot). *)
-
-val run_batch :
-  ?obs:Sofia_obs.Obs.t ->
-  ?on_response:(Job.response -> unit) ->
-  config ->
-  Job.request list ->
-  Job.response list * t
+val run_batch : ?obs:Sofia_obs.Obs.t -> config -> Job.request list -> Job.response list * t
 (** Create, start, submit everything, drain, shut down; the engine is
     returned for its metrics/store counters. *)
 

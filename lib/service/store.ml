@@ -29,21 +29,13 @@ type key = {
   backend : Sofia_transform.Backend_id.t;
 }
 
-type slot = { entry : entry; mutable last_used : int }
-
 type t = {
   slots : int;
-  tbl : (key, slot) Hashtbl.t;
+  lru : (key, entry) Sofia_util.Lru.t;
   m : Mutex.t;
-  mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
-let create ~slots =
-  { slots; tbl = Hashtbl.create 64; m = Mutex.create (); tick = 0; hits = 0; misses = 0;
-    evictions = 0 }
+let create ~slots = { slots; lru = Sofia_util.Lru.create (max 1 slots); m = Mutex.create () }
 
 (* FNV-1a, 64-bit — display-only image identity, never a cache key *)
 let fingerprint b = Printf.sprintf "%016Lx" (Sofia_util.Hash.fnv1a64 (Bytes.unsafe_to_string b))
@@ -54,51 +46,15 @@ let with_lock t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let lookup t key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some s ->
-        t.tick <- t.tick + 1;
-        s.last_used <- t.tick;
-        t.hits <- t.hits + 1;
-        Some s.entry
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
-
-let evict_lru t =
-  (* called under the lock; the table is small (<= slots) *)
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k s ->
-      match !victim with
-      | Some (_, age) when age <= s.last_used -> ()
-      | _ -> victim := Some (k, s.last_used))
-    t.tbl;
-  match !victim with
-  | Some (k, _) ->
-    Hashtbl.remove t.tbl k;
-    t.evictions <- t.evictions + 1
-  | None -> ()
-
-let insert t key entry =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some s -> s.entry (* a racing worker got there first: its entry wins *)
-      | None ->
-        while Hashtbl.length t.tbl >= t.slots do
-          evict_lru t
-        done;
-        t.tick <- t.tick + 1;
-        Hashtbl.replace t.tbl key { entry; last_used = t.tick };
-        entry)
-
+(* a racing worker that inserted the same key first keeps its entry *)
 let find_or_build t ~key ~build =
   if t.slots <= 0 then (build (), false)
   else
-    match lookup t key with
+    match with_lock t (fun () -> Sofia_util.Lru.find t.lru key) with
     | Some e -> (e, true)
-    | None -> (insert t key (build ()), false)
+    | None ->
+      let e = build () in
+      (with_lock t (fun () -> Sofia_util.Lru.add t.lru key e), false)
 
 (* The memoised fields are read and written from every worker domain;
    the per-entry mutex makes check-compute-publish race-free (and
@@ -127,7 +83,7 @@ let fill_mac e compute =
         e.mac <- Some m;
         m)
 
-let entries t = with_lock t (fun () -> Hashtbl.fold (fun _ s acc -> s.entry :: acc) t.tbl [])
+let entries t = with_lock t (fun () -> List.map snd (Sofia_util.Lru.to_list t.lru))
 
 (* An entry's [digest] was fingerprinted at build time; re-fingerprinting
    the live bytes exposes any later in-memory corruption (the serving
@@ -135,7 +91,7 @@ let entries t = with_lock t (fun () -> Hashtbl.fold (fun _ s acc -> s.entry :: a
 let audit t =
   List.filter (fun e -> not (String.equal (fingerprint e.bytes) e.digest)) (entries t)
 
-let length t = with_lock t (fun () -> Hashtbl.length t.tbl)
-let hits t = with_lock t (fun () -> t.hits)
-let misses t = with_lock t (fun () -> t.misses)
-let evictions t = with_lock t (fun () -> t.evictions)
+let length t = with_lock t (fun () -> Sofia_util.Lru.length t.lru)
+let hits t = with_lock t (fun () -> Sofia_util.Lru.hits t.lru)
+let misses t = with_lock t (fun () -> Sofia_util.Lru.misses t.lru)
+let evictions t = with_lock t (fun () -> Sofia_util.Lru.evictions t.lru)

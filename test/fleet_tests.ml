@@ -729,6 +729,115 @@ let test_sigterm_drain_parked_midline () =
             (geti "done" + geti "rejected" + geti "timed_out" + geti "failed"))
   end
 
+(* ---- the replay tables are bounded ---- *)
+
+let test_replay_tables_bounded () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    (* cap + k distinct protect keys through a real fleet, in batches
+       that wait for their answers so recency is fixed: key 1 is sent
+       again at the head of every batch and must stay replayable, while
+       key 0, never touched again, must be evicted from both tables and
+       routed to a child again, answering with the same payload *)
+    let cap = FR.replay_cap and k = 8 and batch = 128 in
+    let key i ~id =
+      Job.make ~id ~key_seed:(Int64.of_int (0x5000 + i)) (Job.Protect { source = sources.(0) })
+    in
+    let mfile = Filename.temp_file "sofia_fleet_bounded" ".json" in
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists mfile then Sys.remove mfile)
+      (fun () ->
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let req_r, req_w = Unix.pipe ~cloexec:true () in
+        let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+        let pid =
+          Unix.create_process cli
+            [| cli; "fleet"; "--stdin"; "--children"; "3"; "--json"; mfile |]
+            req_r resp_w null
+        in
+        Unix.close null;
+        Unix.close req_r;
+        Unix.close resp_w;
+        let oc = Unix.out_channel_of_descr req_w in
+        let ic = Unix.in_channel_of_descr resp_r in
+        (* send [jobs], then read one answer per job *)
+        let round jobs =
+          List.iter
+            (fun l ->
+              output_string oc l;
+              output_char oc '\n')
+            (lines_of jobs);
+          flush oc;
+          let rs =
+            List.map
+              (fun _ ->
+                match Json.parse_opt (input_line ic) with
+                | Some j -> j
+                | None -> Alcotest.fail "fleet emitted a non-JSON line"
+                | exception End_of_file -> Alcotest.fail "fleet closed its output early")
+              jobs
+          in
+          List.iter (fun j -> Alcotest.(check string) "status" "done" (r_status j)) rs;
+          rs
+        in
+        let attempts j =
+          match Json.member "attempts" j with Some (Json.Int n) -> n | _ -> -1
+        in
+        let first = List.hd (round [ key 0 ~id:"first" ]) in
+        let fillers = cap + k - 2 in
+        let rec batches b next =
+          if next < 2 + fillers then begin
+            let last = min (2 + fillers) (next + batch) in
+            ignore
+              (round
+                 (key 1 ~id:(Printf.sprintf "reuse-%d" b)
+                 :: List.init (last - next) (fun i ->
+                        key (next + i) ~id:(Printf.sprintf "fill-%d" (next + i)))));
+            batches (b + 1) last
+          end
+        in
+        batches 0 2;
+        let reused = List.hd (round [ key 1 ~id:"reuse-last" ]) in
+        Alcotest.(check int) "the re-used key is replayed" 0 (attempts reused);
+        let again = List.hd (round [ key 0 ~id:"first-again" ]) in
+        Alcotest.(check int) "the evicted key reached a child again" 1 (attempts again);
+        Alcotest.(check string) "same payload after eviction" (payload_fingerprint first)
+          (payload_fingerprint again);
+        close_out_noerr oc;
+        (try
+           while true do
+             ignore (input_line ic)
+           done
+         with End_of_file -> ());
+        close_in_noerr ic;
+        let _, status = Unix.waitpid [] pid in
+        Alcotest.(check bool) "fleet exited 0" true (status = Unix.WEXITED 0);
+        let mic = open_in_bin mfile in
+        let raw = really_input_string mic (in_channel_length mic) in
+        close_in_noerr mic;
+        let doc =
+          match Json.parse_opt raw with
+          | Some d -> d
+          | None -> Alcotest.fail "fleet --json wrote an unparseable document"
+        in
+        let router k =
+          match Option.bind (Json.member "router" doc) (Json.member k) with
+          | Some (Json.Int n) -> n
+          | _ -> Alcotest.failf "router.%s missing" k
+        in
+        Alcotest.(check bool) "replay_entries <= cap" true (router "replay_entries" <= cap);
+        Alcotest.(check bool) "replay_evictions >= k" true (router "replay_evictions" >= k);
+        let routed =
+          match Json.member "shards" doc with
+          | Some (Json.List shards) ->
+            List.fold_left
+              (fun a s -> match Json.member "routed" s with Some (Json.Int n) -> a + n | _ -> a)
+              0 shards
+          | _ -> Alcotest.fail "metrics doc lacks shards"
+        in
+        Alcotest.(check int) "each key routed once, the evicted one twice" (cap + k + 1) routed)
+  end
+
 (* ---- the child-engine fix the fleet motivated ---- *)
 
 let test_raising_callback_never_loses_a_settle () =
@@ -736,33 +845,44 @@ let test_raising_callback_never_loses_a_settle () =
      still hold jobs; nothing guarantees the on_response callback never
      raises in that state. The engine must contain it: every job still
      settles exactly once, terminal counters conserve, and the worker
-     pool survives to drain the rest. *)
+     pool survives to drain the rest. A streaming engine keeps no
+     response log, so the callback itself is the record: every id must
+     reach it exactly once, done. *)
   let n = 20 in
+  let mu = Mutex.create () in
   let calls = ref 0 in
+  let seen = Hashtbl.create n in
   let eng =
     Engine.create
-      ~on_response:(fun _ ->
+      ~on_response:(fun (r : Job.response) ->
+        Mutex.lock mu;
         incr calls;
-        if !calls mod 2 = 0 then failwith "client is gone")
+        let raise_now = !calls mod 2 = 0 in
+        Hashtbl.replace seen r.Job.id
+          (r.Job.status :: Option.value ~default:[] (Hashtbl.find_opt seen r.Job.id));
+        Mutex.unlock mu;
+        if raise_now then failwith "client is gone")
       { Engine.default_config with Engine.workers = 2 }
   in
   Engine.start eng;
-  List.iter (fun i -> Engine.submit eng (mixed_request i)) (List.init n Fun.id);
-  let rs = Engine.drain eng in
+  let reqs = List.init n mixed_request in
+  List.iter (Engine.submit eng) reqs;
+  Alcotest.(check int) "a streaming engine keeps no log" 0 (List.length (Engine.drain eng));
   Engine.shutdown eng;
   let m = Engine.metrics eng in
-  Alcotest.(check int) "every job settled exactly once" n (List.length rs);
   Alcotest.(check int) "terminal counters conserve" n
     (Sofia.Service.Svc_metrics.terminal_sum m);
   Alcotest.(check int) "callback ran once per response" n !calls;
   Alcotest.(check bool) "raises were accounted as service errors" true
     (m.Sofia.Service.Svc_metrics.service_errors >= n / 2);
   List.iter
-    (fun (r : Job.response) ->
-      match r.Job.status with
-      | Job.Done _ -> ()
-      | _ -> Alcotest.failf "%s did not complete" r.Job.id)
-    rs
+    (fun (req : Job.request) ->
+      match Hashtbl.find_opt seen req.Job.id with
+      | Some [ Job.Done _ ] -> ()
+      | Some [ _ ] -> Alcotest.failf "%s did not complete" req.Job.id
+      | Some l -> Alcotest.failf "%s reached the callback %d times" req.Job.id (List.length l)
+      | None -> Alcotest.failf "%s never reached the callback" req.Job.id)
+    reqs
 
 let suite =
   [
@@ -795,4 +915,5 @@ let suite =
       test_sigterm_drain_parked_midline;
     Alcotest.test_case "raising response callback loses nothing" `Quick
       test_raising_callback_never_loses_a_settle;
+    Alcotest.test_case "replay tables stay bounded" `Slow test_replay_tables_bounded;
   ]

@@ -540,7 +540,23 @@ let test_store_lru_eviction () =
   let st = Engine.store t in
   check_bool "evictions happened" true (Store.evictions st > 0);
   check_bool "capacity held" true (Store.length st <= 2);
-  check_int "all jobs accounted" 6 (Svc_metrics.terminal_sum (Engine.metrics t))
+  check_int "all jobs accounted" 6 (Svc_metrics.terminal_sum (Engine.metrics t));
+  (* the victim is the least recently used entry: with A touched after
+     B, C evicts B (so A hits afterwards), and B's return evicts C *)
+  let order =
+    [ ("a0", tiny_source); ("b0", tiny_source2); ("a1", tiny_source);
+      ("c0", tiny_source3); ("a2", tiny_source); ("b1", tiny_source2) ]
+  in
+  let rs, t =
+    Engine.run_batch cfg
+      (List.map (fun (id, source) -> Job.make ~id (Job.Protect { source })) order)
+  in
+  check_str "store hits, in admission order" "a0:miss b0:miss a1:hit c0:miss a2:hit b1:miss"
+    (String.concat " "
+       (List.map
+          (fun (r : Job.response) -> r.Job.id ^ if cached_of r then ":hit" else ":miss")
+          rs));
+  check_int "two evictions" 2 (Store.evictions (Engine.store t))
 
 (* verify/attest/simulate share the protect entry: one miss, then hits *)
 let test_store_shared_across_ops () =

@@ -1,9 +1,12 @@
-(* Unit tests for Sofia_util: word helpers, PRNG, statistics, hashes. *)
+(* Unit tests for Sofia_util: word helpers, PRNG, statistics, hashes,
+   the LRU map and the NDJSON line splitter. *)
 
 module Word = Sofia.Util.Word
 module Prng = Sofia.Util.Prng
 module Stats = Sofia.Util.Stats
 module Hash = Sofia.Util.Hash
+module Lru = Sofia.Util.Lru
+module Lines = Sofia.Util.Lines
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -180,6 +183,90 @@ let test_hash_basis () =
          (Hash.fnv1a64 ~basis:0x84222325CBF29CE4L id) tag |]
     written
 
+(* The LRU against a list model kept most recently used first: every
+   find and add returns what the model does, the whole recency order
+   (and so each victim) matches after every step, the length never
+   passes the cap, and the hit, miss and eviction counters agree. *)
+let prop_lru_model =
+  QCheck.Test.make ~count:1000 ~name:"lru = list model (victim, length, counts)"
+    QCheck.(
+      pair (int_range 1 5)
+        (list_of_size Gen.(0 -- 80) (triple bool (int_range 0 7) small_nat)))
+    (fun (cap, ops) ->
+      let t = Lru.create cap in
+      let model = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let promote k x = model := (k, x) :: List.remove_assoc k !model in
+      List.for_all
+        (fun (is_find, k, v) ->
+          let agrees =
+            if is_find then begin
+              let want = List.assoc_opt k !model in
+              (match want with
+               | Some x ->
+                 incr hits;
+                 promote k x
+               | None -> incr misses);
+              Lru.find t k = want
+            end
+            else begin
+              let want =
+                match List.assoc_opt k !model with
+                | Some x ->
+                  promote k x;
+                  x
+                | None ->
+                  if List.length !model = cap then begin
+                    model := List.filteri (fun i _ -> i < cap - 1) !model;
+                    incr evictions
+                  end;
+                  model := (k, v) :: !model;
+                  v
+              in
+              Lru.add t k v = want
+            end
+          in
+          agrees
+          && Lru.to_list t = !model
+          && Lru.length t <= cap
+          && Lru.hits t = !hits
+          && Lru.misses t = !misses
+          && Lru.evictions t = !evictions)
+        ops)
+
+let test_lru_rejects_zero_cap () =
+  Alcotest.check_raises "cap 0" (Invalid_argument "Lru.create: capacity must be at least 1")
+    (fun () -> ignore (Lru.create 0))
+
+(* Any chunking of a byte stream yields the lines String.split_on_char
+   gives, the unterminated tail included. The read buffer is reused and
+   never cleared, so bytes past each chunk's length are stale and must
+   be ignored. *)
+let prop_lines_any_chunking =
+  QCheck.Test.make ~count:1000 ~name:"lines: any chunking = split_on_char"
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(0 -- 300) (Gen.oneofl [ 'a'; '"'; ' '; '{'; '\n' ]))
+        (list_of_size Gen.(1 -- 12) (int_range 1 32)))
+    (fun (s, sizes) ->
+      let t = Lines.create () in
+      let chunk = Bytes.make 32 '\n' in
+      let got = ref [] in
+      let sizes = Array.of_list sizes in
+      let rec go off i =
+        if off < String.length s then begin
+          let n = min sizes.(i mod Array.length sizes) (String.length s - off) in
+          Bytes.blit_string s off chunk 0 n;
+          got := List.rev_append (Lines.feed t chunk n) !got;
+          go (off + n) (i + 1)
+        end
+      in
+      go 0 0;
+      let pending = Lines.pending t in
+      let rest = Lines.take_rest t in
+      pending = String.length rest
+      && Lines.pending t = 0
+      && List.rev (rest :: !got) = String.split_on_char '\n' s)
+
 let suite =
   [
     Alcotest.test_case "word masking and wrap-around" `Quick test_masking;
@@ -201,4 +288,7 @@ let suite =
     Alcotest.test_case "hash known answers" `Quick test_hash_kats;
     Alcotest.test_case "hash sub-ranges" `Quick test_hash_ranges;
     Alcotest.test_case "hash basis names store files" `Quick test_hash_basis;
+    QCheck_alcotest.to_alcotest prop_lru_model;
+    Alcotest.test_case "lru rejects a zero cap" `Quick test_lru_rejects_zero_cap;
+    QCheck_alcotest.to_alcotest prop_lines_any_chunking;
   ]
