@@ -403,7 +403,7 @@ let x4_frontend () =
 
 let x5_faults () =
   section "x5-faults" "transient fetch-path fault injection (paper's stated future work)";
-  let module F = Sofia.Attack.Fault in
+  let module F = Sofia.Fault.Campaign in
   List.iter
     (fun (label, w) ->
       let program = Workload.assemble w in

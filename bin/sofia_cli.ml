@@ -461,7 +461,7 @@ let faults_cmd =
       Format.eprintf "error: %a@." Sofia.Transform.Layout.pp_error e;
       exit 1
     | Ok image ->
-      let module F = Sofia.Attack.Fault in
+      let module F = Sofia.Fault.Campaign in
       let c = F.random_campaign ~keys ~image ~trials ~seed:0xFA17L () in
       Format.printf "%d transient fetch-path faults: %d detected, %d masked, %d corrupted, %d hung@."
         c.F.trials c.F.detected c.F.masked c.F.corrupted c.F.hung;
@@ -700,10 +700,8 @@ let fleet_cmd =
             | a -> Ok (a, p)
             | exception Not_found -> Error (host ^ ": cannot resolve"))))
   in
-  let run use_stdin socket tcp accepts children workers queue window audit_every
-      hang_timeout_ms breaker rejoin_cooldown_ms rejoin_probes restart_backoff_ms
-      restart_budget client_linger_ms replay_dir deadline engine backend store_dir
-      store_budget socket_dir metrics json_out =
+  let run use_stdin socket tcp accepts children workers queue window replay_dir deadline
+      engine backend store_dir store_budget socket_dir metrics json_out =
     if children < 1 then or_die (Error (Printf.sprintf "--children must be >= 1 (got %d)" children));
     if queue < 1 then or_die (Error (Printf.sprintf "--queue must be >= 1 (got %d)" queue));
     if window < 1 then or_die (Error (Printf.sprintf "--window must be >= 1 (got %d)" window));
@@ -714,14 +712,6 @@ let fleet_cmd =
         workers;
         queue;
         window = min window queue;
-        audit_every;
-        hang_timeout_ms;
-        breaker_threshold = breaker;
-        rejoin_cooldown_ms;
-        rejoin_probes;
-        restart_backoff_ms;
-        restart_budget;
-        client_linger_ms;
         replay_dir;
         default_deadline_ms = deadline;
         engine;
@@ -838,47 +828,6 @@ let fleet_cmd =
            ~doc:"Max in-flight jobs per child (clamped to the child queue capacity, so \
                  the router can never deadlock against a full child).")
   in
-  let audit_every =
-    Arg.(value & opt int 16 & info [ "audit-every" ] ~docv:"N"
-           ~doc:"Shadow-dispatch every $(docv)th distinct job to a second shard and \
-                 compare response content hashes; a child caught lying is quarantined \
-                 by majority vote. 0 disables auditing.")
-  in
-  let hang_timeout =
-    Arg.(value & opt int 5000 & info [ "hang-timeout-ms" ] ~docv:"MS"
-           ~doc:"Watchdog: a child owing traffic but silent for $(docv) is killed and \
-                 restarted, its in-flight jobs redispatched. 0 disables.")
-  in
-  let breaker =
-    Arg.(value & opt int 3 & info [ "breaker" ] ~docv:"N"
-           ~doc:"Circuit breaker: quarantine a child after $(docv) consecutive deaths \
-                 and re-shed its traffic to healthy shards. 0 disables.")
-  in
-  let rejoin_cooldown =
-    Arg.(value & opt int 30000 & info [ "rejoin-cooldown-ms" ] ~docv:"MS"
-           ~doc:"Rest a breaker-quarantined shard for $(docv) before restarting it on \
-                 probation (integrity quarantines are permanent). 0 disables rejoin.")
-  in
-  let rejoin_probes =
-    Arg.(value & opt int 3 & info [ "rejoin-probes" ] ~docv:"N"
-           ~doc:"Consecutive clean probe responses a probation shard must serve before \
-                 it is re-admitted and its traffic re-shed back.")
-  in
-  let restart_backoff =
-    Arg.(value & opt int 25 & info [ "restart-backoff-ms" ] ~docv:"MS"
-           ~doc:"Base crash-restart delay; doubles per consecutive death (with jitter, \
-                 capped at 2s), so a poison environment restarts paced, not hot.")
-  in
-  let restart_budget =
-    Arg.(value & opt int 6 & info [ "restart-budget" ] ~docv:"N"
-           ~doc:"Restarts allowed per shard within a 10s sliding window before the \
-                 shard is quarantined. 0 means unlimited.")
-  in
-  let client_linger =
-    Arg.(value & opt int 5000 & info [ "client-linger-ms" ] ~docv:"MS"
-           ~doc:"Drop a client whose responses it has not read for $(docv) (slow-client \
-                 isolation; its jobs still settle internally). 0 disables.")
-  in
   let replay_dir =
     Arg.(value & opt (some string) None & info [ "replay-dir" ] ~docv:"DIR"
            ~doc:"Persist the router's replay cache as sealed store envelopes under \
@@ -897,9 +846,7 @@ let fleet_cmd =
              circuit-breaker with probation rejoin, response-audit supervision and an \
              optionally persistent replay cache at the router")
     Term.(const run $ use_stdin $ socket $ tcp $ accepts $ children $ workers $ queue_arg
-          $ window $ audit_every $ hang_timeout $ breaker $ rejoin_cooldown
-          $ rejoin_probes $ restart_backoff $ restart_budget $ client_linger $ replay_dir
-          $ deadline_arg $ engine_arg $ backend_arg $ store_dir_arg $ store_budget_arg
+          $ window $ replay_dir $ deadline_arg $ engine_arg $ backend_arg $ store_dir_arg $ store_budget_arg
           $ socket_dir $ metrics_arg $ json_out_arg)
 
 let batch_cmd =

@@ -72,9 +72,7 @@ type profile = {
   legit : (int * int, unit) Hashtbl.t;  (* static (prev_pc, entry port) edges *)
 }
 
-let profile ~config ~backend ~key_seed (w : W.t) =
-  let keys = Sofia_crypto.Keys.generate ~seed:key_seed in
-  let image = Sofia_transform.Transform.protect_exn ~backend ~keys ~nonce:1 (W.assemble w) in
+let profile_image ~config ~keys image =
   let text_base = image.Image.text_base in
   let seen = Hashtbl.create 64 in
   let bases = ref [] in
@@ -109,6 +107,11 @@ let profile ~config ~backend ~key_seed (w : W.t) =
         b.Image.entry_prev_pcs)
     image.Image.blocks;
   { keys; image; clean; visited; visited_mux; legit }
+
+let profile ~config ~backend ~key_seed (w : W.t) =
+  let keys = Sofia_crypto.Keys.generate ~seed:key_seed in
+  profile_image ~config ~keys
+    (Sofia_transform.Transform.protect_exn ~backend ~keys ~nonce:1 (W.assemble w))
 
 let classify ~(clean : Machine.run_result) (r : Machine.run_result) =
   match r.Machine.outcome with
@@ -315,6 +318,17 @@ let run_cell ~config ~rng ~multi ~obs ~p ~backend ~workload clazz ~trials =
                })
     done;
   !c
+
+(* The fetch-path engine on one given image ([sofia_cli faults], bench
+   x5): the [Fetch_transient] cell of a campaign, same PRNG draws. *)
+let random_campaign ?(config = bounded_config default_fuel) ~keys ~image ~trials ~seed () =
+  run_cell ~config ~rng:(Prng.create ~seed) ~multi:1 ~obs:Obs.none
+    ~p:(profile_image ~config ~keys image) ~backend:image.Image.backend ~workload:""
+    Site.Fetch_transient ~trials
+
+let inject_once ?(config = bounded_config default_fuel) ~keys ~image ~fetch ~bit () =
+  classify ~clean:(Runner.run ~config ~keys image)
+    (Runner.run ~config ~fault:(fetch, bit) ~keys image)
 
 (* ------------------------------------------------------------------ *)
 (* Service-level fault scenarios                                       *)
@@ -711,10 +725,11 @@ module FC = Sofia_fleet.Child
 module FS = Sofia_fleet.Shard
 
 (* The scenarios' base fleet: audits off (the digest-lie scenario turns
-   them on) and 100 ms idle probes; each scenario updates the fields it
-   exercises. *)
-let fleet_cfg ~cli =
-  { FR.default_config with FR.audit_every = 0; probe_interval_ms = 100; cli = Some cli }
+   them on); each scenario updates the fields it exercises. Timing-bound
+   supervision (hang watchdog, breaker, backoff, restart budget,
+   probation rejoin) is checked on a virtual clock by the fleet-sim
+   test suite, not here in real time. *)
+let fleet_cfg ~cli = { FR.default_config with FR.audit_every = 0; cli = Some cli }
 
 let read_responses out_path =
   let responses = ref [] in
@@ -827,24 +842,6 @@ let fr_protect_jobs ?(prefix = "f") source n =
 
 let fr_lines jobs = List.map (fun r -> J.to_string (Job.request_to_json r)) jobs
 
-(* build [want] jobs whose shard satisfies [pred], by scanning the
-   nonce space: the route is a pure function of the request content
-   (the id is excluded from the route key), so pinning a job to — or
-   away from — a shard is exact, not probabilistic. Disjoint
-   predicates over the same source draw from disjoint nonce sets, so
-   the content keys never collide. *)
-let fr_pinned_jobs ~children ~pred ~prefix source want =
-  let rec go acc n nonce =
-    if n = want || nonce > 254 then List.rev acc
-    else
-      let j =
-        Job.make ~id:(Printf.sprintf "%s-%d" prefix n) ~nonce (Job.Protect { source })
-      in
-      if pred (FS.route ~shards:children j) then go (j :: acc) (n + 1) (nonce + 1)
-      else go acc n (nonce + 1)
-  in
-  go [] 0 1
-
 (* per-request metadata that legitimately differs between two reads of
    the same cached result — everything else must be byte-identical *)
 let fr_volatile = [ "seq"; "completion"; "attempts"; "worker"; "latency_ms"; "ts_unix" ]
@@ -915,59 +912,6 @@ let fsc_child_kill cli source =
       Printf.sprintf
         "killed=%b all_done=%b answered_once=%b death_detected=%b restarted=%b conserved=%b"
         !killed (fr_all_done rs) once (st.FR.deaths >= 1) (st.FR.restarts >= 1)
-        (FR.conserved st);
-  }
-
-(* SIGSTOP a child past the watchdog: silence with traffic owed must be
-   diagnosed as a hang, the child killed and replaced, its jobs
-   redispatched — fleet-scope sc_worker_hang, except a hung process
-   (unlike a hung domain) really is killed. *)
-let fsc_child_hang cli source =
-  let children = 3 in
-  let victim = 0 in
-  (* pin most of the traffic to the victim so it is guaranteed to owe
-     work when the SIGSTOP lands — a lightly-loaded victim could drain
-     before the stop and the watchdog would rightly stay silent *)
-  let on_v =
-    fr_pinned_jobs ~children ~pred:(fun k -> k = victim) ~prefix:"fh" source 12
-  in
-  let off_v =
-    fr_pinned_jobs ~children ~pred:(fun k -> k <> victim) ~prefix:"fho" source 4
-  in
-  let jobs = on_v @ off_v in
-  let pids = Array.make children (-1) in
-  let stopped = ref false in
-  let on_event = function
-    | FR.Child_up (k, pid) -> pids.(k) <- pid
-    | FR.Client_response n ->
-      if n >= 1 && not !stopped then begin
-        stopped := true;
-        try Unix.kill pids.(victim) Sys.sigstop with Unix.Unix_error _ -> ()
-      end
-    | FR.Child_down _ | FR.Child_rejoin _ -> ()
-  in
-  let rs, st, _ =
-    fleet_run
-      { (fleet_cfg ~cli) with
-        FR.children;
-        window = 4;
-        hang_timeout_ms = 400;
-        on_event = Some on_event;
-      }
-      (fr_lines jobs)
-  in
-  let once = fr_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs in
-  let ok =
-    !stopped && fr_all_done rs && once && st.FR.hangs >= 1 && st.FR.restarts >= 1
-    && FR.conserved st
-  in
-  {
-    name = "fleet_child_hang";
-    ok;
-    detail =
-      Printf.sprintf
-        "stopped=%b all_done=%b answered_once=%b hang_detected=%b restarted=%b conserved=%b"
-        !stopped (fr_all_done rs) once (st.FR.hangs >= 1) (st.FR.restarts >= 1)
         (FR.conserved st);
   }
 
@@ -1087,68 +1031,6 @@ let fsc_digest_quarantine cli source =
         (st.FR.digest_conflicts >= 1)
         (st.FR.quarantines >= 1)
         (FR.conserved st);
-  }
-
-(* A poison job kills whichever child executes it. Route stability
-   sends it back to the same shard until its incarnation budget is
-   spent; the third consecutive death trips the process-scope breaker,
-   the shard is quarantined, and its healthy traffic re-sheds and
-   completes — fleet-scope sc_breaker. window=1 keeps the cascade
-   deterministic: the poison always dies alone. *)
-let fsc_breaker_reshed cli source =
-  let children = 3 in
-  let marker = "FLEET-POISON-7" in
-  let poison =
-    Job.make ~id:"poison" ~nonce:97 (Job.Protect { source = source ^ "\n" ^ marker })
-  in
-  let pshard = FS.route ~shards:children poison in
-  (* half the healthy traffic pinned onto the poison's shard (so the
-     quarantine has live work to re-shed), half pinned elsewhere (so
-     the rest of the fleet visibly keeps serving through the cascade) *)
-  let on_p =
-    fr_pinned_jobs ~children ~pred:(fun k -> k = pshard) ~prefix:"fb" source 6
-  in
-  let off_p =
-    fr_pinned_jobs ~children ~pred:(fun k -> k <> pshard) ~prefix:"fbo" source 6
-  in
-  let jobs = on_p @ off_p in
-  let shares_shard = on_p <> [] in
-  let extra _ = [ "--test-exit"; marker ] in
-  let rs, st, _ =
-    fleet_run
-      { (fleet_cfg ~cli) with
-        FR.children;
-        window = 1;
-        breaker_threshold = 3;
-        redispatch_limit = 2;
-        child_extra_args = Some extra;
-      }
-      (fr_lines (poison :: jobs))
-  in
-  let poison_failed =
-    List.exists
-      (fun j -> r_str "id" j = Some "poison" && r_status j = "failed")
-      rs
-  in
-  let healthy_done =
-    List.for_all
-      (fun j -> r_str "id" j = Some "poison" || r_status j = "done")
-      rs
-    && List.length rs = 13
-  in
-  let ok =
-    shares_shard && poison_failed && healthy_done && st.FR.quarantines >= 1
-    && st.FR.deaths = 3 && st.FR.resheds >= 1 && FR.conserved st
-  in
-  {
-    name = "fleet_breaker_reshed";
-    ok;
-    detail =
-      Printf.sprintf
-        "poison_failed=%b healthy_done=%b breaker_tripped=%b deaths=%d reshed=%b conserved=%b"
-        poison_failed healthy_done
-        (st.FR.quarantines >= 1)
-        st.FR.deaths (st.FR.resheds >= 1) (FR.conserved st);
   }
 
 (* Poison one shard's persistent store between fleet runs: the fresh
@@ -1343,186 +1225,6 @@ let fsc_slow_loris cli source =
             (fr_all_done rs) once (FR.conserved stats);
       })
 
-(* Breaker-quarantine one shard with a poison job, then watch it earn
-   its way back under live traffic: after the cooldown the router
-   restarts the shard on probation, two clean probes re-admit it, and a
-   fresh wave of jobs for its key range routes home again — a breaker
-   quarantine is a state, not a sentence (integrity quarantines stay
-   permanent: fleet_digest_quarantine). The post-rejoin wave is fed by
-   a watchdog domain triggered by the Child_rejoin event, with a
-   timeout so a rejoin bug fails the scenario instead of wedging it. *)
-let fsc_rejoin_reshed cli source =
-  let children = 2 in
-  let marker = "FLEET-REJOIN-9" in
-  let psource = source ^ "\n; " ^ marker in
-  let poison = Job.make ~id:"poison" ~nonce:41 (Job.Protect { source = psource }) in
-  let victim = FS.route ~shards:children poison in
-  let during =
-    fr_pinned_jobs ~children ~pred:(fun k -> k = victim) ~prefix:"fj" source 4
-  in
-  let elsewhere =
-    fr_pinned_jobs ~children ~pred:(fun k -> k <> victim) ~prefix:"fjo" source 4
-  in
-  (* a distinct source gives the post-rejoin wave distinct content
-     keys, so it really dispatches to the rejoined shard instead of
-     replaying from the cache *)
-  let post =
-    fr_pinned_jobs ~children
-      ~pred:(fun k -> k = victim)
-      ~prefix:"fjp" (source ^ "\n; after-rejoin") 4
-  in
-  let out_path = Filename.temp_file "sofia_rejoin" ".out" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove out_path with Sys_error _ -> ())
-    (fun () ->
-      let pr, pw = Unix.pipe ~cloexec:true () in
-      let cout = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-      let send jobs =
-        List.iter
-          (fun l ->
-            let line = l ^ "\n" in
-            ignore (Unix.write_substring pw line 0 (String.length line)))
-          (fr_lines jobs)
-      in
-      (* -1 = not rejoined yet; >= 0 = victim's routed count at rejoin *)
-      let rejoin_routed = Atomic.make (-1) in
-      let on_event = function
-        | FR.Child_rejoin (k, routed) when k = victim ->
-          ignore (Atomic.compare_and_set rejoin_routed (-1) routed)
-        | _ -> ()
-      in
-      (* the feeder owns pw and does *all* the writing — the request
-         wave can exceed the pipe capacity, so it must be written while
-         the router is already reading, never from the router's own
-         thread. It sends the post-rejoin wave when the event lands (or
-         gives up after 20s) and always closes, so the router always
-         sees client EOF *)
-      let feeder =
-        Domain.spawn (fun () ->
-            send ((poison :: during) @ elsewhere);
-            let deadline = Unix.gettimeofday () +. 20.0 in
-            let rec wait () =
-              if Atomic.get rejoin_routed >= 0 then true
-              else if Unix.gettimeofday () > deadline then false
-              else begin
-                Unix.sleepf 0.01;
-                wait ()
-              end
-            in
-            let rejoined = wait () in
-            if rejoined then send post;
-            (try Unix.close pw with Unix.Unix_error _ -> ());
-            rejoined)
-      in
-      let extra k = if k = victim then [ "--test-exit"; marker ] else [] in
-      let cfg =
-        { (fleet_cfg ~cli) with
-          FR.children;
-          window = 1;
-          breaker_threshold = 1;
-          probe_interval_ms = 20;
-          rejoin_cooldown_ms = 150;
-          rejoin_probes = 2;
-          child_extra_args = Some extra;
-          on_event = Some on_event;
-        }
-      in
-      let stats, _ =
-        Fun.protect
-          ~finally:(fun () ->
-            ignore (Domain.join feeder);
-            (try Unix.close pr with Unix.Unix_error _ -> ());
-            try Unix.close cout with Unix.Unix_error _ -> ())
-          (fun () -> FR.run cfg ~client_in:pr ~client_out:cout)
-      in
-      let rs = read_responses out_path in
-      let all = (poison :: during) @ elsewhere @ post in
-      let once = fr_ids_once (List.map (fun (j : Job.request) -> j.Job.id) all) rs in
-      let snap = Atomic.get rejoin_routed in
-      let back_home = snap >= 0 && stats.FR.shards.(victim).FR.ss_routed > snap in
-      let ok =
-        fr_all_done rs && once && stats.FR.deaths = 1 && stats.FR.quar_breaker = 1
-        && stats.FR.quar_integrity = 0 && stats.FR.rejoins = 1
-        && stats.FR.resheds >= 1 && back_home && FR.conserved stats
-      in
-      {
-        name = "fleet_rejoin_reshed";
-        ok;
-        detail =
-          Printf.sprintf
-            "all_done=%b answered_once=%b quarantined=%b rejoined=%b reshed=%b traffic_back_home=%b conserved=%b"
-            (fr_all_done rs) once
-            (stats.FR.quar_breaker = 1)
-            (stats.FR.rejoins = 1)
-            (stats.FR.resheds >= 1)
-            back_home (FR.conserved stats);
-      })
-
-(* Poison jobs that kill every incarnation of their home shard: the
-   exponential backoff paces the restarts and the restart budget bounds
-   them — four deaths cost exactly three restarts before the shard is
-   quarantined on the breaker cause, while the other shard keeps
-   serving. A restart storm is contained, never a hot loop. window=1
-   keeps the death cascade deterministic. *)
-let fsc_restart_storm cli source =
-  let children = 2 in
-  let victim = 0 in
-  let marker = "FLEET-STORM-4" in
-  let psource = source ^ "\n; " ^ marker in
-  let poisons =
-    fr_pinned_jobs ~children ~pred:(fun k -> k = victim) ~prefix:"fx" psource 2
-  in
-  let healthy =
-    fr_pinned_jobs ~children ~pred:(fun k -> k <> victim) ~prefix:"fxo" source 4
-  in
-  let extra k = if k = victim then [ "--test-exit"; marker ] else [] in
-  let rs, st, _ =
-    fleet_run
-      { (fleet_cfg ~cli) with
-        FR.children;
-        window = 1;
-        breaker_threshold = 0;
-        restart_backoff_ms = 10;
-        restart_budget = 3;
-        rejoin_cooldown_ms = 0;
-        child_extra_args = Some extra;
-      }
-      (fr_lines (poisons @ healthy))
-  in
-  let once =
-    fr_ids_once (List.map (fun (j : Job.request) -> j.Job.id) (poisons @ healthy)) rs
-  in
-  (* the first poison burns its incarnation budget and fails; the
-     second is re-shed off the quarantined shard and completes *)
-  let failed_count =
-    List.length (List.filter (fun j -> r_status j = "failed") rs)
-  in
-  let healthy_done =
-    List.for_all
-      (fun j -> r_status j = "failed" || r_status j = "done")
-      rs
-    && List.length rs = 6
-  in
-  let bounded =
-    st.FR.deaths = 4 && st.FR.restarts = 3 && st.FR.backoffs = 3
-    && st.FR.quar_breaker = 1
-  in
-  let ok =
-    once && healthy_done && failed_count = 1 && bounded && st.FR.resheds >= 1
-    && FR.conserved st
-  in
-  {
-    name = "fleet_restart_storm";
-    ok;
-    detail =
-      Printf.sprintf
-        "deaths=%d restarts=%d backoffs=%d budget_quarantine=%b reshed=%b answered_once=%b conserved=%b"
-        st.FR.deaths st.FR.restarts st.FR.backoffs
-        (st.FR.quar_breaker = 1)
-        (st.FR.resheds >= 1)
-        once (FR.conserved st);
-  }
-
 (* The replay cache outlives the router (PR 9): a fresh fleet over the
    same replay_dir serves every duplicate straight from disk without
    touching a child. One sealed entry is tampered between the runs: the
@@ -1620,16 +1322,12 @@ let fleet_checks workloads =
     | Some cli ->
       [
         fsc_child_kill cli source;
-        fsc_child_hang cli source;
         fsc_clock_skew cli source;
         fsc_wire_corrupt cli source;
         fsc_digest_quarantine cli source;
-        fsc_breaker_reshed cli source;
         fsc_store_poison cli source;
         fsc_client_flood cli source;
         fsc_slow_loris cli source;
-        fsc_rejoin_reshed cli source;
-        fsc_restart_storm cli source;
         fsc_replay_warm_tamper cli source;
       ])
 

@@ -76,6 +76,35 @@ val default_fuel : int
     run that would otherwise spin, and is far above any registry
     workload's clean instruction count. *)
 
+val random_campaign :
+  ?config:Sofia_cpu.Run_config.t ->
+  keys:Sofia_crypto.Keys.t ->
+  image:Sofia_transform.Image.t ->
+  trials:int ->
+  seed:int64 ->
+  unit ->
+  cell
+(** The [Fetch_transient] class alone, on a given image (the paper's
+    stated future work: "we further plan to test the architecture's
+    resistance to fault-based attacks"). Each trial flips one bit of
+    one fetched 8-word block group, at a uniformly random (fetch index
+    within the clean run's fetch count, bit position), between program
+    memory and the frontend. The SI property turns such a fault into a
+    reset, except that a flip in the multiplexor word the taken path
+    skips is never consumed and is masked by construction. The SOFIA
+    claim is [corrupted = 0]. [config] defaults to the campaign's
+    2 M-fuel bound; the cell's [workload] is [""]. *)
+
+val inject_once :
+  ?config:Sofia_cpu.Run_config.t ->
+  keys:Sofia_crypto.Keys.t ->
+  image:Sofia_transform.Image.t ->
+  fetch:int ->
+  bit:int ->
+  unit ->
+  verdict
+(** One transient fault at the given block fetch and bit position. *)
+
 val run :
   ?obs:Sofia_obs.Obs.t ->
   ?fuel:int ->
@@ -102,14 +131,15 @@ val run :
     [with_service] (default [true]) appends the seven service scenarios,
     which spawn real worker domains and take ~1 s of wall time.
     [with_fleet] (default: [with_service]) additionally re-runs the
-    failure wall at fleet scope — twelve scenarios that each spawn a
-    real [sofia_cli fleet] of child processes (kill -9, SIGSTOP past
-    the watchdog, clock skew, wire garbage, a digest-lying child, a
-    poison job tripping the process breaker, a poisoned shard store,
-    a four-client flood, a slow-loris reader, quarantine rejoin under
-    load, a budget-bounded restart storm, and a tampered persistent
-    replay cache across a router restart) — and is skipped with a
-    passing note when no sofia_cli binary can be found. [engine]
+    failure wall at fleet scope — eight scenarios that each spawn a
+    real [sofia_cli fleet] of child processes (kill -9, clock skew,
+    client-wire garbage, a digest-lying child, a poisoned shard store,
+    a four-client flood, a slow-loris reader, and a tampered
+    persistent replay cache across a router restart) — and is skipped
+    with a passing note when no sofia_cli binary can be found. The
+    timing-bound supervision (hang watchdog, breaker, backoff, restart
+    budget, probation rejoin) is checked on a virtual clock by the
+    fleet-sim test suite instead. [engine]
     (default [Fast]) selects the execution engine for every simulated
     run; reports are byte-identical between engines.
     [multi_fault] (default 1) injects that many pairwise-distinct

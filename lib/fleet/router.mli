@@ -1,5 +1,6 @@
 (** The fleet router: [N] real [sofia_cli serve --socket --once] child
-    processes behind one single-threaded select loop.
+    processes behind one single-threaded select loop — the Unix driver
+    of {!Supervisor}, which makes every supervision decision.
 
     Jobs shard deterministically by image content hash ({!Shard.route});
     PR 4's supervision machinery — watchdog, crash-restart, circuit
@@ -26,16 +27,9 @@
     and the replay cache can persist across router restarts through
     the §12 [store_fs] envelope tier with a zero-trust reload. *)
 
-type event =
-  | Client_response of int
-      (** running count of client-visible job responses — the fault
-          campaign's "kill a child after K responses" trigger *)
-  | Child_up of int * int  (** shard, pid *)
-  | Child_down of int * string  (** shard, reason *)
-  | Child_rejoin of int * int
-      (** shard re-admitted after probation; second field is the
-          shard's primary-dispatch count at that instant, so a
-          scenario can assert traffic re-shed back afterwards *)
+include module type of struct
+  include Supervisor.Types
+end
 
 type config = {
   children : int;  (** shard count (>= 1) *)
@@ -60,10 +54,6 @@ type config = {
   default_deadline_ms : int option;
   window : int;  (** max in-flight jobs per child (< child queue) *)
   audit_every : int;  (** audit every Nth distinct content key; 0 = off *)
-  probe_interval_ms : int;  (** idle-child ping cadence; 0 = off *)
-  hang_timeout_ms : int;  (** silence-with-traffic-owed before SIGKILL *)
-  breaker_threshold : int;  (** consecutive deaths before quarantine *)
-  redispatch_limit : int;  (** child incarnations one job may consume *)
   child_extra_args : (int -> string list) option;
       (** per-shard extra serve flags (the fault campaign's skew /
           digest-flip / poison-job hooks) *)
@@ -74,81 +64,19 @@ type config = {
           sealed Replay envelopes under the request's own derived keys
           and reloaded zero-trust (envelope checks + re-derived payload
           fingerprint) — a tampered entry is a miss, never served. *)
-  rejoin_cooldown_ms : int;
-      (** how long a breaker-quarantined shard rests before a probation
-          restart; 0 disables rejoin entirely *)
-  rejoin_probes : int;
-      (** consecutive clean probe responses required to re-admit *)
-  restart_backoff_ms : int;
-      (** base crash-restart delay (doubles per death, capped at 2s) *)
-  restart_budget : int;
-      (** restarts allowed per shard within the budget window before
-          the shard is quarantined (breaker cause); 0 = unlimited *)
-  restart_budget_window_ms : int;
   client_linger_ms : int;
       (** a client whose write buffer stays undrained this long is
-          dropped (slow-client isolation); 0 = never *)
+          dropped (slow-client isolation) *)
 }
 
 val default_config : config
 (** 3 children, 1 worker each, [Fast] engine, window 32, audit every
-    16th distinct key, 250ms probes, 5s hang timeout, breaker at 3.
-    Survivability defaults: 25ms base backoff, 6 restarts
-    per 10s budget window, 30s rejoin cooldown with 3 clean probes,
-    5s slow-client linger, no persistent replay dir. *)
-
-type shard_stats = {
-  ss_shard : int;
-  mutable ss_routed : int;
-  mutable ss_done : int;
-  mutable ss_deaths : int;
-  mutable ss_restarts : int;
-  mutable ss_hangs : int;
-  mutable ss_quarantined : bool;
-  ss_lat_ms : float array;
-      (** ring of the most recent router-observed latencies; slot
-          [i mod length] holds the [i]th *)
-  mutable ss_lat_n : int;  (** latencies ever recorded *)
-}
-
-type stats = {
-  mutable received : int;
-  mutable malformed : int;
-  mutable submitted : int;
-  mutable done_ : int;
-  mutable rejected : int;
-  mutable timed_out : int;
-  mutable failed : int;
-  mutable replays : int;  (** answered from the content-keyed cache *)
-  mutable coalesced : int;  (** duplicates parked behind an in-flight primary *)
-  mutable audits : int;
-  mutable digest_conflicts : int;  (** audit votes that caught a disagreement *)
-  mutable deaths : int;
-  mutable restarts : int;
-  mutable hangs : int;
-  mutable quarantines : int;
-  mutable resheds : int;  (** jobs routed off a quarantined home shard *)
-  mutable interrupted : bool;
-  mutable backoffs : int;  (** deferred (backoff-paced) restarts scheduled *)
-  mutable rejoins : int;  (** shards re-admitted after probation *)
-  mutable quar_breaker : int;  (** quarantines eligible for rejoin *)
-  mutable quar_integrity : int;  (** permanent quarantines (digest liars) *)
-  mutable disk_replays : int;  (** replays served from the persistent tier *)
-  mutable slow_client_drops : int;  (** clients dropped by the linger *)
-  shards : shard_stats array;
-}
-
-val conserved : stats -> bool
-(** [submitted = done + rejected + timed_out + failed] — the fleet-wide
-    terminal-counter conservation law. *)
+    16th distinct key, 5 s slow-client linger, no persistent replay
+    dir. The supervision timings are {!Supervisor}'s constants. *)
 
 val replay_cap : int
-(** Entries the replay cache (content key → rendered answer) may hold,
-    and as many again for the raw-line memo (request tail → content
-    key), each an exact LRU. A key evicted from either falls back to a
-    full parse, coalescing, the [replay_dir] reload or a child — never
-    to a wrong or unverified payload. The fleet metrics document's
-    [router] object reports [replay_entries] (at most this) and
+(** {!Supervisor.replay_cap}. The fleet metrics document's [router]
+    object reports [replay_entries] (at most this) and
     [replay_evictions]. *)
 
 val run :

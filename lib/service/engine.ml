@@ -37,7 +37,9 @@ let default_config =
     backpressure = Block;
     store_slots = 256;
     max_attempts = 3;
-    ks_cache_slots = Some 1024;
+    (* the same default every served process gets, so an in-process
+       engine simulates exactly what `serve` and fleet children run *)
+    ks_cache_slots = Sofia_cpu.Run_config.default.Sofia_cpu.Run_config.ks_cache_slots;
     engine = Sofia_cpu.Run_config.Fast;
     backend = Backend_id.Sofia;
     default_deadline_ms = None;

@@ -119,7 +119,8 @@ type config = {
 
 val default_config : config
 (** 0 workers (auto), 64-deep queue, [Block], 256 store slots, 3
-    attempts, keystream cache on (1024 slots), fast engine, SOFIA
+    attempts, {!Sofia_cpu.Run_config.default}'s keystream cache setting
+    (off, as in every [serve] process), fast engine, SOFIA
     backend, no default deadline, no fault injection, no watchdog,
     breaker disabled, real wall clock, shard [-1], no response
     tampering. *)

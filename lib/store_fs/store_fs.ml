@@ -52,11 +52,11 @@ let locked t f =
    tables miss instead of resurrecting an older image's edges). *)
 let fingerprint64 b = Hash.fnv1a64 (Bytes.unsafe_to_string b)
 
-let mkdir_p dir =
+let mkdir_p ?(perm = 0o755) dir =
   let rec make d =
     if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
       make (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+      try Unix.mkdir d perm with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
     end
   in
   make dir

@@ -21,6 +21,10 @@ val open_store : ?obs:Sofia_obs.Obs.t -> dir:string -> ?budget_bytes:int -> unit
     directory's total entry size; 0 (default) = unlimited. [obs]
     receives a [service_error] event per corrupt entry encountered. *)
 
+val mkdir_p : ?perm:int -> string -> unit
+(** Create a directory and its missing parents ([perm] default 0o755);
+    an existing one is left as it is. *)
+
 val fingerprint64 : Bytes.t -> int64
 (** 64-bit FNV-1a of raw bytes — binds a table file to the exact
     artifact bytes it was derived from. *)

@@ -2,7 +2,7 @@
    campaigns, and the frontend-model ablation. *)
 
 module Shadow = Sofia.Cpu.Shadow_cfi
-module Fault = Sofia.Attack.Fault
+module Fault = Sofia.Fault.Campaign
 module Scenario = Sofia.Attack.Scenario
 module Machine = Sofia.Cpu.Machine
 module Timing = Sofia.Cpu.Timing

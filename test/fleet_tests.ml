@@ -341,7 +341,7 @@ let test_breaker_quarantine_and_reshed () =
       fleet_run
         ~tweak:(fun c ->
           { c with
-            FR.children; window = 1; breaker_threshold = 3; redispatch_limit = 2;
+            FR.children; window = 1;
             child_extra_args = Some (fun _ -> [ "--test-exit"; marker ]) })
         (lines_of (poison :: healthy))
     in

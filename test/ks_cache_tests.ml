@@ -16,7 +16,7 @@ module Run_config = Sofia.Cpu.Run_config
 module Reg = Sofia.Isa.Reg
 module Workload = Sofia.Workloads.Workload
 module Keys = Sofia.Crypto.Keys
-module Fault = Sofia.Attack.Fault
+module Fault = Sofia.Fault.Campaign
 module Tamper = Sofia.Attack.Tamper
 module Obs = Sofia.Obs.Obs
 module Metrics = Sofia.Obs.Metrics

@@ -32,4 +32,5 @@ let () =
       ("backend", Backend_tests.suite);
       ("store-fs", Store_fs_tests.suite);
       ("fleet", Fleet_tests.suite);
+      ("fleet-sim", Fleet_sim_tests.suite);
     ]
