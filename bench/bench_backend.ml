@@ -4,8 +4,7 @@
    lib/protection registry entry the CLI and service use.
 
    Coverage comes from a pinned-seed lib/fault campaign restricted to
-   the benchmark suite (service walls off: they are backend-agnostic
-   and benchmarked elsewhere); overhead from a vanilla-vs-protected run
+   the benchmark suite; overhead from a vanilla-vs-protected run
    pair per workload; area from the lib/hwmodel synthesis of each
    backend's frontend. The [backends] rows land in the bench JSON and
    are gated by bench/gates.json. *)
@@ -38,8 +37,7 @@ let rows ?(backends = BI.all) ?(trials = 3) ?(seed = 0xF417AL) () =
   let module C = Sofia.Fault.Campaign in
   let workloads = Sofia.Workloads.Registry.benchmark_suite () in
   let r =
-    C.run ~backends ~classes:Sofia.Fault.Site.all ~with_service:false
-      ~with_fleet:false ~workloads ~trials ~seed ()
+    C.run ~backends ~classes:Sofia.Fault.Site.all ~workloads ~trials ~seed ()
   in
   List.concat_map
     (fun backend ->

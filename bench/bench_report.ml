@@ -113,10 +113,8 @@ let fault () =
           ~seed:fault_seed ())
   in
   let d, t = C.in_model_trials r in
-  Format.printf "  [json] fault: %d/%d in-model detected, %d escape(s), service %s, in %.1f s@."
-    d t (C.in_model_escapes r)
-    (if C.service_ok r then "ok" else "FAILED")
-    wall;
+  Format.printf "  [json] fault: %d/%d in-model detected, %d escape(s), in %.1f s@." d t
+    (C.in_model_escapes r) wall;
   J.Obj
     [
       ("id", J.Str "fault");
@@ -126,7 +124,6 @@ let fault () =
       ("in_model_trials", J.Int t);
       ("in_model_detected", J.Int d);
       ("in_model_escapes", J.Int (C.in_model_escapes r));
-      ("service_ok", J.Bool (C.service_ok r));
       ( "rows",
         J.List
           (List.map
@@ -146,14 +143,6 @@ let fault () =
                    ("latency_max_insns", J.Int c.C.lat_max);
                  ])
              (C.by_class r)) );
-      ( "service",
-        J.List
-          (List.map
-             (fun (s : C.service_check) ->
-               J.Obj
-                 [ ("name", J.Str s.C.name); ("ok", J.Bool s.C.ok);
-                   ("detail", J.Str s.C.detail) ])
-             r.C.service) );
     ]
 
 let backends () =

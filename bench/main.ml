@@ -499,11 +499,11 @@ let micro () =
     (Sofia_benchlib.Bench_micro.rows ())
 
 (* ------------------------------------------------------------------ *)
-(* fault: the lib/fault campaign (detection coverage + recovery)       *)
+(* fault: the lib/fault campaign (the paper's fault matrix)           *)
 (* ------------------------------------------------------------------ *)
 
 let fault () =
-  section "fault" "fault-injection campaign: detection coverage + supervised recovery";
+  section "fault" "fault-injection campaign: the fault matrix (detection coverage, latency)";
   Format.printf "%a" Sofia.Fault.Campaign.pp
     (Sofia.Fault.Campaign.run ~backends:Sofia.Transform.Backend_id.all
        ~trials:Sofia_benchlib.Bench_report.fault_trials

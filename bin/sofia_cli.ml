@@ -496,25 +496,19 @@ let store_arg =
   Arg.(value & opt int 256 & info [ "store" ] ~docv:"SLOTS"
          ~doc:"Content-addressed protected-image store capacity (LRU; 0 disables caching).")
 
-let retries_arg =
-  Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N"
-         ~doc:"Maximum execution attempts per job (>= 1); transient faults are retried \
-               up to $(docv) times, then the job fails.")
-
 let deadline_arg =
   Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS"
          ~doc:"Default per-job deadline for requests that carry none. Deadlines are \
-               checked at dispatch and between retries.")
+               checked at dispatch.")
 
 let json_out_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
          ~doc:"Write the service metrics document (counters, latency histograms, store \
                and queue gauges) to $(docv) as JSON.")
 
-let service_config workers queue backpressure store retries deadline ks_cache engine backend
-    store_dir store_budget =
+let service_config workers queue backpressure store deadline ks_cache engine backend store_dir
+    store_budget =
   if queue < 1 then or_die (Error (Printf.sprintf "--queue must be >= 1 (got %d)" queue));
-  if retries < 1 then or_die (Error (Printf.sprintf "--retries must be >= 1 (got %d)" retries));
   if ks_cache < 0 then
     or_die (Error (Printf.sprintf "--ks-cache must be >= 0 (got %d)" ks_cache));
   if store_budget < 0 then
@@ -524,7 +518,6 @@ let service_config workers queue backpressure store retries deadline ks_cache en
     queue_capacity = queue;
     backpressure;
     store_slots = store;
-    max_attempts = retries;
     default_deadline_ms = deadline;
     ks_cache_slots = (if ks_cache = 0 then None else Some ks_cache);
     engine;
@@ -533,10 +526,10 @@ let service_config workers queue backpressure store retries deadline ks_cache en
     store_budget
   }
 
-(* Test-only hooks behind the fleet fault campaign's compromised-child
-   scenarios: a child can be told to skew its wall clock, lie about
-   digests, or die on a poison job. All default off; the fleet router
-   passes them per shard via its child_extra_args hook. *)
+(* Test-only hooks behind fleet_tests' compromised-child cases: a child
+   can be told to skew its wall clock, lie about digests, or die on a
+   poison job. All default off; the fleet router passes them per shard
+   via its child_extra_args hook. *)
 
 let shard_arg =
   Arg.(value & opt int (-1) & info [ "shard" ] ~docv:"K"
@@ -546,8 +539,8 @@ let shard_arg =
 let test_wall_skew_arg =
   Arg.(value & opt float 0.0 & info [ "test-wall-skew" ] ~docv:"SECONDS"
          ~doc:"TEST HOOK: skew the engine's wall clock by $(docv). Deadlines use the \
-               monotonic clock, so jobs must still complete — the fleet fault campaign \
-               pins exactly that.")
+               monotonic clock, so jobs must still complete — the fleet test suite pins \
+               exactly that.")
 
 let test_flip_digest_arg =
   Arg.(value & flag & info [ "test-flip-digest" ]
@@ -624,12 +617,11 @@ let emit_service_metrics engine ~metrics ~json_out =
   if metrics then prerr_endline (Sofia.Obs.Json.to_string doc)
 
 let serve_cmd =
-  let run use_stdin socket once workers queue backpressure store retries deadline ks_cache
-      engine backend metrics json_out store_dir store_budget shard wall_skew flip_digest
-      exit_marker =
+  let run use_stdin socket once workers queue backpressure store deadline ks_cache engine
+      backend metrics json_out store_dir store_budget shard wall_skew flip_digest exit_marker =
     let config =
-      service_config workers queue backpressure store retries deadline ks_cache engine
-        backend store_dir store_budget
+      service_config workers queue backpressure store deadline ks_cache engine backend
+        store_dir store_budget
     in
     let config = apply_test_hooks config ~shard ~wall_skew ~flip_digest ~exit_marker in
     (* a client vanishing mid-response must reach us as EPIPE, not kill
@@ -673,7 +665,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve protect/verify/simulate/attest jobs over newline-delimited JSON")
     Term.(const run $ use_stdin $ socket $ once $ workers_arg $ queue_arg $ backpressure_arg
-          $ store_arg $ retries_arg $ deadline_arg $ ks_cache_arg $ engine_arg $ backend_arg
+          $ store_arg $ deadline_arg $ ks_cache_arg $ engine_arg $ backend_arg
           $ metrics_arg $ json_out_arg $ store_dir_arg $ store_budget_arg $ shard_arg
           $ test_wall_skew_arg $ test_flip_digest_arg $ test_exit_arg)
 
@@ -734,15 +726,21 @@ let fleet_cmd =
       }
     in
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+    (* a start-up refusal (no sofia_cli binary, a squatted shard
+       socket, a child that never binds) is an error line, not a
+       backtrace *)
+    let refused f =
+      try f () with Failure m | Sofia.Fleet.Child.Child_failed m -> or_die (Error m)
+    in
     let serve_listener srv ~name ~finally =
       Format.eprintf "fleet: listening on %s@." name;
       Fun.protect ~finally
-        (fun () -> R.run_listener ~signals:true cfg ~listen_fd:srv ~accepts)
+        (fun () -> refused (fun () -> R.run_listener ~signals:true cfg ~listen_fd:srv ~accepts))
     in
     let stats, doc =
       match (use_stdin, socket, tcp) with
       | true, None, None ->
-        R.run ~signals:true cfg ~client_in:Unix.stdin ~client_out:Unix.stdout
+        refused (fun () -> R.run ~signals:true cfg ~client_in:Unix.stdin ~client_out:Unix.stdout)
       | false, Some path, None ->
         (* multi-client accept loop on an AF_UNIX listener; --accepts
            (default 1) bounds how many connections are served *)
@@ -850,11 +848,11 @@ let fleet_cmd =
           $ socket_dir $ metrics_arg $ json_out_arg)
 
 let batch_cmd =
-  let run file clients dump workers queue backpressure store retries deadline ks_cache engine
-      backend metrics json_out store_dir store_budget =
+  let run file clients dump workers queue backpressure store deadline ks_cache engine backend
+      metrics json_out store_dir store_budget =
     let config =
-      service_config workers queue backpressure store retries deadline ks_cache engine
-        backend store_dir store_budget
+      service_config workers queue backpressure store deadline ks_cache engine backend
+        store_dir store_budget
     in
     let malformed = ref 0 in
     let jobs =
@@ -927,14 +925,13 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch" ~doc:"Run a job file through the service engine and print responses")
     Term.(const run $ file $ clients $ dump $ workers_arg $ queue_arg $ backpressure_arg $ store_arg
-          $ retries_arg $ deadline_arg $ ks_cache_arg $ engine_arg $ backend_arg $ metrics_arg
+          $ deadline_arg $ ks_cache_arg $ engine_arg $ backend_arg $ metrics_arg
           $ json_out_arg $ store_dir_arg $ store_budget_arg)
 
 (* ---- campaign: the full-pipeline fault-injection sweep ---- *)
 
 let campaign_cmd =
-  let run trials seed multi_fault workloads classes backends no_service no_fleet engine
-      json_out =
+  let run trials seed multi_fault workloads classes backends engine json_out =
     let module C = Sofia.Fault.Campaign in
     let module S = Sofia.Fault.Site in
     if trials < 1 then or_die (Error (Printf.sprintf "--trials must be >= 1 (got %d)" trials));
@@ -973,8 +970,7 @@ let campaign_cmd =
     in
     let backends = match backends with [] -> None | l -> Some l in
     let report =
-      C.run ~classes ?backends ~with_service:(not no_service) ~with_fleet:(not no_fleet)
-        ?workloads ~engine ~trials ~seed ~multi_fault ()
+      C.run ~classes ?backends ?workloads ~engine ~trials ~seed ~multi_fault ()
     in
     Format.printf "%a" C.pp report;
     (match json_out with
@@ -985,8 +981,7 @@ let campaign_cmd =
          (fun () -> Sofia.Obs.Json.output oc (C.to_json report))
      | None -> ());
     if not (C.passed report) then begin
-      Format.eprintf "campaign: %d in-model escape(s), service %s@." (C.in_model_escapes report)
-        (if C.service_ok report then "ok" else "FAILED");
+      Format.eprintf "campaign: %d in-model escape(s)@." (C.in_model_escapes report);
       exit 1
     end
   in
@@ -1018,23 +1013,13 @@ let campaign_cmd =
                  that have no fault site under a backend — $(b,mux_swap) under \
                  $(b,scfp), which builds no mux blocks — are reported as not applicable.")
   in
-  let no_service =
-    Arg.(value & flag & info [ "no-service" ]
-           ~doc:"Skip the service-level fault scenarios (worker crash/hang, clock skew, \
-                 wire corruption, store tamper, circuit breaker).")
-  in
-  let no_fleet =
-    Arg.(value & flag & info [ "no-fleet" ]
-           ~doc:"Skip the fleet-scope fault scenarios (child kill/hang, per-shard clock \
-                 skew, router wire corruption, digest-lying child, process breaker, \
-                 shard store poison) — each spawns a real multi-process fleet.")
-  in
   Cmd.v
     (Cmd.info "campaign"
-       ~doc:"Sweep seeded faults over every layer and print the detection-coverage matrix; \
-             exits nonzero if any in-model tamper escapes or a recovery scenario fails")
+       ~doc:"Sweep seeded faults over the protected code and its control flow and print \
+             the detection-coverage matrix; exits nonzero if any in-model tamper escapes \
+             detection")
     Term.(const run $ trials $ seed $ multi_fault $ workloads $ classes $ backends
-          $ no_service $ no_fleet $ engine_arg $ json_out_arg)
+          $ engine_arg $ json_out_arg)
 
 (* ---- table1 ---- *)
 

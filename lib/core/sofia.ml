@@ -18,8 +18,8 @@
       (job queue, Domain worker pool, content-addressed image store,
       NDJSON wire protocol — [sofia_cli serve]/[batch]);
     - {!Fault}: the seeded fault-injection campaign (typed fault sites
-      across every layer, detection-coverage matrix, service-level
-      fault scenarios — [sofia_cli campaign]).
+      in the protected code and its control flow, the detection-coverage
+      matrix — [sofia_cli campaign]).
 
     The {!Protect}, {!Run} and {!Report} modules below are the
     high-level API a downstream user starts from; see

@@ -14,7 +14,7 @@ type proc = {
 }
 
 (* Resolve the sofia_cli binary for spawning children. Callers that ARE
-   sofia_cli (the `fleet` command, `campaign`) hit the first case; test
+   sofia_cli (the `fleet` command) hit the first case; test
    and bench executables live in the same _build tree, so the relative
    candidates cover them. SOFIA_CLI overrides everything. *)
 let find_cli () =

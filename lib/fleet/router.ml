@@ -98,7 +98,7 @@ type t = {
 (* Push as much buffered output as the client will take right now.
    Blocking fds (the legacy pipe front) drain fully — our NDJSON can
    tear only if the client never reads it; nonblocking fds (accepted
-   sockets, fault-scenario pipes) keep the remainder buffered for the
+   sockets, test pipes) keep the remainder buffered for the
    select loop's write set. A vanished client flips [cl_gone]; jobs
    keep settling internally so the terminal counters still conserve. *)
 let flush_client cl =
@@ -280,8 +280,11 @@ let fresh_dir () =
    should not fail (or inherit stale metrics) because of them. A socket
    goes through the probe a binding server uses
    (Wire.prepare_socket_path): it is removed only once a connect proves
-   nobody is listening; a live socket is left for the child's own bind
-   to refuse, and a plain file squatting on the name is never deleted. *)
+   nobody is listening. A live listener on a shard socket fails startup
+   before any child is spawned — the router connects to whatever
+   listens on that path, so a squatter would be handed the shard's
+   traffic — and so does a plain file squatting on the name, which is
+   never deleted. *)
 let janitor_socket_dir dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
@@ -295,8 +298,9 @@ let janitor_socket_dir dir =
         then (try Sys.remove path with Sys_error _ -> ())
         else if String.starts_with ~prefix:"shard-" name && Filename.check_suffix name ".sock"
         then
-          try Sofia_service.Wire.prepare_socket_path path
-          with Sofia_service.Wire.Bind_error _ | Unix.Unix_error _ -> ())
+          try Sofia_service.Wire.prepare_socket_path path with
+          | Sofia_service.Wire.Bind_error m -> failwith ("fleet: " ^ m)
+          | Unix.Unix_error _ -> ())
       entries
 
 let cleanup_dir t =
@@ -332,7 +336,7 @@ let create ?(obs = Obs.none) cfg =
   let specs = Array.init cfg.children (child_args cfg dir) in
   (* a stale socket file from a previous fleet is cleared by the
      janitor above (caller-provided dirs) and, as a second line, by the
-     child's own prepare_socket_path probe (PR 4) *)
+     child's own prepare_socket_path probe *)
   let procs =
     Array.mapi
       (fun k (sock, args) -> Child.start ~cli ~args ~shard:k ~socket_path:sock)
@@ -597,7 +601,7 @@ let run_clients ?obs ?signals cfg ~clients =
   let t = create ?obs cfg in
   List.iter
     (fun (fd_in, fd_out) ->
-      (* fault-scenario clients are pipes that may never be drained on
+      (* test clients may be pipes that are never drained on
          the far side: nonblocking writes + the elastic buffer keep a
          stalled reader from wedging the whole fleet *)
       (try Unix.set_nonblock fd_in with Unix.Unix_error (_, _, _) -> ());

@@ -3,10 +3,10 @@
     of {!Supervisor}, which makes every supervision decision.
 
     Jobs shard deterministically by image content hash ({!Shard.route});
-    PR 4's supervision machinery — watchdog, crash-restart, circuit
-    breaker, graceful drain — is promoted one level up to supervise
-    whole processes, which (unlike OCaml domains) can actually be
-    killed. The loop serves any number of concurrent clients (pipes,
+    the router supervises whole processes — watchdog, crash-restart,
+    circuit breaker, graceful drain — because a process, unlike an
+    OCaml domain, can actually be killed; it is the serving stack's
+    only supervisor. The loop serves any number of concurrent clients (pipes,
     AF_UNIX or TCP accepts) with per-client buffers, so one stalled
     reader never blocks the fleet.
 
@@ -40,7 +40,9 @@ type config = {
       (** [None] = fresh temp dir, removed after. A provided dir is
           janitored at startup: probe-dead [shard-*.sock] files, stale
           [metrics-*.json] and [*.tmp] debris from a killed fleet are
-          removed; live sockets and plain files are left alone. *)
+          removed; other plain files are left alone. A live listener
+          (or a non-socket file) on a [shard-*.sock] path fails startup
+          before any child is spawned. *)
   store_dir : string option;  (** parent dir; child [k] gets [shard-k/] *)
   store_budget : int;
   engine : Sofia_cpu.Run_config.engine;  (** [--engine] forwarded to children *)
@@ -55,7 +57,7 @@ type config = {
   window : int;  (** max in-flight jobs per child (< child queue) *)
   audit_every : int;  (** audit every Nth distinct content key; 0 = off *)
   child_extra_args : (int -> string list) option;
-      (** per-shard extra serve flags (the fault campaign's skew /
+      (** per-shard extra serve flags ([fleet_tests]' skew /
           digest-flip / poison-job hooks) *)
   on_event : (event -> unit) option;
   replay_dir : string option;
@@ -95,7 +97,9 @@ val run :
     [serve --json] metrics and, when [replay_dir] is set, the
     persistent replay store's counters). No child outlives the call.
 
-    @raise Failure when no sofia_cli binary can be located.
+    @raise Failure when no sofia_cli binary can be located, or when
+    [socket_dir] holds a live listener or a non-socket file on a
+    [shard-*.sock] path (the message names it).
     @raise Child.Child_failed when a child never comes up at start. *)
 
 val run_clients :

@@ -414,7 +414,6 @@ let rec pump t k =
     && not (Queue.is_empty ch.c_queue)
   then begin
     let d = Queue.pop ch.c_queue in
-    d.d_shard <- k;
     Hashtbl.replace ch.c_outstanding d.d_iid d;
     (match d.d_kind with
      | Primary _ -> ch.cs.ss_routed <- ch.cs.ss_routed + 1
@@ -424,6 +423,7 @@ let rec pump t k =
   end
 
 and enqueue t k d =
+  d.d_shard <- k;
   Queue.push d t.kids.(k).c_queue;
   pump t k
 
@@ -432,13 +432,12 @@ and enqueue t k d =
 (* A child died (EOF, failed write, or the watchdog killed it). Its
    in-flight and queued work is accounted for exactly once: primaries
    are re-dispatched to the replacement (or re-shed / failed once their
-   incarnation budget is gone), audits are abandoned (see
-   [conclude_audit]), probes evaporate. Mirrors PR 4's worker-crash rule — record
-   the death and schedule the replacement BEFORE settling the victims —
-   at process scope. The replacement is deferred: exponential backoff
-   with jitter, bounded by a restart budget over a sliding window, so a
-   poison environment produces a paced, bounded restart storm rather
-   than a hot loop. *)
+   incarnation budget is gone), audits are sent again to another shard
+   (see [reaudit]), probes evaporate. The death is recorded and the
+   replacement scheduled BEFORE the victims are settled. The
+   replacement is deferred: exponential backoff with jitter, bounded by
+   a restart budget over a sliding window, so a poison environment
+   produces a paced, bounded restart storm rather than a hot loop. *)
 and handle_death t k reason =
   let ch = t.kids.(k) in
   if ch.c_up then begin
@@ -498,8 +497,8 @@ and handle_death t k reason =
    about the environment — the shard earns its way back through
    cooldown + probation probes (see [tick]); an [Integrity] quarantine
    is permanent. Every shard in [ks] is out of service before any of
-   their work moves, so no orphan is re-shed onto a fellow suspect and
-   no abandoned audit can vouch for one. *)
+   their work moves, so no orphan is re-shed and no audit re-sent onto
+   a fellow suspect, and no abandoned audit can vouch for one. *)
 and quarantine t ks ~cause reason =
   let ks = List.filter (fun k -> not t.kids.(k).cs.ss_quarantined) ks in
   List.iter
@@ -531,16 +530,8 @@ and redispatch t ~dispatched d =
   match d.d_kind with
   | Probe -> ()
   | Audit p_iid -> (
-    (* the audit died with its child; conclude without it rather than
-       wedging the held response *)
     match Hashtbl.find_opt t.audits p_iid with
-    | Some st ->
-      emit_obs t "fleet_audit_abandoned"
-        (Printf.sprintf "audit of %s lost shard %d" st.a_primary.d_req.Job.id d.d_shard);
-      st.a_abandoned <- true;
-      st.a_a_fp <- Some "";
-      st.a_a_shard <- -1;
-      conclude_audit t p_iid st
+    | Some st -> reaudit t p_iid st ~lost:d.d_shard
     | None -> ())
   | Tiebreak p_iid -> (
     match Hashtbl.find_opt t.audits p_iid with
@@ -552,9 +543,8 @@ and redispatch t ~dispatched d =
     if dispatched then d.d_tries <- d.d_tries + 1;
     if d.d_tries > redispatch_limit then begin
       (* a poison pill: it has now consumed its incarnation budget of
-         child processes — fail it rather than grind the fleet down
-         (the PR 4 rule that a crash loop is bounded by crashing jobs,
-         at process scope) *)
+         child processes — fail it rather than grind the fleet down (a
+         crash loop is bounded by the jobs that crash) *)
       let msg = Printf.sprintf "job killed its shard child %d times" d.d_tries in
       fail_dispatch t cl d msg;
       settle_key_failure t d msg
@@ -590,14 +580,40 @@ and finalize_conflict_failure t st msg =
   fail_dispatch t st.a_client st.a_primary msg;
   settle_key_failure t st.a_primary msg
 
+(* The audit of a held primary was lost: its shard [lost] died or was
+   quarantined, or it answered from the primary's own shard (a primary
+   re-shed onto the audit's shard cannot vouch for itself). Audit again
+   on a healthy shard that is neither the primary's nor [lost]. Only
+   when no such shard exists is the audit abandoned, leaving the
+   primary unverified (see [conclude_audit]) — serving it unverified
+   while a third shard could still check it would let a lying primary
+   reach its client. *)
+and reaudit t p_iid st ~lost =
+  let id = st.a_primary.d_req.Job.id in
+  match next_healthy_excluding t ~avoid:[ st.a_primary.d_shard; lost ] with
+  | Some k ->
+    emit_obs t "fleet_reaudit"
+      (Printf.sprintf "audit of %s lost shard %d; re-audit on %d" id lost k);
+    st.a_a_fp <- None;
+    st.a_a_shard <- k;
+    enqueue t k (dispatch t ~kind:(Audit p_iid) st.a_primary.d_req k)
+  | None ->
+    emit_obs t "fleet_audit_abandoned" (Printf.sprintf "audit of %s lost shard %d" id lost);
+    st.a_abandoned <- true;
+    st.a_a_fp <- Some "";
+    st.a_a_shard <- -1;
+    conclude_audit t p_iid st
+
 (* Both the primary and the audit answered (or the audit was
-   abandoned). Agreement forwards the held primary; disagreement goes
-   to a third-shard majority vote. An abandoned audit leaves the primary
-   unverified: it stands unless its shard is now quarantined for
-   integrity, in which case it fails closed. *)
+   abandoned). Agreement of two shards forwards the held primary;
+   disagreement goes to a third-shard majority vote. An abandoned audit
+   leaves the primary unverified: it stands unless its shard is now
+   quarantined for integrity, in which case it fails closed. *)
 and conclude_audit t p_iid st =
   let suspect = t.kids.(st.a_primary.d_shard).c_quar = Some Integrity in
   match (st.a_p_fields, st.a_p_fp, st.a_a_fp) with
+  | Some _, Some _, Some _ when (not st.a_abandoned) && st.a_a_shard = st.a_primary.d_shard ->
+    reaudit t p_iid st ~lost:st.a_a_shard
   | Some _, _, _ when st.a_abandoned && suspect ->
     Hashtbl.remove t.audits p_iid;
     finalize_conflict_failure t st

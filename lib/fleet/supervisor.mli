@@ -15,8 +15,8 @@
 module Types : sig
   type event =
     | Client_response of int
-        (** running count of client-visible job responses — the fault
-            campaign's "kill a child after K responses" trigger *)
+        (** running count of client-visible job responses — the fleet
+            tests' "kill a child after K responses" trigger *)
     | Child_up of int * int  (** shard, pid *)
     | Child_down of int * string  (** shard, reason *)
     | Child_rejoin of int * int

@@ -14,15 +14,11 @@ type config = {
   queue_capacity : int;
   backpressure : backpressure;
   store_slots : int;
-  max_attempts : int;
   ks_cache_slots : int option;
   engine : Sofia_cpu.Run_config.engine;
   backend : Backend_id.t;
   default_deadline_ms : int option;
   fault : (Job.request -> attempt:int -> unit) option;
-  hang_timeout_ms : int option;
-  breaker_threshold : int;
-  breaker_cooldown_ms : int;
   wall_clock : (unit -> float) option;
   store_dir : string option;
   store_budget : int;
@@ -36,7 +32,6 @@ let default_config =
     queue_capacity = 64;
     backpressure = Block;
     store_slots = 256;
-    max_attempts = 3;
     (* the same default every served process gets, so an in-process
        engine simulates exactly what `serve` and fleet children run *)
     ks_cache_slots = Sofia_cpu.Run_config.default.Sofia_cpu.Run_config.ks_cache_slots;
@@ -44,9 +39,6 @@ let default_config =
     backend = Backend_id.Sofia;
     default_deadline_ms = None;
     fault = None;
-    hang_timeout_ms = None;
-    breaker_threshold = 0;
-    breaker_cooldown_ms = 1_000;
     wall_clock = None;
     store_dir = None;
     store_budget = 0;
@@ -54,45 +46,20 @@ let default_config =
     mangle = None;
   }
 
-(* [settled] is the settle-once latch: supervision means a job can have
-   two would-be settlers (the watchdog failing a hung worker's job and
-   the zombie worker finishing it after all) — only the first wins. *)
-type pending = {
-  req : Job.request;
-  seq : int;
-  submitted_mono : float;
-  mutable settled : bool;  (* guarded by t.m *)
-}
-
-(* One worker domain's supervision record. [abandoned] marks a hung
-   worker the watchdog gave up on: its domain cannot be killed (OCaml
-   has no Domain.kill), so it is left to run out and is never joined. *)
-type wstate = {
-  wid : int;
-  mutable dom : unit Domain.t option;  (* set under t.m before anyone sees it *)
-  mutable inflight : pending option;  (* guarded by t.m *)
-  mutable busy_since : float;  (* monotonic; guarded by t.m *)
-  mutable abandoned : bool;  (* guarded by t.m *)
-  mutable joined : bool;  (* guarded by t.m; only shutdown sets it *)
-}
+type pending = { req : Job.request; seq : int; submitted_mono : float }
 
 type t = {
   cfg : config;
   queue : pending Jobq.t;
   store : Store.t;
   disk : Fs.t option;  (** the persistent tier, when [store_dir] is set *)
-  m : Mutex.t;  (* guards log, metrics, counters, wstates, breaker *)
+  m : Mutex.t;  (* guards log, metrics, counters, domains *)
   settled : Condition.t;
   mutable log : Job.response list;  (* newest first; kept only without [on_response] *)
   mutable terminal : int;
   mutable next_seq : int;
-  mutable wstates : wstate list;
-  mutable next_wid : int;
   mutable started : bool;
-  mutable consecutive_deaths : int;
-  mutable breaker_until : float;  (* monotonic deadline while the circuit is open *)
-  watchdog_stop : bool Atomic.t;
-  mutable watchdog : unit Domain.t option;
+  mutable domains : unit Domain.t list;  (* the workers, until shutdown joins them *)
   metrics : Svc_metrics.t;
   obs : Obs.t;
   on_response : (Job.response -> unit) option;
@@ -363,7 +330,6 @@ let execute_oneshot req =
       (execute ~disk:None ~store ~ks_cache_slots:None ~engine:Sofia_cpu.Run_config.Fast req)
   with
   | Permanent m -> Job.Failed m
-  | Job.Transient m -> Job.Failed ("transient: " ^ m)
   | e -> Job.Failed (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -371,7 +337,6 @@ let execute_oneshot req =
 (* ------------------------------------------------------------------ *)
 
 let create ?(obs = Obs.none) ?on_response cfg =
-  let cfg = { cfg with max_attempts = max 1 cfg.max_attempts } in
   {
     cfg;
     queue = Jobq.create ~capacity:cfg.queue_capacity;
@@ -385,23 +350,17 @@ let create ?(obs = Obs.none) ?on_response cfg =
     log = [];
     terminal = 0;
     next_seq = 0;
-    wstates = [];
-    next_wid = 0;
     started = false;
-    consecutive_deaths = 0;
-    breaker_until = 0.0;
-    watchdog_stop = Atomic.make false;
-    watchdog = None;
+    domains = [];
     metrics = Svc_metrics.create ();
     obs;
     on_response;
   }
 
-(* Deadlines, retry budgets and the watchdog read the monotonic clock:
-   a wall-clock step (NTP, operator) must not expire — or immortalize —
-   every queued job. Wall time appears only in the reported [ts] field,
-   and is injectable so the campaign can skew it violently and assert
-   nothing times out. *)
+(* Deadlines read the monotonic clock: a wall-clock step (NTP,
+   operator) must not expire — or immortalize — every queued job. Wall
+   time appears only in the reported [ts] field, and is injectable so
+   tests can skew it violently and assert nothing times out. *)
 let mono () = Clock.mono_s ()
 let wall t = match t.cfg.wall_clock with Some f -> f () | None -> Clock.wall_s ()
 
@@ -420,64 +379,53 @@ let with_lock t f =
    only its own worker, never submit/drain/other settles; a callback
    that re-enters the engine must not deadlock. Stream consumers that
    need the total order have the [completion] index on the response.
-
-   Settle-once: with supervision there can be two settlers for one job
-   (watchdog vs. a zombie worker that finished after being abandoned);
-   the [p.settled] latch under the lock makes the first win and the
-   second a silent no-op, preserving terminal-counter conservation. *)
+   Each job has exactly one settler — [submit] for a job it turns away,
+   otherwise the worker that popped it — so each settles once. *)
 let settle t (p : pending) ~attempts ~worker status =
   let latency_ms = (mono () -. p.submitted_mono) *. 1000.0 in
   let ts = wall t in
   let op = Job.op_name p.req.Job.spec in
   let resp =
     with_lock t (fun () ->
-        if p.settled then None
-        else begin
-          p.settled <- true;
-          let resp =
-            {
-              Job.id = p.req.Job.id;
-              op;
-              seq = p.seq;
-              completion = t.terminal;
-              attempts;
-              worker;
-              latency_ms;
-              ts;
-              status;
-            }
-          in
-          let resp = match t.cfg.mangle with Some f -> f resp | None -> resp in
-          if Option.is_none t.on_response then t.log <- resp :: t.log;
-          t.terminal <- t.terminal + 1;
-          (match status with
-           | Job.Done _ ->
-             t.metrics.Svc_metrics.completed <- t.metrics.Svc_metrics.completed + 1;
-             t.consecutive_deaths <- 0
-           | Job.Rejected _ -> t.metrics.Svc_metrics.rejected <- t.metrics.Svc_metrics.rejected + 1
-           | Job.Timed_out -> t.metrics.Svc_metrics.timed_out <- t.metrics.Svc_metrics.timed_out + 1
-           | Job.Failed detail ->
-             t.metrics.Svc_metrics.failed <- t.metrics.Svc_metrics.failed + 1;
-             if Obs.tracing t.obs then
-               Obs.emit t.obs (Event.Service_error { kind = "job_failed"; detail }));
-          Svc_metrics.observe_latency t.metrics ~op
-            ~us:(int_of_float (latency_ms *. 1000.0));
-          Condition.broadcast t.settled;
-          Some resp
-        end)
+        let resp =
+          {
+            Job.id = p.req.Job.id;
+            op;
+            seq = p.seq;
+            completion = t.terminal;
+            attempts;
+            worker;
+            latency_ms;
+            ts;
+            status;
+          }
+        in
+        let resp = match t.cfg.mangle with Some f -> f resp | None -> resp in
+        if Option.is_none t.on_response then t.log <- resp :: t.log;
+        t.terminal <- t.terminal + 1;
+        (match status with
+         | Job.Done _ -> t.metrics.Svc_metrics.completed <- t.metrics.Svc_metrics.completed + 1
+         | Job.Rejected _ -> t.metrics.Svc_metrics.rejected <- t.metrics.Svc_metrics.rejected + 1
+         | Job.Timed_out -> t.metrics.Svc_metrics.timed_out <- t.metrics.Svc_metrics.timed_out + 1
+         | Job.Failed detail ->
+           t.metrics.Svc_metrics.failed <- t.metrics.Svc_metrics.failed + 1;
+           if Obs.tracing t.obs then
+             Obs.emit t.obs (Event.Service_error { kind = "job_failed"; detail }));
+        Svc_metrics.observe_latency t.metrics ~op ~us:(int_of_float (latency_ms *. 1000.0));
+        Condition.broadcast t.settled;
+        resp)
   in
   (* The stream callback does client I/O. If the client is gone — the
      fleet router closed our socket while this worker still held its
      job — the write layer usually swallows the error, but nothing
      guarantees a callback never raises. An escaping exception here
-     would kill the worker domain *after* the job settled, leaving the
-     pool short with no crash accounting and no replacement (the
-     supervisor only watches Job.Crash). Contain it: the job already
-     reached its terminal counter exactly once above; a broken consumer
-     costs a service_error, never a worker. *)
-  match (resp, t.on_response) with
-  | Some r, Some f -> (
-    try f r with
+     would kill the worker domain *after* the job settled, and nothing
+     replaces a dead worker: the pool would shrink for good. Contain it:
+     the job already reached its terminal counter exactly once above; a
+     broken consumer costs a service_error, never a worker. *)
+  match t.on_response with
+  | Some f -> (
+    try f resp with
     | e ->
       with_lock t (fun () ->
           t.metrics.Svc_metrics.service_errors <-
@@ -486,16 +434,15 @@ let settle t (p : pending) ~attempts ~worker status =
             Obs.emit t.obs
               (Event.Service_error
                  { kind = "callback_error"; detail = Printexc.to_string e })))
-  | _ -> ()
+  | None -> ()
 
 (* The pool never oversubscribes the host: every runnable domain beyond
    the spare cores makes each stop-the-world minor GC pay a scheduler
    timeslice of latency, so extra domains are strictly slower (measured
    ~3x on a single-core host). [workers] is therefore a cap, not a
    demand; the effective count is reported next to the requested one in
-   {!metrics_json}. The watchdog domain is outside the cap — it sleeps
-   except for a few microseconds per tick. The spare cores are the
-   host's less the caller's own, at least one. *)
+   {!metrics_json}. The spare cores are the host's less the caller's
+   own, at least one. *)
 let resolved_workers t =
   let avail = max 1 (Domain.recommended_domain_count () - 1) in
   if t.cfg.workers > 0 then max 1 (min t.cfg.workers avail) else avail
@@ -508,196 +455,61 @@ let expired t (p : pending) =
   | None -> false
   | Some d -> (mono () -. p.submitted_mono) *. 1000.0 >= float_of_int d
 
+(* A job runs once. Every exception it raises — the [fault] hook's
+   included — settles it [Failed] with the exception's text, so a
+   worker never dies of a job and the pool keeps its size (crash
+   recovery is the fleet supervisor's, one level up, where the unit is
+   a process: DESIGN §13). *)
 let process t ~worker (p : pending) =
   if expired t p then settle t p ~attempts:0 ~worker Job.Timed_out
   else begin
-    let rec attempt n =
+    let status =
       match
-        (match t.cfg.fault with Some f -> f p.req ~attempt:n | None -> ());
-        Job.Done
-          (execute ~shard:t.cfg.shard ~workers:(resolved_workers t) ~disk:t.disk
-             ~store:t.store ~ks_cache_slots:t.cfg.ks_cache_slots ~engine:t.cfg.engine
-             p.req)
+        (match t.cfg.fault with Some f -> f p.req ~attempt:1 | None -> ());
+        execute ~shard:t.cfg.shard ~workers:(resolved_workers t) ~disk:t.disk ~store:t.store
+          ~ks_cache_slots:t.cfg.ks_cache_slots ~engine:t.cfg.engine p.req
       with
-      | status -> (status, n)
-      | exception (Job.Crash _ as e) -> raise e (* fatal: kills the worker domain *)
-      | exception Job.Transient m ->
-        if n >= t.cfg.max_attempts then
-          (Job.Failed (Printf.sprintf "transient (%d attempts): %s" n m), n)
-        else if expired t p then (Job.Timed_out, n)
-        else begin
-          with_lock t (fun () ->
-              t.metrics.Svc_metrics.retries <- t.metrics.Svc_metrics.retries + 1);
-          attempt (n + 1)
-        end
-      | exception Permanent m -> (Job.Failed m, n)
-      | exception e -> (Job.Failed (Printexc.to_string e), n)
+      | payload -> Job.Done payload
+      | exception Permanent m -> Job.Failed m
+      | exception e -> Job.Failed (Printexc.to_string e)
     in
-    let status, attempts = attempt 1 in
-    settle t p ~attempts ~worker status
+    settle t p ~attempts:1 ~worker status
   end
 
-(* Called under t.m. One worker death (crash or hang). Opens the
-   circuit breaker after [breaker_threshold] consecutive deaths with no
-   successful job in between; [breaker_cooldown_ms] later it half-opens
-   (admission resumes; the stale death count means the next death trips
-   it again immediately, the next success resets it). *)
-let record_death_locked t =
-  t.consecutive_deaths <- t.consecutive_deaths + 1;
-  if
-    t.cfg.breaker_threshold > 0
-    && t.consecutive_deaths >= t.cfg.breaker_threshold
-    && mono () >= t.breaker_until
-  then begin
-    t.breaker_until <-
-      mono () +. (float_of_int t.cfg.breaker_cooldown_ms /. 1000.0);
-    t.metrics.Svc_metrics.breaker_trips <- t.metrics.Svc_metrics.breaker_trips + 1;
-    if Obs.tracing t.obs then
-      Obs.emit t.obs
-        (Event.Service_error
-           {
-             kind = "breaker_open";
-             detail =
-               Printf.sprintf "%d consecutive worker deaths" t.consecutive_deaths;
-           })
-  end
-
-let breaker_open_locked t =
-  t.cfg.breaker_threshold > 0 && mono () < t.breaker_until
-
-(* Spawned under t.m so that a wstate is never visible without its
-   domain handle — shutdown's join loop relies on that. *)
-let rec spawn_locked t =
-  let w =
-    { wid = t.next_wid; dom = None; inflight = None; busy_since = 0.0;
-      abandoned = false; joined = false }
-  in
-  t.next_wid <- t.next_wid + 1;
-  t.wstates <- w :: t.wstates;
-  w.dom <- Some (Domain.spawn (fun () -> worker_loop t w))
-
-and worker_loop t (w : wstate) =
-  let abandoned = with_lock t (fun () -> w.abandoned) in
-  if not abandoned then
-    match Jobq.pop t.queue with
-    | None -> ()
-    | Some p ->
-      with_lock t (fun () ->
-          w.inflight <- Some p;
-          w.busy_since <- mono ());
-      (match process t ~worker:w.wid p with
-       | () ->
-         with_lock t (fun () -> w.inflight <- None);
-         worker_loop t w
-       | exception Job.Crash msg ->
-         (* The worker dies here: account the death, spawn a
-            replacement, and only then fail the in-flight job — the
-            settle is what releases a drainer, so every observer that
-            returns from [drain] sees the supervision state (crash
-            counters, breaker) already updated. The job is consumed
-            (never re-queued), so a crash loop is bounded by the number
-            of crashing jobs. *)
-         with_lock t (fun () ->
-             w.inflight <- None;
-             t.metrics.Svc_metrics.worker_crashes <-
-               t.metrics.Svc_metrics.worker_crashes + 1;
-             record_death_locked t;
-             if Obs.tracing t.obs then
-               Obs.emit t.obs
-                 (Event.Service_error
-                    {
-                      kind = "worker_crash";
-                      detail = Printf.sprintf "worker %d: %s" w.wid msg;
-                    });
-             t.metrics.Svc_metrics.worker_restarts <-
-               t.metrics.Svc_metrics.worker_restarts + 1;
-             spawn_locked t);
-         settle t p ~attempts:0 ~worker:w.wid
-           (Job.Failed ("worker crashed: " ^ msg)))
-
-(* Hang watchdog: OCaml domains cannot be killed, and Condition has no
-   timed wait, so supervision is a polling domain. A worker whose
-   in-flight job exceeds [hang_timeout_ms] is abandoned: its job is
-   failed on its behalf (the settle-once latch absorbs the case where
-   the zombie finishes later), a replacement is spawned, and the zombie
-   domain is left to run out — it exits at its next loop head and is
-   never joined. *)
-let watchdog_loop t timeout_ms =
-  let timeout = float_of_int timeout_ms /. 1000.0 in
-  let tick = Float.max 0.001 (Float.min 0.005 (timeout /. 4.0)) in
-  while not (Atomic.get t.watchdog_stop) do
-    Unix.sleepf tick;
-    let hung =
-      with_lock t (fun () ->
-          let now = mono () in
-          List.filter_map
-            (fun w ->
-              match w.inflight with
-              | Some p when (not w.abandoned) && now -. w.busy_since >= timeout ->
-                w.abandoned <- true;
-                w.inflight <- None;
-                t.metrics.Svc_metrics.worker_hangs <-
-                  t.metrics.Svc_metrics.worker_hangs + 1;
-                record_death_locked t;
-                if Obs.tracing t.obs then
-                  Obs.emit t.obs
-                    (Event.Service_error
-                       {
-                         kind = "worker_hang";
-                         detail =
-                           Printf.sprintf "worker %d exceeded %dms" w.wid
-                             timeout_ms;
-                       });
-                t.metrics.Svc_metrics.worker_restarts <-
-                  t.metrics.Svc_metrics.worker_restarts + 1;
-                spawn_locked t;
-                Some (w.wid, p)
-              | _ -> None)
-            t.wstates)
-    in
-    List.iter
-      (fun (wid, p) ->
-        settle t p ~attempts:0 ~worker:wid
-          (Job.Failed "worker hung: watchdog timeout"))
-      hung
-  done
+let rec worker_loop t wid =
+  match Jobq.pop t.queue with
+  | None -> ()
+  | Some p ->
+    process t ~worker:wid p;
+    worker_loop t wid
 
 let start t =
   with_lock t (fun () ->
       if not t.started then begin
         t.started <- true;
-        for _ = 1 to resolved_workers t do
-          spawn_locked t
-        done;
-        match t.cfg.hang_timeout_ms with
-        | Some ms when ms > 0 ->
-          t.watchdog <- Some (Domain.spawn (fun () -> watchdog_loop t ms))
-        | _ -> ()
+        t.domains <-
+          List.init (resolved_workers t) (fun wid ->
+              Domain.spawn (fun () -> worker_loop t wid))
       end)
 
 let submit t req =
-  let seq, shedding =
+  let seq =
     with_lock t (fun () ->
         t.metrics.Svc_metrics.submitted <- t.metrics.Svc_metrics.submitted + 1;
         let s = t.next_seq in
         t.next_seq <- s + 1;
-        (s, breaker_open_locked t))
+        s)
   in
-  let p = { req; seq; submitted_mono = mono (); settled = false } in
-  if shedding then
-    settle t p ~attempts:0 ~worker:(-1)
-      (Job.Rejected "circuit open: shedding load after repeated worker deaths")
-  else begin
-    let verdict =
-      match t.cfg.backpressure with
-      | Reject -> Jobq.try_push t.queue p
-      | Block -> (Jobq.push t.queue p :> [ `Ok | `Full | `Closed ])
-    in
-    match verdict with
-    | `Ok -> ()
-    | `Full -> settle t p ~attempts:0 ~worker:(-1) (Job.Rejected "queue full")
-    | `Closed -> settle t p ~attempts:0 ~worker:(-1) (Job.Rejected "engine shut down")
-  end
+  let p = { req; seq; submitted_mono = mono () } in
+  let verdict =
+    match t.cfg.backpressure with
+    | Reject -> Jobq.try_push t.queue p
+    | Block -> (Jobq.push t.queue p :> [ `Ok | `Full | `Closed ])
+  in
+  match verdict with
+  | `Ok -> ()
+  | `Full -> settle t p ~attempts:0 ~worker:(-1) (Job.Rejected "queue full")
+  | `Closed -> settle t p ~attempts:0 ~worker:(-1) (Job.Rejected "engine shut down")
 
 let drain t =
   with_lock t (fun () ->
@@ -706,42 +518,20 @@ let drain t =
       done);
   with_lock t (fun () -> List.sort (fun a b -> compare a.Job.seq b.Job.seq) t.log)
 
-(* Join workers until none is joinable: a crashing worker registers its
-   replacement under t.m before its domain exits, so re-scanning after
-   every join converges. Abandoned (hung) workers are skipped — their
-   domains may never terminate. *)
 let shutdown t =
   Jobq.close t.queue;
-  let rec join_all () =
-    let next =
-      with_lock t (fun () ->
-          List.find_opt (fun w -> not (w.joined || w.abandoned)) t.wstates)
-    in
-    match next with
-    | None -> ()
-    | Some w ->
-      (match w.dom with Some d -> Domain.join d | None -> ());
-      with_lock t (fun () -> w.joined <- true);
-      join_all ()
+  let domains =
+    with_lock t (fun () ->
+        let ds = t.domains in
+        t.domains <- [];
+        ds)
   in
-  join_all ();
-  match t.watchdog with
-  | Some d ->
-    Atomic.set t.watchdog_stop true;
-    Domain.join d;
-    t.watchdog <- None
-  | None -> ()
+  List.iter Domain.join domains
 
 let metrics t = t.metrics
 let store t = t.store
 let disk_store t = t.disk
 let queue_depth_max t = Jobq.depth_max t.queue
-
-let live_workers t =
-  with_lock t (fun () ->
-      List.length (List.filter (fun w -> not (w.joined || w.abandoned)) t.wstates))
-
-let breaker_open t = with_lock t (fun () -> breaker_open_locked t)
 
 let metrics_json t =
   let module J = Sofia_obs.Json in
@@ -763,8 +553,6 @@ let metrics_json t =
                 ("depth_max", J.Int (Jobq.depth_max t.queue)) ] );
           ("workers", J.Int (resolved_workers t));
           ("workers_requested", J.Int t.cfg.workers);
-          ("workers_live", J.Int (live_workers t));
-          ("breaker_open", J.Bool (breaker_open t));
         ]
       @ (match t.disk with Some d -> [ ("disk", Fs.counters_json d) ] | None -> []))
   | j -> j

@@ -1,60 +1,47 @@
 (** The concurrent protection/attestation engine: a bounded admission
-    queue in front of a supervised pool of OCaml-domain workers sharing
-    one content-addressed image store.
+    queue in front of a fixed pool of OCaml-domain workers sharing one
+    content-addressed image store.
 
     Job lifecycle (every submitted job traverses exactly one path):
 
     {v
-    submit ──▶ queue ──▶ worker ──▶ attempt 1..max_attempts ──▶ Done
-       │         │          │                     │
-       │         │          ├─ deadline expired ──┴──▶ Timed_out
-       │         │          └─ worker crash/hang ─────▶ Failed
-       │         ├─ (Reject policy, queue full) ──────▶ Rejected
-       │         └─ (circuit breaker open) ───────────▶ Rejected
-       └─ (engine shut down) ─────────────────────────▶ Rejected
+    submit ──▶ queue ──▶ worker ──▶ execute once ──▶ Done
+       │         │          │            │
+       │         │          │            └─ job raised ──▶ Failed
+       │         │          └─ deadline expired ─────────▶ Timed_out
+       │         └─ (Reject policy, queue full) ─────────▶ Rejected
+       └─ (engine shut down) ────────────────────────────▶ Rejected
     v}
 
     so after {!drain} the terminal counters sum to the submission
     count ({!Svc_metrics.terminal_sum}) — no job is ever silently
-    dropped, {e including} the victims of supervision: a settle-once
-    latch per job guarantees exactly one terminal response even when
-    the watchdog and a zombie worker race to settle it. Each response
-    is delivered once: streamed through the [on_response] callback as
-    it completes when the engine has one (wire mode), otherwise
-    collected for {!drain} in admission order (batch mode). A streaming
-    engine keeps no response log, so its memory does not grow with the
-    number of jobs it serves.
+    dropped. Each response is delivered once: streamed through the
+    [on_response] callback as it completes when the engine has one
+    (wire mode), otherwise collected for {!drain} in admission order
+    (batch mode). A streaming engine keeps no response log, so its
+    memory does not grow with the number of jobs it serves.
 
-    {b Clocks.} Deadlines, retry budgets, the watchdog and the breaker
-    cooldown all read the {e monotonic} clock ({!Sofia_util.Clock}): a
-    wall-clock step cannot expire or immortalize queued jobs. Wall time
-    appears only in the reported [ts] response field and is injectable
-    ([wall_clock]) so tests can skew it and assert timing is unaffected.
+    {b Clocks.} Deadlines read the {e monotonic} clock
+    ({!Sofia_util.Clock}): a wall-clock step cannot expire or
+    immortalize queued jobs. Wall time appears only in the reported
+    [ts] response field and is injectable ([wall_clock]) so tests can
+    skew it and assert timing is unaffected.
 
-    {b Supervision.} A worker that raises {!Job.Crash} dies: its
-    in-flight job settles [Failed ("worker crashed: ...")], a
-    replacement domain is spawned, and throughput recovers without a
-    process restart. With [hang_timeout_ms] set, a watchdog domain
-    additionally abandons any worker whose job exceeds the timeout
-    (OCaml domains cannot be killed, so the zombie is left to run out
-    and is never joined), fails the job on its behalf, and spawns a
-    replacement. [breaker_threshold] consecutive deaths with no
-    completed job in between open a circuit breaker: submissions are
-    shed ([Rejected]) until [breaker_cooldown_ms] has passed, after
-    which the breaker half-opens (the next death re-trips it, the next
-    success resets it).
+    {b Failures.} A job runs once. Anything it raises — a structured
+    executor error or any other exception, the [fault] hook's included —
+    settles it [Failed] with the error text, and the worker takes the
+    next job: no exception ever escapes a worker, so the pool never
+    shrinks and {!drain} cannot wedge. There is no in-process crash
+    restart, hang watchdog or circuit breaker: a domain cannot be
+    killed, so that supervision lives one level up, in the fleet
+    router, where the supervised unit is a whole [serve] process
+    ({!Sofia_fleet.Supervisor}; DESIGN.md §13, §15).
 
-    Deadlines are enforced at dispatch and between retry attempts: a
-    pure CPU-bound job cannot be preempted mid-run, so a job that
-    {e starts} before its deadline runs to completion (documented
-    serving semantics; DESIGN.md §9) — unless the watchdog reaps it.
-    A [deadline_ms] of [0] deterministically times out — the tests'
-    lever.
-
-    Retries: an attempt that raises {!Job.Transient} is retried (same
-    worker, immediately) until [max_attempts] is exhausted; any other
-    exception except {!Job.Crash} is a permanent, structured [Failed] —
-    only [Crash] ever escapes a worker. *)
+    Deadlines are enforced at dispatch: a pure CPU-bound job cannot be
+    preempted mid-run, so a job that {e starts} before its deadline
+    runs to completion (documented serving semantics; DESIGN.md §9). A
+    [deadline_ms] of [0] deterministically times out — the tests'
+    lever. *)
 
 type backpressure = Block | Reject
 
@@ -69,7 +56,6 @@ type config = {
   queue_capacity : int;
   backpressure : backpressure;
   store_slots : int;  (** content-addressed image store cap; 0 disables *)
-  max_attempts : int;  (** >= 1; retries = attempts - 1 *)
   ks_cache_slots : int option;  (** keystream cache for [Simulate]/[Run_image] jobs *)
   engine : Sofia_cpu.Run_config.engine;
       (** execution engine for simulation jobs (default [Fast]); job
@@ -81,22 +67,16 @@ type config = {
           traffic from one store, keyed so the backends never alias. *)
   default_deadline_ms : int option;  (** for requests that carry none *)
   fault : (Job.request -> attempt:int -> unit) option;
-      (** chaos hook, called before each execution attempt; raise
-          {!Job.Transient} to model a transient worker fault,
-          {!Job.Crash} to kill the worker domain itself *)
-  hang_timeout_ms : int option;
-      (** [Some ms]: a watchdog domain abandons any worker whose
-          in-flight job exceeds [ms], fails the job and spawns a
-          replacement; [None] (default) disables hang detection *)
-  breaker_threshold : int;
-      (** consecutive worker deaths (crash or hang) that open the
-          circuit breaker; 0 (default) disables it *)
-  breaker_cooldown_ms : int;  (** how long an open breaker sheds load *)
+      (** hook called on the worker right before a job executes, always
+          with [~attempt:1]. An exception it raises fails that job like
+          any executor error. [serve --test-exit] uses it to model a
+          poison job that kills the child process, and the benchmark's
+          layer pass uses it as a dispatch stamp. *)
   wall_clock : (unit -> float) option;
       (** reported-timestamp source ([ts] on responses); [None] =
           [Unix.gettimeofday]. Never used for deadlines — that is the
           point: tests inject a skewed clock here and assert that
-          deadline/retry behaviour is unchanged. *)
+          deadline behaviour is unchanged. *)
   store_dir : string option;
       (** persistent content-addressed artifact tier under the
           in-memory store ({!Sofia_store_fs.Store_fs}; DESIGN.md §12).
@@ -112,17 +92,17 @@ type config = {
           {!metrics_json}, so the router can tell its children apart. *)
   mangle : (Job.response -> Job.response) option;
       (** {b test-only} response-tamper hook, applied under the engine
-          lock before the response is recorded or streamed. The fleet
-          fault campaign uses it to model a compromised child that lies
-          about a digest; [None] (default) in any real deployment. *)
+          lock before the response is recorded or streamed.
+          [serve --test-flip-digest] sets it so that [fleet_tests] can
+          model a compromised child that lies about a digest; [None]
+          (default) in any real deployment. *)
 }
 
 val default_config : config
-(** 0 workers (auto), 64-deep queue, [Block], 256 store slots, 3
-    attempts, {!Sofia_cpu.Run_config.default}'s keystream cache setting
-    (off, as in every [serve] process), fast engine, SOFIA
-    backend, no default deadline, no fault injection, no watchdog,
-    breaker disabled, real wall clock, shard [-1], no response
+(** 0 workers (auto), 64-deep queue, [Block], 256 store slots,
+    {!Sofia_cpu.Run_config.default}'s keystream cache setting (off, as
+    in every [serve] process), fast engine, SOFIA backend, no default
+    deadline, no fault hook, real wall clock, shard [-1], no response
     tampering. *)
 
 type t
@@ -137,31 +117,26 @@ val create : ?obs:Sofia_obs.Obs.t -> ?on_response:(Job.response -> unit) -> conf
     [completion] index to recover the total completion order. Every
     callback has returned by the time {!shutdown} joins the workers.
     With [on_response] the engine keeps no log: {!drain} returns [].
-    [obs] receives [service_error] events for failed jobs, worker
-    crashes/hangs and breaker trips. *)
+    [obs] receives [service_error] events for failed jobs and raising
+    callbacks. *)
 
 val start : t -> unit
-(** Spawn the worker domains (and the watchdog, if configured).
-    Idempotent. *)
+(** Spawn the worker domains. Idempotent. *)
 
 val submit : t -> Job.request -> unit
 (** Admit one job. With [Reject] backpressure and a full queue — or an
-    engine already shut down, or an open circuit breaker — the job
-    terminates immediately as [Rejected] (the response is delivered
-    like any other). With [Block], blocks until a slot frees. *)
+    engine already shut down — the job terminates immediately as
+    [Rejected] (the response is delivered like any other). With
+    [Block], blocks until a slot frees. *)
 
 val drain : t -> Job.response list
 (** Wait until every submitted job has a terminal response; the
     responses so far in admission ([seq]) order, or [] on an engine
     created with [on_response] (those went to the callback). Requires
-    {!start} (or nothing pending).
-    Supervision keeps this live: crashed and hung workers' jobs are
-    settled by the supervisor, so drain cannot wedge on a dead domain. *)
+    {!start} (or nothing pending). *)
 
 val shutdown : t -> unit
-(** Graceful: close admission, let workers drain the queue, join them
-    (including any replacements spawned mid-shutdown; abandoned hung
-    domains are skipped — they cannot be joined), stop the watchdog.
+(** Graceful: close admission, let workers drain the queue, join them.
     Idempotent. Jobs still queued are executed, not dropped. *)
 
 val metrics : t -> Svc_metrics.t
@@ -169,7 +144,7 @@ val store : t -> Store.t
 
 val disk_store : t -> Sofia_store_fs.Store_fs.t option
 (** The persistent tier, when [store_dir] was configured — exposed for
-    its hit/miss/evict/corrupt counters (bench, campaign, CLI). *)
+    its hit/miss/evict/corrupt counters (bench, tests, CLI). *)
 
 val persist_image :
   Sofia_store_fs.Store_fs.t ->
@@ -187,17 +162,11 @@ val persist_image :
 
 val queue_depth_max : t -> int
 
-val live_workers : t -> int
-(** Workers currently considered alive (not joined, not abandoned). *)
-
-val breaker_open : t -> bool
-(** Whether the circuit breaker is currently shedding load. *)
-
 val metrics_json : t -> Sofia_obs.Json.t
 (** The full serving-metrics document: {!Svc_metrics.to_json} plus the
     store's hit/miss/eviction/entry counters, the queue-depth
-    gauge/high-water mark, worker-pool gauges and the breaker state —
-    the ["service_metrics"] object of the bench JSON schema. *)
+    gauge/high-water mark and the effective and requested worker
+    counts — the ["service_metrics"] object of the bench JSON schema. *)
 
 val run_batch : ?obs:Sofia_obs.Obs.t -> config -> Job.request list -> Job.response list * t
 (** Create, start, submit everything, drain, shut down; the engine is

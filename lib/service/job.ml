@@ -1,9 +1,6 @@
 module J = Sofia_obs.Json
 module Backend_id = Sofia_transform.Backend_id
 
-exception Transient of string
-exception Crash of string
-
 type spec =
   | Protect of { source : string }
   | Verify of { source : string }

@@ -29,19 +29,6 @@
     completion order), the terminal [status] ([done], [rejected],
     [timed_out], [failed]) and the per-op payload fields. *)
 
-exception Transient of string
-(** A worker-side failure worth retrying (the chaos hook in
-    {!Engine.config} raises it; a real deployment would map I/O errors
-    here). Anything else a job raises is permanent and becomes a
-    [Failed] response. *)
-
-exception Crash of string
-(** A fatal worker fault: unlike any other exception, it is {e not}
-    converted into a [Failed] attempt — it escapes the attempt loop and
-    kills the worker domain, modelling a crash (segfault, OOM-kill) the
-    engine's supervisor must recover from. The fault-injection hook
-    raises it; nothing else should. *)
-
 type spec =
   | Protect of { source : string }
   | Verify of { source : string }
@@ -116,7 +103,7 @@ type response = {
   op : string;
   seq : int;  (** admission order (0-based) *)
   completion : int;  (** completion order (0-based, over all terminal responses) *)
-  attempts : int;  (** execution attempts consumed (0 if never dispatched) *)
+  attempts : int;  (** 1 once a worker executed the job, 0 if it never ran *)
   worker : int;  (** worker index, [-1] if never dispatched *)
   latency_ms : float;  (** admission -> terminal response (monotonic clock) *)
   ts : float;  (** wall-clock completion timestamp ([ts_unix] on the wire) —

@@ -83,14 +83,6 @@ let fill_mac e compute =
         e.mac <- Some m;
         m)
 
-let entries t = with_lock t (fun () -> List.map snd (Sofia_util.Lru.to_list t.lru))
-
-(* An entry's [digest] was fingerprinted at build time; re-fingerprinting
-   the live bytes exposes any later in-memory corruption (the serving
-   layer's store-tamper fault class). *)
-let audit t =
-  List.filter (fun e -> not (String.equal (fingerprint e.bytes) e.digest)) (entries t)
-
 let length t = with_lock t (fun () -> Sofia_util.Lru.length t.lru)
 let hits t = with_lock t (fun () -> Sofia_util.Lru.hits t.lru)
 let misses t = with_lock t (fun () -> Sofia_util.Lru.misses t.lru)

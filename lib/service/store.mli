@@ -76,16 +76,6 @@ val fill_issues : entry -> (unit -> int) -> int
 
 val fill_mac : entry -> (unit -> string) -> string
 
-val entries : t -> entry list
-(** Snapshot of the cached entries, unspecified order. *)
-
-val audit : t -> entry list
-(** Integrity sweep: re-fingerprint every cached entry's serialised
-    bytes against the digest recorded at build time and return the
-    entries that no longer match — the detector for the store-tamper
-    fault class (a corrupted cache must be caught before the bytes are
-    served again). Empty list = clean store. *)
-
 val length : t -> int
 val hits : t -> int
 val misses : t -> int

@@ -7,12 +7,7 @@ type t = {
   mutable rejected : int;
   mutable timed_out : int;
   mutable failed : int;
-  mutable retries : int;
   mutable service_errors : int;
-  mutable worker_crashes : int;
-  mutable worker_hangs : int;
-  mutable worker_restarts : int;
-  mutable breaker_trips : int;
   protect_latency_us : M.histogram;
   verify_latency_us : M.histogram;
   simulate_latency_us : M.histogram;
@@ -27,12 +22,7 @@ let create () =
     rejected = 0;
     timed_out = 0;
     failed = 0;
-    retries = 0;
     service_errors = 0;
-    worker_crashes = 0;
-    worker_hangs = 0;
-    worker_restarts = 0;
-    breaker_trips = 0;
     protect_latency_us = M.hist_create ();
     verify_latency_us = M.hist_create ();
     simulate_latency_us = M.hist_create ();
@@ -60,12 +50,7 @@ let counters t =
     ("rejected", t.rejected);
     ("timed_out", t.timed_out);
     ("failed", t.failed);
-    ("retries", t.retries);
     ("service_errors", t.service_errors);
-    ("worker_crashes", t.worker_crashes);
-    ("worker_hangs", t.worker_hangs);
-    ("worker_restarts", t.worker_restarts);
-    ("breaker_trips", t.breaker_trips);
   ]
 
 let to_json t =

@@ -6,9 +6,9 @@
     [submitted = completed + rejected + timed_out + failed]
 
     always holds once the engine has drained ({!terminal_sum}).
-    [retries] counts {e extra} execution attempts beyond each job's
-    first, and [service_errors] counts wire-level garbage (malformed
-    JSON lines) that never became a job — both outside the invariant.
+    [service_errors] counts wire-level garbage (malformed JSON lines)
+    that never became a job and response callbacks that raised —
+    outside the invariant.
 
     Latency histograms reuse the log2-bucket histogram of
     {!Sofia_obs.Metrics} (admission → terminal response, in
@@ -22,12 +22,7 @@ type t = {
   mutable rejected : int;
   mutable timed_out : int;
   mutable failed : int;
-  mutable retries : int;
   mutable service_errors : int;
-  mutable worker_crashes : int;  (** worker domains killed by {!Job.Crash} *)
-  mutable worker_hangs : int;  (** workers abandoned by the hang watchdog *)
-  mutable worker_restarts : int;  (** replacement domains spawned by supervision *)
-  mutable breaker_trips : int;  (** closed->open transitions of the circuit breaker *)
   protect_latency_us : Sofia_obs.Metrics.histogram;
   verify_latency_us : Sofia_obs.Metrics.histogram;
   simulate_latency_us : Sofia_obs.Metrics.histogram;

@@ -412,7 +412,7 @@ let test_campaign_identical () =
   let module C = Sofia.Fault.Campaign in
   let report e =
     Sofia.Obs.Json.to_string
-      (C.to_json (C.run ~with_service:false ~engine:e ~trials:2 ~seed:0x5EED_0005L ()))
+      (C.to_json (C.run ~engine:e ~trials:2 ~seed:0x5EED_0005L ()))
   in
   let jf = report Run_config.Fast and jr = report Run_config.Ref in
   Alcotest.(check string) "campaign JSON byte-identical between engines" jr jf

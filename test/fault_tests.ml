@@ -30,7 +30,7 @@ let test_fetch_transient_out_of_model () =
 
 let test_full_detection_zero_latency () =
   let r =
-    C.run ~with_service:false ~workloads:(small_workloads ()) ~trials:5 ~seed:0xC0FFEEL ()
+    C.run ~workloads:(small_workloads ()) ~trials:5 ~seed:0xC0FFEEL ()
   in
   let d, t = C.in_model_trials r in
   check_bool "sampled at least one trial per class" true (t > 0);
@@ -52,11 +52,11 @@ let test_full_detection_zero_latency () =
           c.C.detected c.C.lat_measured
       end)
     r.C.cells;
-  check_bool "report passes without service checks" true (C.passed r)
+  check_bool "report passes" true (C.passed r)
 
 let test_seed_reproducible () =
   let run () =
-    C.run ~with_service:false ~workloads:(small_workloads ()) ~trials:4 ~seed:0xAB1DEL ()
+    C.run ~workloads:(small_workloads ()) ~trials:4 ~seed:0xAB1DEL ()
   in
   let j1 = Json.to_string (C.to_json (run ())) in
   let j2 = Json.to_string (C.to_json (run ())) in
@@ -64,7 +64,7 @@ let test_seed_reproducible () =
   let j3 =
     Json.to_string
       (C.to_json
-         (C.run ~with_service:false ~workloads:(small_workloads ()) ~trials:4
+         (C.run ~workloads:(small_workloads ()) ~trials:4
             ~seed:0xAB1DFL ()))
   in
   (* a different seed must actually change the sampled sites; the
@@ -73,7 +73,7 @@ let test_seed_reproducible () =
 
 let test_by_class_aggregates () =
   let r =
-    C.run ~with_service:false ~workloads:(small_workloads ()) ~trials:3 ~seed:0x5EEDL ()
+    C.run ~workloads:(small_workloads ()) ~trials:3 ~seed:0x5EEDL ()
   in
   List.iter
     (fun (agg : C.cell) ->
@@ -93,11 +93,11 @@ let test_by_class_aggregates () =
    rather than silently running single-fault trials. *)
 let test_multi_fault_report_shape () =
   let r =
-    C.run ~multi_fault:2 ~backends:Sofia.Transform.Backend_id.all ~with_service:false
+    C.run ~multi_fault:2 ~backends:Sofia.Transform.Backend_id.all
       ~workloads:(small_workloads ()) ~trials:2 ~seed:0xF417AL ()
   in
   let j = C.to_json r in
-  check_bool "schema" true (Json.member "schema" j = Some (Json.Str "sofia-fault-campaign/3"));
+  check_bool "schema" true (Json.member "schema" j = Some (Json.Str "sofia-fault-campaign/4"));
   check_bool "faults_per_trial" true (Json.member "faults_per_trial" j = Some (Json.Int 2));
   let rollup =
     match Json.member "by_backend" j with

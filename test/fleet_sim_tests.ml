@@ -10,11 +10,13 @@
    After every event: no id is answered twice or to another client, no
    more jobs settle than were admitted, no client receives a payload
    other than the honest one (a schedule with a liar audits every
-   distinct key, and its faults cannot take an honest shard down), and
+   distinct key, and its kills spare one designated honest shard), and
    no shard takes more crash-restarts within one budget window than the
    budget. At quiescence every id has been answered exactly once and
    the counters conserve. The test prints how many schedules reached
-   each supervision transition and fails if one was never reached.
+   each supervision transition and fails if one was never reached. Two
+   pinned schedules replay audit faults: one the property found, and
+   one it rarely reaches, built by hand.
 
    A failure prints the qcheck seed; QCHECK_SEED=<seed> replays it. *)
 
@@ -72,7 +74,8 @@ let transitions =
   [ "watchdog hang kill"; "crash-restart after backoff"; "breaker quarantine";
     "restart-budget quarantine";
     "probation rejoin"; "probation death"; "integrity quarantine by a 2-1 vote";
-    "fail-closed conflict"; "abandoned audit"; "redispatch-limit failure";
+    "fail-closed conflict"; "re-audit on a third shard"; "abandoned audit";
+    "redispatch-limit failure";
     "coalesced release"; "replay-tier miss on a tampered entry" ]
 
 let coverage = Hashtbl.create 16
@@ -351,6 +354,7 @@ let run_schedule sch =
   if stats.S.hangs > 0 then reach sim "watchdog hang kill";
   if stats.S.coalesced > 0 then reach sim "coalesced release";
   Trace.iteri trace (fun _ -> function
+    | Event.Service_error { kind = "fleet_reaudit"; _ } -> reach sim "re-audit on a third shard"
     | Event.Service_error { kind = "fleet_audit_abandoned"; _ } -> reach sim "abandoned audit"
     | Event.Service_error { kind = "fleet_probation_death"; _ } -> reach sim "probation death"
     | _ -> ());
@@ -362,7 +366,8 @@ let run_schedule sch =
 
 (* ---- schedules ------------------------------------------------------ *)
 
-(* A schedule with a liar keeps every honest shard up: no kills, hangs,
+(* A schedule with a liar keeps one designated honest shard up: kills
+   strike only the others (the liar included), and there are no hangs,
    failed restarts or poison, and clock steps too short for the
    watchdog. Otherwise a lone surviving liar would rightly serve
    unaudited, and the payload check would flag the schedule, not the
@@ -374,6 +379,11 @@ let gen_schedule =
   let* window = int_range 1 4 in
   let* liar = frequency [ (3, return None); (1, map Option.some (int_bound (shards - 1))) ] in
   let calm = liar <> None in
+  let* honest =
+    match liar with
+    | Some l -> map (fun i -> (l + 1 + i) mod shards) (int_bound (shards - 2))
+    | None -> return (-1)
+  in
   let* poison = if calm then return false else bool in
   let* audit_every = if calm then return 1 else int_range 0 2 in
   let* disk = list_repeat jobs (int_bound 2) in
@@ -382,6 +392,10 @@ let gen_schedule =
      is what stops it *)
   let* stormy = if calm then return false else bool in
   let shard = int_bound (shards - 1) in
+  let killable =
+    if calm then map (fun i -> if i >= honest then i + 1 else i) (int_bound (shards - 2))
+    else shard
+  in
   let client = int_bound (clients - 1) in
   let ev =
     frequency
@@ -389,13 +403,13 @@ let gen_schedule =
          (2, map (fun c -> Garbage c) client);
          (30, map2 (fun k i -> Respond (k, i)) shard (int_bound 7));
          ( (if stormy then 30 else 10),
-           map (fun ms -> Advance ms) (int_range 1 (if calm then 30 else 300)) ) ]
+           map (fun ms -> Advance ms) (int_range 1 (if calm then 30 else 300)) );
+         (2, map (fun k -> Kill k) killable);
+         (6, map (fun k -> Eof k) killable) ]
       @
       if calm then []
       else
-        [ (2, map (fun k -> Kill k) shard);
-          (6, map (fun k -> Eof k) shard);
-          ((if stormy then 8 else 0), return (Flap 0));
+        [ ((if stormy then 8 else 0), return (Flap 0));
           (2, map (fun k -> Hang k) shard);
           (2, map (fun k -> Fail_restart k) shard);
           ((if stormy then 0 else 3), map (fun s -> Advance (1000 * s)) (int_range 1 12));
@@ -444,4 +458,46 @@ let test_schedules =
           if not (Hashtbl.mem coverage name) then Alcotest.failf "never reached: %s" name)
         transitions )
 
-let suite = [ test_schedules ]
+(* The shrunk schedule behind the abandoned-audit fault: the liar
+   answers a primary whose audit sits on shard 0, and shard 0 dies. An
+   abandoned audit served the liar's answer unverified; a re-audit on a
+   third shard outvotes it. *)
+let reaudit_schedule () =
+  let shards = 4 and liar = 1 in
+  let j =
+    List.find
+      (fun j -> Shard.route ~shards (request ~poison:false ~id:"" j) = liar)
+      (List.init jobs Fun.id)
+  in
+  { shards; clients = 1; window = 4; audit_every = 1; liar = Some liar; poison = false;
+    disk = List.init jobs (fun _ -> 0); events = [ Send (0, j); Kill 0; Eof 0 ] }
+
+(* A primary re-shed onto its own audit's shard: two jobs homed on
+   shard 0 (window 1, so the second waits in the queue) are audited on
+   the liar, shard 0 dies three times and is quarantined, and the
+   parked job moves to the liar. The liar's two answers agree with each
+   other; the audit must go to a third shard instead of vouching. *)
+let reshed_schedule () =
+  let shards = 3 and liar = 1 in
+  let a, k =
+    match
+      List.filter
+        (fun j -> Shard.route ~shards (request ~poison:false ~id:"" j) = 0)
+        (List.init jobs Fun.id)
+    with
+    | a :: k :: _ -> (a, k)
+    | _ -> failwith "fewer than two jobs route to shard 0"
+  in
+  let death = [ Kill 0; Eof 0; Advance 100 ] in
+  { shards; clients = 1; window = 1; audit_every = 1; liar = Some liar; poison = false;
+    disk = List.init jobs (fun _ -> 0);
+    events = [ Send (0, a); Send (0, k) ] @ death @ death @ death }
+
+let regression name sch =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1 ~name ~print:show (QCheck2.Gen.return sch) run_schedule)
+
+let suite =
+  [ test_schedules;
+    regression "re-audit when the audit's shard dies" (reaudit_schedule ());
+    regression "re-audit when the primary joins its audit" (reshed_schedule ()) ]

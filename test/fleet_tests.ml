@@ -1,8 +1,11 @@
 (* Fleet-mode battery: the deterministic shard map as a property, the
    router's exactly-once delivery under child kill/breaker/drain, the
-   replay cache's byte-identity guarantee, and the child-engine fix the
-   fleet motivated (a raising response callback must never cost a
-   worker or a settle).
+   replay cache's byte-identity guarantee (across restarts and tampered
+   entries), the fleet-scope faults — per-shard clock skew, a lying
+   child, a poisoned shard store, a client flood, a slow-loris reader,
+   a squatter on a shard socket — and the child-engine fix the fleet
+   motivated (a raising response callback must never cost a worker or
+   a settle).
 
    Everything multi-process here drives the *real* router
    (Sofia.Fleet.Router.run) over real [sofia_cli serve --socket --once]
@@ -36,7 +39,7 @@ let mixed_request i =
 
 (* pin [want] jobs onto (or off) a shard by scanning the nonce space —
    the route is a pure function of the request content, so this is
-   exact (campaign.ml uses the same trick for its fault scenarios) *)
+   exact *)
 let pinned_jobs ~children ~pred ~prefix source want =
   let rec go acc n nonce =
     if n = want || nonce > 254 then List.rev acc
@@ -51,45 +54,88 @@ let pinned_jobs ~children ~pred ~prefix source want =
 
 let lines_of jobs = List.map (fun r -> Json.to_string (Job.request_to_json r)) jobs
 
-(* Feed [lines] to an in-process router over temp files (the same
-   mechanism the fault campaign uses) and return (responses, stats,
-   fleet metrics document). *)
-let fleet_run ?(tweak = fun (c : FR.config) -> c) lines =
-  let in_path = Filename.temp_file "sofia_fleet_in" ".ndjson" in
-  let out_path = Filename.temp_file "sofia_fleet_out" ".ndjson" in
+let write_lines path lines =
+  let oc = open_out path in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  close_out oc
+
+let read_responses path =
+  let responses = ref [] in
+  let ic = open_in path in
+  (try
+     while true do
+       let line = input_line ic in
+       match Json.parse_opt line with
+       | Some j -> responses := j :: !responses
+       | None -> Alcotest.failf "router emitted a non-JSON line: %s" line
+     done
+   with End_of_file -> ());
+  close_in ic;
+  List.rev !responses
+
+(* Run an in-process router on [clients], one list of request lines
+   each, every client reading from its own temp file and answered into
+   another (no pipe can fill, whatever the job count). [serve] is the
+   router entry point for the opened fd pairs. Returns (responses per
+   client, stats, fleet metrics document). *)
+let fleet_serve ~tweak ~serve clients =
+  let files =
+    List.map
+      (fun lines ->
+        let i = Filename.temp_file "sofia_fleet_in" ".ndjson" in
+        let o = Filename.temp_file "sofia_fleet_out" ".ndjson" in
+        write_lines i lines;
+        (i, o))
+      clients
+  in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ in_path; out_path ])
-    (fun () ->
-      let oc = open_out in_path in
       List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        lines;
-      close_out oc;
-      let cin = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
-      let cout = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-      let cfg = tweak { FR.default_config with FR.cli = Some cli } in
+        (fun (i, o) ->
+          List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ i; o ])
+        files)
+    (fun () ->
+      let fds =
+        List.map
+          (fun (i, o) ->
+            ( Unix.openfile i [ Unix.O_RDONLY ] 0,
+              Unix.openfile o [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 ))
+          files
+      in
       let stats, doc =
         Fun.protect
           ~finally:(fun () ->
-            (try Unix.close cin with Unix.Unix_error _ -> ());
-            try Unix.close cout with Unix.Unix_error _ -> ())
-          (fun () -> FR.run cfg ~client_in:cin ~client_out:cout)
+            List.iter
+              (fun (i, o) ->
+                (try Unix.close i with Unix.Unix_error _ -> ());
+                try Unix.close o with Unix.Unix_error _ -> ())
+              fds)
+          (fun () -> serve (tweak { FR.default_config with FR.cli = Some cli }) fds)
       in
-      let responses = ref [] in
-      let ic = open_in out_path in
-      (try
-         while true do
-           let line = input_line ic in
-           match Json.parse_opt line with
-           | Some j -> responses := j :: !responses
-           | None -> Alcotest.failf "router emitted a non-JSON line: %s" line
-         done
-       with End_of_file -> ());
-      close_in ic;
-      (List.rev !responses, stats, doc))
+      (List.map (fun (_, o) -> read_responses o) files, stats, doc))
+
+(* One client through [Router.run] (the [fleet --stdin] path). *)
+let fleet_run ?(tweak = fun (c : FR.config) -> c) lines =
+  let serve cfg = function
+    | [ (cin, cout) ] -> FR.run cfg ~client_in:cin ~client_out:cout
+    | _ -> invalid_arg "fleet_run"
+  in
+  match fleet_serve ~tweak ~serve [ lines ] with
+  | [ rs ], stats, doc -> (rs, stats, doc)
+  | _ -> assert false
+
+(* Several concurrent clients through [Router.run_clients]. *)
+let fleet_run_clients ?(tweak = fun (c : FR.config) -> c) clients =
+  fleet_serve ~tweak ~serve:(fun cfg fds -> FR.run_clients cfg ~clients:fds) clients
+
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n > 0 && go 0
 
 let r_str k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
 let r_status j = Option.value ~default:"?" (r_str "status" j)
@@ -363,7 +409,8 @@ let test_malformed_at_router () =
   else begin
     let good = List.init 4 mixed_request in
     let lines =
-      [ "this is not json"; "{\"op\":\"protect\"}" ]
+      [ "this is not json"; "{\"op\":\"protect\"}"; "{\"id\":\"trunc\",\"op\":\"prot";
+        "{\"id\":\"badop\",\"op\":\"detonate\",\"source\":\"halt\"}" ]
       @ lines_of good
       @ [ "{\"id\":\"bad-nonce\",\"op\":\"protect\",\"source\":\"halt\",\"nonce\":9999}" ]
     in
@@ -372,7 +419,9 @@ let test_malformed_at_router () =
        line, and the children never see the garbage *)
     Alcotest.(check int) "one response per input line" (List.length lines)
       (List.length rs);
-    Alcotest.(check int) "malformed counted" 3 st.FR.malformed;
+    Alcotest.(check int) "every line received" (List.length lines) st.FR.received;
+    Alcotest.(check int) "malformed counted" 5 st.FR.malformed;
+    Alcotest.(check int) "only the good lines became jobs" (List.length good) st.FR.submitted;
     Alcotest.(check int) "no child deaths" 0 st.FR.deaths;
     List.iter
       (fun j ->
@@ -544,7 +593,50 @@ let test_socket_dir_janitor () =
         let exists n = Sys.file_exists (Filename.concat dir n) in
         Alcotest.(check bool) "tmp debris swept" false (exists "half-write.tmp");
         Alcotest.(check bool) "stale metrics swept" false (exists "metrics-7.json");
-        Alcotest.(check bool) "unrelated plain file left alone" true (exists "keep.txt"))
+        Alcotest.(check bool) "unrelated plain file left alone" true (exists "keep.txt");
+        (* a live listener squatting on a shard socket: the router would
+           connect to it and hand it that shard's traffic, so startup
+           must fail, naming the socket, before any child is spawned *)
+        let squat = Filename.concat dir "shard-1.sock" in
+        let squatter = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close squatter;
+            if Sys.file_exists squat then Sys.remove squat)
+          (fun () ->
+            Unix.bind squatter (Unix.ADDR_UNIX squat);
+            Unix.listen squatter 8;
+            let spawned = ref 0 in
+            let on_event = function FR.Child_up _ -> incr spawned | _ -> () in
+            (match
+               fleet_run
+                 ~tweak:(fun c ->
+                   { c with FR.children = 2; socket_dir = Some dir; on_event = Some on_event })
+                 (lines_of jobs)
+             with
+             | _ -> Alcotest.fail "a fleet started beside a live shard-1.sock listener"
+             | exception Failure m ->
+               Alcotest.(check bool) "the error names the socket" true
+                 (contains ~needle:"shard-1.sock" m));
+            Alcotest.(check int) "no child spawned" 0 !spawned;
+            (* the CLI reports it as one error line and exits 1 *)
+            let err = Filename.concat dir "fleet.err" in
+            let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+            let efd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+            let pid =
+              Unix.create_process cli
+                [| cli; "fleet"; "--stdin"; "--children"; "2"; "--socket-dir"; dir |]
+                null null efd
+            in
+            Unix.close null;
+            Unix.close efd;
+            let _, status = Unix.waitpid [] pid in
+            let text = In_channel.with_open_bin err In_channel.input_all in
+            Sys.remove err;
+            Alcotest.(check bool) "fleet exits 1" true (status = Unix.WEXITED 1);
+            Alcotest.(check bool) "stderr names the socket" true
+              (contains ~needle:"shard-1.sock" text);
+            Alcotest.(check bool) "no backtrace" false (contains ~needle:"exception" text)))
   end
 
 let rec rm_rf p =
@@ -598,7 +690,273 @@ let test_replay_survives_restart () =
         Alcotest.(check bool) "payloads byte-identical across the restart" true
           (fp r1 = fp r2);
         Alcotest.(check bool) "conserved (cold)" true (FR.conserved st1);
-        Alcotest.(check bool) "conserved (warm)" true (FR.conserved st2))
+        Alcotest.(check bool) "conserved (warm)" true (FR.conserved st2);
+        (* one sealed entry tampered before a third router: the
+           zero-trust reload counts it corrupt and routes that job to a
+           child again; the spliced bytes are never served *)
+        let victim =
+          match List.sort compare (Array.to_list (Sys.readdir dir)) with
+          | n :: _ -> Filename.concat dir n
+          | [] -> Alcotest.fail "the replay dir is empty"
+        in
+        let b = Bytes.of_string (In_channel.with_open_bin victim In_channel.input_all) in
+        let i = Bytes.length b / 2 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+        Out_channel.with_open_bin victim (fun oc -> Out_channel.output_bytes oc b);
+        let r3, st3, doc3 = fleet_run ~tweak (lines_of jobs) in
+        check_ids_once ids r3;
+        List.iter (fun j -> Alcotest.(check string) "status" "done" (r_status j)) r3;
+        Alcotest.(check int) "the intact entries replayed from disk" 5 st3.FR.disk_replays;
+        Alcotest.(check int) "only the tampered key reached a child" 1 (routed st3);
+        Alcotest.(check bool) "one corrupt entry counted" true
+          (Option.bind (Json.member "replay_store" doc3) (Json.member "corrupt")
+          = Some (Json.Int 1));
+        Alcotest.(check bool) "payloads byte-identical after the tamper" true (fp r1 = fp r3);
+        Alcotest.(check bool) "conserved (tampered)" true (FR.conserved st3))
+  end
+
+(* ---- fleet-scope faults: skew, a liar, a poisoned store, crowds ---- *)
+
+let all_done rs = List.iter (fun j -> Alcotest.(check string) "status" "done" (r_status j)) rs
+let ids_of jobs = List.map (fun (j : Job.request) -> j.Job.id) jobs
+
+let test_clock_skew () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    (* one child's wall clock runs 12 h ahead: deadlines are monotonic,
+       so none of the generous ones may fire, and each response's
+       timestamp shows which clock its shard read *)
+    let children = 3 and skewed = 1 in
+    let jobs =
+      pinned_jobs ~children ~pred:(fun k -> k = skewed) ~prefix:"sk" sources.(0) 6
+      @ pinned_jobs ~children ~pred:(fun k -> k <> skewed) ~prefix:"sn" sources.(0) 6
+    in
+    let extra k = if k = skewed then [ "--test-wall-skew"; "43200" ] else [] in
+    let rs, st, _ =
+      fleet_run
+        ~tweak:(fun c ->
+          { c with
+            FR.children; audit_every = 0; default_deadline_ms = Some 60_000;
+            child_extra_args = Some extra })
+        (lines_of jobs)
+    in
+    check_ids_once (ids_of jobs) rs;
+    all_done rs;
+    Alcotest.(check int) "nothing timed out" 0 st.FR.timed_out;
+    let horizon = Unix.gettimeofday () +. 21_600.0 in
+    List.iter
+      (fun j ->
+        let ts =
+          match Json.member "ts_unix" j with
+          | Some (Json.Float f) -> f
+          | Some (Json.Int n) -> float_of_int n
+          | _ -> Alcotest.fail "response lacks ts_unix"
+        in
+        Alcotest.(check bool)
+          (Option.get (r_str "id" j) ^ " stamped by its shard's clock")
+          (Json.member "worker" j = Some (Json.Int skewed))
+          (ts > horizon))
+      rs;
+    Alcotest.(check bool) "conserved" true (FR.conserved st)
+  end
+
+let test_digest_quarantine () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    (* a child lies about every digest: with every distinct key
+       audited, the vote convicts it and clients only ever see the
+       digests the single-process pipeline computes *)
+    let children = 3 and liar = 2 in
+    let jobs =
+      pinned_jobs ~children ~pred:(fun k -> k = liar) ~prefix:"dl" sources.(2) 6
+      @ pinned_jobs ~children ~pred:(fun k -> k <> liar) ~prefix:"dh" sources.(2) 6
+    in
+    let oracle = Hashtbl.create 16 in
+    List.iter
+      (fun (req : Job.request) ->
+        match Engine.execute_oneshot req with
+        | Job.Done (Job.Protected { digest; _ }) -> Hashtbl.replace oracle req.Job.id digest
+        | _ -> Alcotest.failf "%s: the one-shot oracle failed" req.Job.id)
+      jobs;
+    let extra k = if k = liar then [ "--test-flip-digest" ] else [] in
+    let rs, st, _ =
+      fleet_run
+        ~tweak:(fun c -> { c with FR.children; audit_every = 1; child_extra_args = Some extra })
+        (lines_of jobs)
+    in
+    check_ids_once (ids_of jobs) rs;
+    all_done rs;
+    List.iter
+      (fun j ->
+        let id = Option.get (r_str "id" j) in
+        Alcotest.(check (option string)) (id ^ " digest is honest") (Hashtbl.find_opt oracle id)
+          (r_str "digest" j))
+      rs;
+    Alcotest.(check bool) "the lie was caught" true (st.FR.digest_conflicts >= 1);
+    Alcotest.(check bool) "the liar was quarantined for integrity" true
+      (st.FR.quar_integrity >= 1);
+    Alcotest.(check bool) "conserved" true (FR.conserved st)
+  end
+
+let digests rs =
+  List.sort compare
+    (List.filter_map
+       (fun j ->
+         match (r_str "id" j, r_str "digest" j) with
+         | Some id, Some d -> Some (id, d)
+         | _ -> None)
+       rs)
+
+let flip_middle path =
+  let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let i = Bytes.length b / 2 in
+  if Bytes.length b > 0 then begin
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+  end
+
+let test_store_poison () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    (* one shard's persistent store is tampered between two fleets: the
+       second fleet's poisoned child counts corrupt misses, rebuilds,
+       and serves the first fleet's digests *)
+    let dir = Filename.temp_file "sofia_fleet_store" "" in
+    Sys.remove dir;
+    Unix.mkdir dir 0o700;
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+      (fun () ->
+        let children = 3 and poisoned = 1 in
+        let jobs =
+          pinned_jobs ~children ~pred:(fun k -> k = poisoned) ~prefix:"sp" sources.(3) 4
+          @ pinned_jobs ~children ~pred:(fun k -> k <> poisoned) ~prefix:"sq" sources.(3) 4
+        in
+        let tweak c = { c with FR.children; audit_every = 0; store_dir = Some dir } in
+        let r1, st1, _ = fleet_run ~tweak (lines_of jobs) in
+        let shard_dir = Filename.concat dir (Printf.sprintf "shard-%d" poisoned) in
+        let files =
+          List.filter
+            (fun p -> not (Sys.is_directory p))
+            (List.map (Filename.concat shard_dir) (Array.to_list (Sys.readdir shard_dir)))
+        in
+        Alcotest.(check bool) "the poisoned shard stored entries" true (files <> []);
+        List.iter flip_middle files;
+        let r2, st2, doc2 = fleet_run ~tweak (lines_of jobs) in
+        check_ids_once (ids_of jobs) r1;
+        check_ids_once (ids_of jobs) r2;
+        all_done (r1 @ r2);
+        Alcotest.(check bool) "digests stable across the tamper" true
+          (digests r1 <> [] && digests r1 = digests r2);
+        let corrupt =
+          match Json.member "children_metrics" doc2 with
+          | Some (Json.List kids) ->
+            List.find_map
+              (fun kid ->
+                if Json.member "shard" kid = Some (Json.Int poisoned) then
+                  match
+                    Option.bind (Json.member "metrics" kid) (fun m ->
+                        Option.bind (Json.member "disk" m) (Json.member "corrupt"))
+                  with
+                  | Some (Json.Int n) -> Some n
+                  | _ -> None
+                else None)
+              kids
+          | _ -> None
+        in
+        Alcotest.(check bool) "the poisoned child counted corrupt misses" true
+          (match corrupt with Some n -> n > 0 | None -> false);
+        Alcotest.(check bool) "conserved (clean)" true (FR.conserved st1);
+        Alcotest.(check bool) "conserved (poisoned)" true (FR.conserved st2))
+  end
+
+let test_client_flood () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    (* four clients send the same 25 jobs at once: each client is
+       answered exactly once per id, all read the same payload bytes,
+       and cross-client replay and coalescing keep every distinct job
+       on one child *)
+    let jobs =
+      List.init 25 (fun i ->
+          Job.make ~id:(Printf.sprintf "fl-%d" i) ~nonce:(i + 1)
+            (Job.Protect { source = sources.(1) }))
+    in
+    let rss, st, _ =
+      fleet_run_clients
+        ~tweak:(fun c -> { c with FR.audit_every = 0 })
+        (List.init 4 (fun _ -> lines_of jobs))
+    in
+    Alcotest.(check int) "received" 100 st.FR.received;
+    List.iter
+      (fun rs ->
+        check_ids_once (ids_of jobs) rs;
+        all_done rs)
+      rss;
+    let fp rs =
+      List.sort compare
+        (List.map (fun j -> (Option.get (r_str "id" j), payload_fingerprint j)) rs)
+    in
+    (match List.map fp rss with
+     | m0 :: rest ->
+       List.iter
+         (fun m -> Alcotest.(check bool) "every client read the same payloads" true (m = m0))
+         rest
+     | [] -> Alcotest.fail "no client answered");
+    let routed = Array.fold_left (fun a ss -> a + ss.FR.ss_routed) 0 st.FR.shards in
+    Alcotest.(check int) "each distinct job reached one child" 25 routed;
+    (* every other request was served from the cache tier: replayed
+       outright, or parked behind the in-flight primary and released
+       as a replay *)
+    Alcotest.(check int) "the rest were replays" 75 st.FR.replays;
+    Alcotest.(check bool) "conserved" true (FR.conserved st)
+  end
+
+let test_slow_loris () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    (* a client floods duplicates and never reads a byte back: once its
+       responses have backed up past the linger the router drops it,
+       while a healthy client on the same fleet is answered in full and
+       the dropped client's jobs still settle *)
+    let dup =
+      Json.to_string
+        (Job.request_to_json (Job.make ~id:"loris" ~nonce:33 (Job.Protect { source = sources.(0) })))
+    in
+    let good =
+      List.init 8 (fun i ->
+          Job.make ~id:(Printf.sprintf "lg-%d" i) ~nonce:(i + 1)
+            (Job.Protect { source = sources.(0) }))
+    in
+    let slow_in = Filename.temp_file "sofia_loris" ".ndjson" in
+    let good_in = Filename.temp_file "sofia_loris_g" ".ndjson" in
+    let good_out = Filename.temp_file "sofia_loris_g" ".out" in
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ slow_in; good_in; good_out ])
+      (fun () ->
+        (* 1,200 answers cannot fit a ~64 KiB pipe nobody drains *)
+        write_lines slow_in (List.init 1_200 (fun _ -> dup));
+        write_lines good_in (lines_of good);
+        let sfd = Unix.openfile slow_in [ Unix.O_RDONLY ] 0 in
+        let pr, pw = Unix.pipe ~cloexec:true () in
+        let gin = Unix.openfile good_in [ Unix.O_RDONLY ] 0 in
+        let gout = Unix.openfile good_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let cfg =
+          { FR.default_config with FR.cli = Some cli; audit_every = 0; client_linger_ms = 200 }
+        in
+        let st, _ =
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter
+                (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+                [ sfd; pr; pw; gin; gout ])
+            (fun () -> FR.run_clients cfg ~clients:[ (sfd, pw); (gin, gout) ])
+        in
+        let rs = read_responses good_out in
+        check_ids_once (ids_of good) rs;
+        all_done rs;
+        Alcotest.(check int) "the slow client was dropped" 1 st.FR.slow_client_drops;
+        Alcotest.(check bool) "conserved" true (FR.conserved st))
   end
 
 (* ---- graceful drain of the whole fleet process ---- *)
@@ -916,4 +1274,10 @@ let suite =
     Alcotest.test_case "raising response callback loses nothing" `Quick
       test_raising_callback_never_loses_a_settle;
     Alcotest.test_case "replay tables stay bounded" `Slow test_replay_tables_bounded;
+    Alcotest.test_case "per-shard clock skew: nothing times out" `Slow test_clock_skew;
+    Alcotest.test_case "digest liar quarantined by the audit vote" `Slow
+      test_digest_quarantine;
+    Alcotest.test_case "poisoned shard store: same digests" `Slow test_store_poison;
+    Alcotest.test_case "four-client flood: once each, deduplicated" `Slow test_client_flood;
+    Alcotest.test_case "slow-loris client dropped, healthy one served" `Slow test_slow_loris;
   ]

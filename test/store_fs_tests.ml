@@ -5,7 +5,9 @@
    decode to a typed miss: never an exception, never runnable bytes.
    Plus: the MAC-verdict-across-serialisation gate, crash debris
    recovery, GC eviction order, and a warm engine restart that serves
-   byte-identical responses out of the disk tier. *)
+   byte-identical responses out of the disk tier — and, after any of
+   five tampers of that tier, counts a corrupt miss and serves the same
+   bytes again. *)
 
 module Keys = Sofia.Crypto.Keys
 module Cbc_mac = Sofia.Crypto.Cbc_mac
@@ -506,15 +508,47 @@ let test_engine_warm_restart () =
       let d2 = Option.get (Engine.disk_store e2) in
       check_bool "warm run hits disk" true (Fs.hits d2 > 0);
       check_int "warm run never corrupt" 0 (Fs.corrupt d2);
-      check_int "same cardinality" (List.length r1) (List.length r2);
-      List.iter2
-        (fun (a : Job.response) (b : Job.response) ->
-          Alcotest.(check string) "id" a.Job.id b.Job.id;
-          check_bool
-            (Printf.sprintf "%s payload identical" a.Job.id)
-            true
-            (strip_cached a.Job.status = strip_cached b.Job.status))
-        r1 r2)
+      let same_payloads what rs =
+        check_int (what ^ ": same cardinality") (List.length r1) (List.length rs);
+        List.iter2
+          (fun (a : Job.response) (b : Job.response) ->
+            Alcotest.(check string) "id" a.Job.id b.Job.id;
+            check_bool
+              (Printf.sprintf "%s: %s payload identical" what a.Job.id)
+              true
+              (strip_cached a.Job.status = strip_cached b.Job.status))
+          r1 rs
+      in
+      same_payloads "warm" r2;
+      (* tampered restarts: each pass damages one file of the warm
+         store, and the next engine must count a corrupt miss, rebuild,
+         and still serve the cold run's payloads — never the damaged
+         bytes *)
+      let artifact = find_entry dir ".k1.sfc" and table = find_entry dir ".k2.sfc" in
+      let pristine_a = read_file artifact and pristine_t = read_file table in
+      let flip path at =
+        let b = read_file path in
+        let i = at (Bytes.length b) in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+        write_file path b
+      in
+      List.iter
+        (fun (what, tamper) ->
+          write_file artifact pristine_a;
+          write_file table pristine_t;
+          tamper ();
+          let rs, e = Engine.run_batch cfg (job_mix ()) in
+          check_bool (what ^ ": counted a corrupt miss") true
+            (Fs.corrupt (Option.get (Engine.disk_store e)) > 0);
+          same_payloads what rs)
+        [
+          ("header flip", fun () -> flip artifact (fun _ -> 0x24));
+          ("body flip", fun () -> flip artifact (fun n -> n / 2));
+          ("tail flip", fun () -> flip artifact (fun n -> n - 1));
+          ( "torn artifact",
+            fun () -> write_file artifact (Bytes.sub pristine_a 0 (Bytes.length pristine_a / 2)) );
+          ("table flip", fun () -> flip table (fun n -> n / 2));
+        ])
 
 let suite =
   [
