@@ -96,6 +96,16 @@ let store_budget_arg =
          ~doc:"On-disk store size budget; least-recently-used entries are evicted past it \
                (0 = unlimited).")
 
+(* A store or replay dir the process cannot use is one error line naming
+   it before any work starts: not an uncaught Unix_error, and not a
+   fleet child that dies on every job it is sent. *)
+let usable_dir dir =
+  match Sofia.Store_fs.Store_fs.mkdir_p dir with
+  | () when (try Sys.is_directory dir with Sys_error _ -> false) -> ()
+  | () -> or_die (Error (dir ^ ": " ^ Unix.error_message Unix.ENOTDIR))
+  | exception Unix.Unix_error (e, _, _) ->
+    or_die (Error (Printf.sprintf "%s: %s" dir (Unix.error_message e)))
+
 let write_bytes_to path bytes =
   let oc = open_out_bin path in
   Fun.protect
@@ -105,6 +115,7 @@ let write_bytes_to path bytes =
 let protect_cmd =
   let run path key_seed nonce backend verbose output store_dir store_budget =
     let source = try read_file path with Sys_error m -> or_die (Error m) in
+    Option.iter usable_dir store_dir;
     let keys = Sofia.Crypto.Keys.generate ~seed:(Int64.of_int key_seed) in
     let disk =
       Option.map
@@ -513,6 +524,7 @@ let service_config workers queue backpressure store deadline ks_cache engine bac
     or_die (Error (Printf.sprintf "--ks-cache must be >= 0 (got %d)" ks_cache));
   if store_budget < 0 then
     or_die (Error (Printf.sprintf "--store-budget must be >= 0 (got %d)" store_budget));
+  Option.iter usable_dir store_dir;
   { Engine.default_config with
     Engine.workers;
     queue_capacity = queue;
@@ -671,6 +683,24 @@ let serve_cmd =
 
 (* ---- fleet: N serve children behind the sharding router ---- *)
 
+(* A shard child is untrusted: it holds its own stdin and stdout and the
+   shared stderr, and no other fd. Every fd the router opens is
+   close-on-exec; this marks the ones it inherited from its own parent
+   too, where /proc lists them (an fd number is the int behind
+   [Unix.file_descr] there). *)
+let cloexec_inherited_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun name ->
+        match int_of_string_opt name with
+        | Some fd when fd > 2 -> (
+          try Unix.set_close_on_exec (Obj.magic fd : Unix.file_descr)
+          with Unix.Unix_error _ -> ())
+        | _ -> ())
+      names
+
 let fleet_cmd =
   let module R = Sofia.Fleet.Router in
   let parse_tcp spec =
@@ -693,11 +723,14 @@ let fleet_cmd =
             | exception Not_found -> Error (host ^ ": cannot resolve"))))
   in
   let run use_stdin socket tcp accepts children workers queue window replay_dir deadline
-      engine backend store_dir store_budget socket_dir metrics json_out =
+      engine backend store_dir store_budget metrics json_out =
     if children < 1 then or_die (Error (Printf.sprintf "--children must be >= 1 (got %d)" children));
     if queue < 1 then or_die (Error (Printf.sprintf "--queue must be >= 1 (got %d)" queue));
     if window < 1 then or_die (Error (Printf.sprintf "--window must be >= 1 (got %d)" window));
     if accepts = 0 then or_die (Error "--accepts must be nonzero (negative = unlimited)");
+    Option.iter usable_dir store_dir;
+    Option.iter usable_dir replay_dir;
+    cloexec_inherited_fds ();
     let cfg =
       { R.default_config with
         R.children;
@@ -710,8 +743,7 @@ let fleet_cmd =
         backend;
         store_dir;
         store_budget;
-        socket_dir;
-        cli = Some Sys.executable_name;
+        cli = Sys.executable_name;
         on_event =
           (* shard lifecycle on stderr: the fleet smoke and bench
              harnesses parse these for readiness and for pids to kill *)
@@ -726,12 +758,9 @@ let fleet_cmd =
       }
     in
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    (* a start-up refusal (no sofia_cli binary, a squatted shard
-       socket, a child that never binds) is an error line, not a
-       backtrace *)
-    let refused f =
-      try f () with Failure m | Sofia.Fleet.Child.Child_failed m -> or_die (Error m)
-    in
+    (* a child that exits or stays silent before answering its ready
+       ping is an error line, not a backtrace *)
+    let refused f = try f () with Sofia.Fleet.Child.Child_failed m -> or_die (Error m) in
     let serve_listener srv ~name ~finally =
       Format.eprintf "fleet: listening on %s@." name;
       Fun.protect ~finally
@@ -745,7 +774,7 @@ let fleet_cmd =
         (* multi-client accept loop on an AF_UNIX listener; --accepts
            (default 1) bounds how many connections are served *)
         (try Wire.prepare_socket_path path with Wire.Bind_error m -> or_die (Error m));
-        let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let srv = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Unix.bind srv (Unix.ADDR_UNIX path);
         Unix.listen srv 8;
         serve_listener srv ~name:path
@@ -754,7 +783,7 @@ let fleet_cmd =
             try Sys.remove path with Sys_error _ -> ())
       | false, None, Some spec ->
         let addr, port = or_die (parse_tcp spec) in
-        let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        let srv = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.setsockopt srv Unix.SO_REUSEADDR true;
         (try Unix.bind srv (Unix.ADDR_INET (addr, port))
          with Unix.Unix_error (e, _, _) ->
@@ -815,7 +844,7 @@ let fleet_cmd =
   in
   let children =
     Arg.(value & opt int 3 & info [ "children" ] ~docv:"N"
-           ~doc:"Shard children (each a real $(b,serve --socket --once) process).")
+           ~doc:"Shard children (each a real $(b,serve --stdin) process on two pipes).")
   in
   let workers =
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N"
@@ -832,11 +861,6 @@ let fleet_cmd =
                  $(docv), so a restarted router keeps its warm state; reloads re-verify \
                  the envelope MAC and the payload content hash before replaying.")
   in
-  let socket_dir =
-    Arg.(value & opt (some string) None & info [ "socket-dir" ] ~docv:"DIR"
-           ~doc:"Directory for the child sockets (default: a fresh temp dir, removed \
-                 on exit).")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Serve jobs through N serve child processes sharded by image content hash, \
@@ -845,7 +869,7 @@ let fleet_cmd =
              optionally persistent replay cache at the router")
     Term.(const run $ use_stdin $ socket $ tcp $ accepts $ children $ workers $ queue_arg
           $ window $ replay_dir $ deadline_arg $ engine_arg $ backend_arg $ store_dir_arg $ store_budget_arg
-          $ socket_dir $ metrics_arg $ json_out_arg)
+          $ metrics_arg $ json_out_arg)
 
 let batch_cmd =
   let run file clients dump workers queue backpressure store deadline ks_cache engine backend
@@ -968,9 +992,9 @@ let campaign_cmd =
                          (String.concat ", " (Sofia.Workloads.Registry.names ())))))
              names)
     in
-    let backends = match backends with [] -> None | l -> Some l in
+    let backends = if backends = [] then Sofia.Transform.Backend_id.all else backends in
     let report =
-      C.run ~classes ?backends ?workloads ~engine ~trials ~seed ~multi_fault ()
+      C.run ~classes ~backends ?workloads ~engine ~trials ~seed ~multi_fault ()
     in
     Format.printf "%a" C.pp report;
     (match json_out with

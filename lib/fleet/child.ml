@@ -1,164 +1,140 @@
-(* One fleet child: a real `sofia_cli serve --socket PATH --once`
-   process plus the router's single persistent connection to it. The
-   router treats the child as untrusted-but-supervised: everything here
-   is mechanics (spawn, connect, buffered line I/O, kill, reap); the
-   policy — windows, redispatch, breaker, quarantine — lives in
-   Router. *)
+(* One fleet child: a real `sofia_cli serve --stdin` process on two
+   close-on-exec pipes. Its stdin and stdout are one private, ordered
+   stream each way, and its stdout reaches EOF when it dies, which is
+   all the router needs of a transport. The router treats the child as
+   untrusted-but-supervised: everything here is mechanics (spawn, the
+   ready ping, buffered nonblocking line I/O, kill, reap); the policy —
+   windows, redispatch, breaker, quarantine — lives in Supervisor. *)
+
+module Lines = Sofia_util.Lines
+module Clock = Sofia_util.Clock
 
 type proc = {
   shard : int;
-  socket_path : string;
   mutable pid : int;  (* -1 when not running *)
-  mutable fd : Unix.file_descr option;
-  lines : Sofia_util.Lines.t;  (* partial-line accumulation between selects *)
+  mutable rfd : Unix.file_descr option;  (* our end of its stdout *)
+  mutable wfd : Unix.file_descr option;  (* our end of its stdin, nonblocking *)
+  out : Buffer.t;  (* request bytes its stdin has not taken yet *)
+  lines : Lines.t;  (* partial-line accumulation between selects *)
 }
-
-(* Resolve the sofia_cli binary for spawning children. Callers that ARE
-   sofia_cli (the `fleet` command) hit the first case; test
-   and bench executables live in the same _build tree, so the relative
-   candidates cover them. SOFIA_CLI overrides everything. *)
-let find_cli () =
-  let exe = Sys.executable_name in
-  let dir = Filename.dirname exe in
-  let candidates =
-    (match Sys.getenv_opt "SOFIA_CLI" with Some p -> [ p ] | None -> [])
-    @ (if Filename.basename exe = "sofia_cli.exe" then [ exe ] else [])
-    @ [
-        Filename.concat dir "sofia_cli.exe";
-        Filename.concat dir "../bin/sofia_cli.exe";
-        Filename.concat dir "../../bin/sofia_cli.exe";
-        "_build/default/bin/sofia_cli.exe";
-        "../bin/sofia_cli.exe";
-      ]
-  in
-  List.find_opt
-    (fun p -> Sys.file_exists p && not (Sys.is_directory p))
-    candidates
-
-let devnull_in () = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0
-let devnull_out () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0
-
-(* stdin/stdout are /dev/null (the child serves over its socket; its
-   stdout is unused), stderr is inherited so child serve stats and
-   crashes stay visible behind the router's own stderr. *)
-let spawn ~cli ~args =
-  let argv = Array.of_list (cli :: args) in
-  let ni = devnull_in () and no = devnull_out () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close ni with Unix.Unix_error _ -> ());
-      try Unix.close no with Unix.Unix_error _ -> ())
-    (fun () -> Unix.create_process cli argv ni no Unix.stderr)
 
 exception Child_failed of string
 
-let alive pid =
-  pid > 0
-  &&
-  match Unix.waitpid [ Unix.WNOHANG ] pid with
-  | 0, _ -> true
-  | _ -> false
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false
+let ready_timeout_s = 10.0
 
-(* Connect to the child's socket, polling until it binds. A child that
-   exits before binding (bad flag, Bind_error) fails fast instead of
-   burning the whole timeout. *)
-let connect_with_timeout ~socket_path ~pid ~timeout_s =
-  let deadline = Sofia_util.Clock.mono_s () +. timeout_s in
-  let rec loop () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
-    | () -> fd
-    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      if not (alive pid) then
-        raise
-          (Child_failed
-             (Printf.sprintf "shard child (pid %d) exited before binding %s" pid
-                socket_path));
-      if Sofia_util.Clock.mono_s () > deadline then
-        raise
-          (Child_failed
-             (Printf.sprintf "shard child (pid %d) never bound %s within %.1fs" pid
-                socket_path timeout_s));
-      Unix.sleepf 0.005;
-      loop ()
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-  in
-  loop ()
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* how long a freshly spawned child may take to bind its socket *)
-let connect_timeout_s = 10.0
+let close_input p =
+  Option.iter close_quietly p.wfd;
+  p.wfd <- None;
+  Buffer.clear p.out
 
-let start ~cli ~args ~shard ~socket_path =
-  let pid = spawn ~cli ~args in
-  let fd = connect_with_timeout ~socket_path ~pid ~timeout_s:connect_timeout_s in
-  { shard; socket_path; pid; fd = Some fd; lines = Sofia_util.Lines.create () }
+let close_fds p =
+  close_input p;
+  Option.iter close_quietly p.rfd;
+  p.rfd <- None;
+  Lines.clear p.lines
 
-let restart p ~cli ~args =
-  Sofia_util.Lines.clear p.lines;
-  let pid = spawn ~cli ~args in
-  let fd = connect_with_timeout ~socket_path:p.socket_path ~pid ~timeout_s:connect_timeout_s in
-  p.pid <- pid;
-  p.fd <- Some fd
+let flush p =
+  match p.wfd with
+  | Some fd when Buffer.length p.out > 0 && not (Lines.flush p.out fd) ->
+    close_quietly fd;
+    p.wfd <- None
+  | _ -> ()
 
-(* Full blocking write of one NDJSON line; [false] means the connection
-   is dead (EPIPE/reset — the caller escalates to death handling). The
-   router runs with SIGPIPE ignored. *)
 let send_line p line =
-  match p.fd with
-  | None -> false
-  | Some fd -> (
-    let data = Bytes.of_string (line ^ "\n") in
-    let len = Bytes.length data in
-    let rec push off =
-      if off >= len then true
-      else
-        match Unix.write fd data off (len - off) with
-        | n -> push (off + n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off
-    in
-    try push 0
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) -> false)
+  Buffer.add_string p.out line;
+  Buffer.add_char p.out '\n';
+  flush p;
+  p.wfd <> None
+
+(* Both pipes are close-on-exec, so a child holds only its own stdin
+   and stdout (dup'd onto 0 and 1) and the inherited stderr — never a
+   sibling's pipe, whose EOF would then never come. stderr stays
+   shared so child stats and crashes show behind the router's own. The
+   ready ping is queued at once; [await_ready] reads its answer. *)
+let spawn p ~cli ~args =
+  let child_in, wfd = Unix.pipe ~cloexec:true () in
+  let rfd, child_out = Unix.pipe ~cloexec:true () in
+  match Unix.create_process cli (Array.of_list (cli :: args)) child_in child_out Unix.stderr with
+  | pid ->
+    close_quietly child_in;
+    close_quietly child_out;
+    Unix.set_nonblock wfd;
+    p.pid <- pid;
+    p.rfd <- Some rfd;
+    p.wfd <- Some wfd;
+    ignore (send_line p "{\"id\":\"ready\",\"op\":\"ping\"}")
+  | exception Unix.Unix_error (e, _, _) ->
+    List.iter close_quietly [ child_in; wfd; rfd; child_out ];
+    raise
+      (Child_failed
+         (Printf.sprintf "shard child %d: cannot spawn %s: %s" p.shard cli
+            (Unix.error_message e)))
+
+let start ~cli ~args ~shard =
+  let p =
+    { shard; pid = -1; rfd = None; wfd = None; out = Buffer.create 4096; lines = Lines.create () }
+  in
+  spawn p ~cli ~args;
+  p
 
 (* After select reported readability: read what is there into the
    caller's [chunk] and return the complete non-blank lines; the partial
-   tail waits for the next read. [`Eof] covers both an orderly close and
-   a died child (its socket end closes with it). *)
+   tail waits for the next read. [`Eof] is the child's exit. *)
 let drain_input p chunk =
-  match p.fd with
+  match p.rfd with
   | None -> `Eof
   | Some fd -> (
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> `Eof
-    | n ->
-      `Lines
-        (List.filter (fun l -> String.trim l <> "") (Sofia_util.Lines.feed p.lines chunk n))
+    | n -> `Lines (List.filter (fun l -> String.trim l <> "") (Lines.feed p.lines chunk n))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-      `Eof)
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> `Eof)
 
-let close_fd p =
-  match p.fd with
-  | Some fd ->
-    p.fd <- None;
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ()
-
-let signal p s = if p.pid > 0 then try Unix.kill p.pid s with Unix.Unix_error _ -> ()
+(* Every fresh child's first line answers its ready ping, which a fresh
+   pipe took whole at spawn. All of [ps] start up concurrently; the wait
+   ends at the first one that exits or at the shared deadline. *)
+let await_ready ps =
+  let deadline = Clock.mono_s () +. ready_timeout_s in
+  let chunk = Bytes.create 4096 in
+  let failed p what =
+    raise (Child_failed (Printf.sprintf "shard child %d (pid %d) %s" p.shard p.pid what))
+  in
+  let rec wait = function
+    | [] -> ()
+    | pending ->
+      let left = deadline -. Clock.mono_s () in
+      if left <= 0.0 then
+        failed (List.hd pending)
+          (Printf.sprintf "did not answer within %.0fs" ready_timeout_s);
+      let rfds = List.filter_map (fun p -> p.rfd) pending in
+      let readable, _, _ =
+        try Unix.select rfds [] [] left with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      in
+      wait
+        (List.filter
+           (fun p ->
+             match p.rfd with
+             | Some fd when List.memq fd readable -> (
+               match drain_input p chunk with
+               | `Eof -> failed p "exited before answering"
+               | `Lines [] -> true
+               | `Lines _ -> false)
+             | _ -> true)
+           pending)
+  in
+  wait ps
 
 (* Wait for exit up to [timeout_s]; true iff reaped. *)
 let reap p ~timeout_s =
   if p.pid <= 0 then true
   else begin
-    let deadline = Sofia_util.Clock.mono_s () +. timeout_s in
+    let deadline = Clock.mono_s () +. timeout_s in
     let rec loop () =
       match Unix.waitpid [ Unix.WNOHANG ] p.pid with
       | 0, _ ->
-        if Sofia_util.Clock.mono_s () > deadline then false
+        if Clock.mono_s () > deadline then false
         else begin
           Unix.sleepf 0.005;
           loop ()
@@ -174,16 +150,18 @@ let reap p ~timeout_s =
   end
 
 (* Hard stop: SIGKILL and reap. Used for hung children (a whole process
-   CAN be killed — the one supervision move the in-process watchdog of
-   PR 4 never had for domains) and as the escalation when a graceful
-   close is not honoured. *)
+   CAN be killed, which an in-process watchdog never could do to a
+   domain; SIGKILL ends a stopped process too) and as the escalation
+   when a graceful close is not honoured. *)
 let kill p =
-  close_fd p;
-  signal p Sys.sigkill;
+  close_fds p;
+  (if p.pid > 0 then try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (reap p ~timeout_s:5.0)
 
-(* Graceful stop: close our end; a `--once` child sees EOF, drains and
-   exits on its own. Escalate to SIGKILL if it does not. *)
-let stop_gently p ~timeout_s =
-  close_fd p;
-  if not (reap p ~timeout_s) then kill p
+let restart p ~cli ~args =
+  kill p;
+  spawn p ~cli ~args;
+  try await_ready [ p ]
+  with e ->
+    kill p;
+    raise e

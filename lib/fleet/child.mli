@@ -1,62 +1,73 @@
-(** Fleet child mechanics: spawning a real [sofia_cli serve --socket
-    PATH --once] process and talking to it over one persistent
-    Unix-socket connection with buffered NDJSON line I/O.
+(** Fleet child mechanics: spawning a real [sofia_cli serve --stdin]
+    process on two close-on-exec pipes — its stdin carries the
+    router's NDJSON requests, its stdout the responses, and EOF on its
+    stdout means it exited — and counting it up once it answers one
+    ping on them.
 
-    Policy (windows, redispatch, breaker, quarantine) lives in
-    {!Router}; this module only knows how to start, feed, read, reap
-    and kill one child. *)
+    Nothing here blocks on a child that is up: requests wait in a
+    per-child output buffer that the router's select loop drains
+    ({!flush}), and reads happen only after [select] said there is
+    something to read. Policy (windows, redispatch, breaker,
+    quarantine) lives in {!Supervisor}; this module only knows how to
+    start, feed, read, reap and kill one child. *)
 
 type proc = {
   shard : int;
-  socket_path : string;
   mutable pid : int;  (** [-1] when not running *)
-  mutable fd : Unix.file_descr option;
+  mutable rfd : Unix.file_descr option;  (** our end of the child's stdout *)
+  mutable wfd : Unix.file_descr option;  (** our end of its stdin, nonblocking *)
+  out : Buffer.t;  (** request bytes its stdin has not taken yet *)
   lines : Sofia_util.Lines.t;  (** the partial line between reads *)
 }
 
 exception Child_failed of string
-(** A child exited before binding its socket, or never bound it within
-    the connect timeout. *)
+(** A child exited before answering its ready ping, never answered it
+    within {!ready_timeout_s}, or could not be spawned; the message
+    names its shard. *)
 
-val find_cli : unit -> string option
-(** Locate the [sofia_cli] binary: [$SOFIA_CLI], the running executable
-    itself (when it {e is} sofia_cli), or the usual spots in the same
-    [_build] tree. *)
+val ready_timeout_s : float
+(** How long a fresh child may take to answer its ready ping: 10 s. *)
 
-val spawn : cli:string -> args:string list -> int
-(** Fork+exec; stdin/stdout on [/dev/null], stderr inherited. Returns
-    the pid. *)
+val start : cli:string -> args:string list -> shard:int -> proc
+(** Spawn [cli args] on the two pipes (stderr inherited) and queue its
+    ready ping. The child is not up until {!await_ready} says so.
+    @raise Child_failed when the process cannot be spawned. *)
 
-val start :
-  cli:string ->
-  args:string list ->
-  shard:int ->
-  socket_path:string ->
-  proc
-(** {!spawn} then poll-connect to [socket_path] until the child binds
-    (10 s at most).
-    @raise Child_failed on exit-before-bind or timeout. *)
+val await_ready : proc list -> unit
+(** Wait until every child in the list has answered its ready ping,
+    all of them concurrently, for {!ready_timeout_s} at most.
+    @raise Child_failed naming the first shard that exited first or
+    stayed silent; the caller kills the children. *)
 
 val restart : proc -> cli:string -> args:string list -> unit
-(** Fresh process on the same socket path (the serve side handles the
-    stale socket file); resets the line buffer. *)
+(** Kill what is left of the old process, then {!start} a fresh one on
+    new pipes and {!await_ready} it.
+    @raise Child_failed as those do; the failed child is killed. *)
 
 val send_line : proc -> string -> bool
-(** Blocking full write of one line; [false] = connection dead. *)
+(** Queue one line and write what the child's stdin takes now; the rest
+    waits for {!flush}. [false] = the child's stdin is gone. *)
+
+val flush : proc -> unit
+(** Push queued request bytes after [select] reported the child's stdin
+    writable. A child whose stdin is gone loses its write end; its
+    stdout reaching EOF reports the death. *)
 
 val drain_input : proc -> Bytes.t -> [ `Lines of string list | `Eof ]
 (** Read what select said is there into the given scratch buffer
     (reused across calls; not retained); complete non-blank lines only
     (a partial line waits in [lines] for the next readable event). *)
 
-val alive : int -> bool
-val signal : proc -> int -> unit
-val close_fd : proc -> unit
+val close_input : proc -> unit
+(** Close our end of the child's stdin: it reads EOF, drains and
+    exits. Its stdout stays open until it has, so its last answers
+    never meet a closed pipe. *)
+
+val close_fds : proc -> unit
+(** Close our ends of both pipes. *)
 
 val reap : proc -> timeout_s:float -> bool
+(** Wait for the child to exit, [timeout_s] at most; [true] iff it did. *)
+
 val kill : proc -> unit
 (** SIGKILL + reap — the supervision move OCaml domains never allowed. *)
-
-val stop_gently : proc -> timeout_s:float -> unit
-(** Close our end (a [--once] child drains and exits at EOF), escalate
-    to {!kill} if it does not exit in time. *)

@@ -1,11 +1,12 @@
-(* The fleet router's Unix driver: N `sofia_cli serve --socket --once`
-   children behind one single-threaded select loop. Every supervision
-   decision belongs to Supervisor; this module runs its effects on real
-   processes and fds — the children (Child), any number of concurrent
-   clients (pipes, AF_UNIX or TCP accepts) with per-client read/write
-   buffers so one stalled reader never blocks the fleet, the slow-client
-   linger, signals, the socket dir, the persistent replay tier and the
-   children's metrics files. *)
+(* The fleet router's Unix driver: N `sofia_cli serve --stdin` children,
+   each on its own two pipes, behind one single-threaded select loop.
+   Every supervision decision belongs to Supervisor; this module runs
+   its effects on real processes and fds — the children (Child), any
+   number of concurrent clients (pipes, AF_UNIX or TCP accepts), each
+   child and client with its own read and write buffers so that no
+   stalled reader, child or client, ever blocks the fleet — and the
+   slow-client linger, signals, the persistent replay tier and the
+   children's metrics files in a private temp dir. *)
 
 module Job = Sofia_service.Job
 module J = Sofia_obs.Json
@@ -22,8 +23,7 @@ type config = {
   children : int;
   workers : int;
   queue : int;
-  cli : string option;
-  socket_dir : string option;
+  cli : string;
   store_dir : string option;
   store_budget : int;
   engine : Sofia_cpu.Run_config.engine;
@@ -42,8 +42,7 @@ let default_config =
     children = 3;
     workers = 1;
     queue = 64;
-    cli = None;
-    socket_dir = None;
+    cli = "sofia_cli";
     store_dir = None;
     store_budget = 0;
     engine = Sofia_cpu.Run_config.Fast;
@@ -80,8 +79,7 @@ type client = {
 
 type t = {
   cfg : config;
-  dir : string;
-  dir_created : bool;
+  dir : string;  (* the children's metrics files; ours to remove *)
   procs : Child.proc array;
   core : client S.t;
   stats : stats;
@@ -99,31 +97,13 @@ type t = {
    Blocking fds (the legacy pipe front) drain fully — our NDJSON can
    tear only if the client never reads it; nonblocking fds (accepted
    sockets, test pipes) keep the remainder buffered for the
-   select loop's write set. A vanished client flips [cl_gone]; jobs
-   keep settling internally so the terminal counters still conserve. *)
+   select loop's write set, as each child's requests are (Child.flush).
+   A vanished client flips [cl_gone]; jobs keep settling internally so
+   the terminal counters still conserve. *)
 let flush_client cl =
-  if (not cl.cl_gone) && Buffer.length cl.cl_wbuf > 0 then begin
-    let s = Buffer.contents cl.cl_wbuf in
-    let len = String.length s in
-    let data = Bytes.unsafe_of_string s in
-    let rec push off =
-      if off >= len then begin
-        Buffer.clear cl.cl_wbuf;
-        cl.cl_drain_deadline <- 0.0
-      end
-      else
-        match Unix.write cl.cl_out data off (len - off) with
-        | n -> push (off + n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Buffer.clear cl.cl_wbuf;
-          Buffer.add_substring cl.cl_wbuf s off (len - off)
-    in
-    try push 0
-    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-      Buffer.clear cl.cl_wbuf;
-      cl.cl_gone <- true
-  end
+  if (not cl.cl_gone) && Buffer.length cl.cl_wbuf > 0 then
+    if not (Lines.flush cl.cl_wbuf cl.cl_out) then cl.cl_gone <- true
+    else if Buffer.length cl.cl_wbuf = 0 then cl.cl_drain_deadline <- 0.0
 
 (* Every non-blank client line is answered exactly once, through here. *)
 let deliver cl line =
@@ -186,10 +166,9 @@ let replay_store rstore (req : Job.request) key c =
 (* ---- child spawn / args ------------------------------------------- *)
 
 let child_args cfg dir k =
-  let sock = Filename.concat dir (Printf.sprintf "shard-%d.sock" k) in
   let base =
     [
-      "serve"; "--socket"; sock; "--once"; "--shard"; string_of_int k;
+      "serve"; "--stdin"; "--shard"; string_of_int k;
       "--workers"; string_of_int cfg.workers;
       "--queue"; string_of_int cfg.queue;
       "--json"; Filename.concat dir (Printf.sprintf "metrics-%d.json" k);
@@ -217,7 +196,7 @@ let child_args cfg dir k =
     | None -> []
   in
   let extra = match cfg.child_extra_args with Some f -> f k | None -> [] in
-  (sock, base @ engine @ backend @ store @ deadline @ extra)
+  base @ engine @ backend @ store @ deadline @ extra
 
 (* ---- metrics ------------------------------------------------------ *)
 
@@ -260,87 +239,40 @@ let metrics_json t =
       | Some rs -> [ ("replay_store", Fs.counters_json rs) ]
       | None -> [])
 
-(* ---- the socket dir ----------------------------------------------- *)
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sofia-fleet-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  Fs.mkdir_p ~perm:0o700 d;
-  d
-
-(* Startup janitor for a caller-provided socket dir, mirroring the
-   store_fs tmp janitor: a fleet killed with SIGKILL leaves dead
-   shard-*.sock files and metrics debris behind, and a fresh fleet
-   should not fail (or inherit stale metrics) because of them. A socket
-   goes through the probe a binding server uses
-   (Wire.prepare_socket_path): it is removed only once a connect proves
-   nobody is listening. A live listener on a shard socket fails startup
-   before any child is spawned — the router connects to whatever
-   listens on that path, so a squatter would be handed the shard's
-   traffic — and so does a plain file squatting on the name, which is
-   never deleted. *)
-let janitor_socket_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-    Array.iter
-      (fun name ->
-        let path = Filename.concat dir name in
-        if
-          Filename.check_suffix name ".tmp"
-          || (String.starts_with ~prefix:"metrics-" name && Filename.check_suffix name ".json")
-        then (try Sys.remove path with Sys_error _ -> ())
-        else if String.starts_with ~prefix:"shard-" name && Filename.check_suffix name ".sock"
-        then
-          try Sofia_service.Wire.prepare_socket_path path with
-          | Sofia_service.Wire.Bind_error m -> failwith ("fleet: " ^ m)
-          | Unix.Unix_error _ -> ())
-      entries
-
-let cleanup_dir t =
-  Array.iter (fun p -> try Sys.remove p.Child.socket_path with Sys_error _ -> ()) t.procs;
-  List.iter
-    (fun k ->
-      try Sys.remove (Filename.concat t.dir (Printf.sprintf "metrics-%d.json" k))
-      with Sys_error _ -> ())
-    (List.init t.cfg.children Fun.id);
-  if t.dir_created then try Unix.rmdir t.dir with Unix.Unix_error _ -> ()
-
 (* ---- setup -------------------------------------------------------- *)
+
+(* The children's metrics files live in a fresh private dir, so no
+   caller's dir is ever written, swept or removed. *)
+let cleanup_dir dir ~children =
+  for k = 0 to children - 1 do
+    try Sys.remove (Filename.concat dir (Printf.sprintf "metrics-%d.json" k))
+    with Sys_error _ -> ()
+  done;
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+(* Spawn every child, then wait for all of their ready pings at once.
+   A child that fails takes the whole start with it: nothing is left
+   running. *)
+let start_children ~cli args =
+  let started = ref [] in
+  try
+    Array.iteri (fun k a -> started := Child.start ~cli ~args:a ~shard:k :: !started) args;
+    Child.await_ready !started;
+    Array.of_list (List.rev !started)
+  with e ->
+    List.iter Child.kill !started;
+    raise e
 
 let create ?(obs = Obs.none) cfg =
   if cfg.children < 1 then invalid_arg "Router: children must be >= 1";
-  let cli =
-    match cfg.cli with
-    | Some c -> c
-    | None -> (
-      match Child.find_cli () with
-      | Some c -> c
-      | None -> failwith "fleet: cannot locate the sofia_cli binary (set SOFIA_CLI)")
-  in
-  let dir, dir_created =
-    match cfg.socket_dir with
-    | Some d ->
-      Fs.mkdir_p ~perm:0o700 d;
-      janitor_socket_dir d;
-      (d, false)
-    | None -> (fresh_dir (), true)
-  in
   let rstore = Option.map (fun d -> Fs.open_store ~obs ~dir:d ()) cfg.replay_dir in
-  let specs = Array.init cfg.children (child_args cfg dir) in
-  (* a stale socket file from a previous fleet is cleared by the
-     janitor above (caller-provided dirs) and, as a second line, by the
-     child's own prepare_socket_path probe *)
+  let dir = Filename.temp_dir ~perms:0o700 "sofia-fleet-" "" in
+  let args = Array.init cfg.children (child_args cfg dir) in
   let procs =
-    Array.mapi
-      (fun k (sock, args) -> Child.start ~cli ~args ~shard:k ~socket_path:sock)
-      specs
+    try start_children ~cli:cfg.cli args
+    with e ->
+      cleanup_dir dir ~children:cfg.children;
+      raise e
   in
   let fx =
     {
@@ -348,7 +280,7 @@ let create ?(obs = Obs.none) cfg =
       kill = (fun k -> Child.kill procs.(k));
       restart =
         (fun k ->
-          match Child.restart procs.(k) ~cli ~args:(snd specs.(k)) with
+          match Child.restart procs.(k) ~cli:cfg.cli ~args:args.(k) with
           | () -> Ok procs.(k).Child.pid
           | exception Child.Child_failed m -> Error m);
       deliver;
@@ -365,7 +297,7 @@ let create ?(obs = Obs.none) cfg =
     (fun f -> Array.iter (fun p -> f (Child_up (p.Child.shard, p.Child.pid))) procs)
     cfg.on_event;
   {
-    cfg; dir; dir_created; procs; core; stats = S.stats core; obs; rstore;
+    cfg; dir; procs; core; stats = S.stats core; obs; rstore;
     clients = []; next_client = 0; listen = None; accepts_left = 0;
   }
 
@@ -469,10 +401,15 @@ let serve ?(signals = false) t =
   in
   while not (finished ()) do
     if !signal_hits > 0 then t.stats.interrupted <- true;
-    let child_fds = Array.to_list t.procs |> List.filter_map (fun p -> p.Child.fd) in
+    let child_rfds = Array.to_list t.procs |> List.filter_map (fun p -> p.Child.rfd) in
+    let child_wfds =
+      Array.to_list t.procs
+      |> List.filter_map (fun p -> if Buffer.length p.Child.out > 0 then p.Child.wfd else None)
+    in
     (* simple flow control: past ~4 windows of unsettled work per
-       shard, stop pulling client input and let the socket buffers
-       push back — bounds router memory under open-loop overload *)
+       shard, stop pulling client input and let the client's own
+       buffers push back — bounds router memory under open-loop
+       overload *)
     let backlogged = S.unsettled t.stats >= 4 * t.cfg.window * t.cfg.children in
     let client_rfds =
       if t.stats.interrupted || backlogged then []
@@ -493,13 +430,13 @@ let serve ?(signals = false) t =
         t.clients
     in
     let readable, writable, _ =
-      try Unix.select (child_fds @ client_rfds @ listen_fds) wset [] 0.05
+      try Unix.select (child_rfds @ client_rfds @ listen_fds) (child_wfds @ wset) [] 0.05
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     (* children first: responses free windows before new admissions *)
     Array.iteri
       (fun k p ->
-        match p.Child.fd with
+        match p.Child.rfd with
         | Some fd when List.memq fd readable -> (
           match Child.drain_input p chunk with
           | `Eof ->
@@ -507,7 +444,7 @@ let serve ?(signals = false) t =
               ~draining:(t.stats.interrupted || clients_done t) k;
             (* after an orderly exit the fd is still ours to close; a
                death already killed and reaped the child *)
-            Child.close_fd p;
+            Child.close_fds p;
             ignore (Child.reap p ~timeout_s:2.0)
           | `Lines lines ->
             List.iter (fun l -> S.child_line t.core ~now:(Clock.mono_s ()) k l) lines)
@@ -540,7 +477,14 @@ let serve ?(signals = false) t =
             cl.cl_eof <- true
         end)
       t.clients;
-    (* drain write buffers that have room again *)
+    (* drain write buffers that have room again: the children's
+       requests, then the clients' responses *)
+    Array.iter
+      (fun p ->
+        match p.Child.wfd with
+        | Some fd when List.memq fd writable -> Child.flush p
+        | _ -> ())
+      t.procs;
     List.iter
       (fun cl ->
         if (not cl.cl_gone) && List.memq cl.cl_out writable then flush_client cl)
@@ -564,13 +508,16 @@ let serve ?(signals = false) t =
     List.iter close_client_fds retired;
     t.clients <- live
   done;
-  (* graceful fleet shutdown: close our end, --once children drain and
-     exit; stragglers (and quarantined/probation incarnations) are
-     killed. No child outlives the router. *)
+  (* graceful fleet shutdown: close their stdin, and every child reads
+     EOF, drains and exits at once; stragglers (and quarantined/probation
+     incarnations) are killed. No child outlives the router. *)
   Array.iteri
-    (fun k p ->
-      if t.stats.shards.(k).ss_quarantined then Child.kill p
-      else Child.stop_gently p ~timeout_s:5.0)
+    (fun k p -> if t.stats.shards.(k).ss_quarantined then Child.kill p else Child.close_input p)
+    t.procs;
+  Array.iter
+    (fun p ->
+      if not (Child.reap p ~timeout_s:5.0) then Child.kill p;
+      Child.close_fds p)
     t.procs;
   List.iter close_client_fds t.clients;
   List.iter (fun (s, old) -> try Sys.set_signal s old with _ -> ()) !saved;
@@ -584,12 +531,12 @@ let serve ?(signals = false) t =
 let finish ?signals t =
   let cleanup_on_error e =
     Array.iter Child.kill t.procs;
-    cleanup_dir t;
+    cleanup_dir t.dir ~children:t.cfg.children;
     raise e
   in
   let stats = try serve ?signals t with e -> cleanup_on_error e in
   let doc = metrics_json t in
-  cleanup_dir t;
+  cleanup_dir t.dir ~children:t.cfg.children;
   (stats, doc)
 
 let run ?obs ?signals cfg ~client_in ~client_out =

@@ -1,6 +1,7 @@
-(** The fleet router: [N] real [sofia_cli serve --socket --once] child
-    processes behind one single-threaded select loop — the Unix driver
-    of {!Supervisor}, which makes every supervision decision.
+(** The fleet router: [N] real [sofia_cli serve --stdin] child
+    processes, each on its own two pipes, behind one single-threaded
+    select loop — the Unix driver of {!Supervisor}, which makes every
+    supervision decision.
 
     Jobs shard deterministically by image content hash ({!Shard.route});
     the router supervises whole processes — watchdog, crash-restart,
@@ -8,7 +9,9 @@
     OCaml domain, can actually be killed; it is the serving stack's
     only supervisor. The loop serves any number of concurrent clients (pipes,
     AF_UNIX or TCP accepts) with per-client buffers, so one stalled
-    reader never blocks the fleet.
+    reader never blocks the fleet; requests to each child wait in its
+    own nonblocking output buffer, bounded by the window, so one
+    stopped child never blocks it either (the hang watchdog kills it).
 
     Children are {e untrusted-but-supervised} (DESIGN §13): the router
     never fabricates a payload, but it renames jobs on the child hop,
@@ -35,14 +38,7 @@ type config = {
   children : int;  (** shard count (>= 1) *)
   workers : int;  (** engine workers per child *)
   queue : int;  (** per-child engine queue capacity *)
-  cli : string option;  (** sofia_cli path; [None] = {!Child.find_cli} *)
-  socket_dir : string option;
-      (** [None] = fresh temp dir, removed after. A provided dir is
-          janitored at startup: probe-dead [shard-*.sock] files, stale
-          [metrics-*.json] and [*.tmp] debris from a killed fleet are
-          removed; other plain files are left alone. A live listener
-          (or a non-socket file) on a [shard-*.sock] path fails startup
-          before any child is spawned. *)
+  cli : string;  (** the sofia_cli binary; a bare name is looked up in [PATH] *)
   store_dir : string option;  (** parent dir; child [k] gets [shard-k/] *)
   store_budget : int;
   engine : Sofia_cpu.Run_config.engine;  (** [--engine] forwarded to children *)
@@ -72,9 +68,9 @@ type config = {
 }
 
 val default_config : config
-(** 3 children, 1 worker each, [Fast] engine, window 32, audit every
-    16th distinct key, 5 s slow-client linger, no persistent replay
-    dir. The supervision timings are {!Supervisor}'s constants. *)
+(** 3 children of the [sofia_cli] in [PATH], 1 worker each, [Fast]
+    engine, window 32, audit every 16th distinct key, 5 s slow-client
+    linger, no persistent replay dir. The supervision timings are {!Supervisor}'s constants. *)
 
 val replay_cap : int
 (** {!Supervisor.replay_cap}. The fleet metrics document's [router]
@@ -88,19 +84,20 @@ val run :
   client_in:Unix.file_descr ->
   client_out:Unix.file_descr ->
   stats * Sofia_obs.Json.t
-(** Spawn the fleet, serve NDJSON requests from [client_in] to
-    [client_out] until client EOF (or, with [signals:true], until
-    SIGINT/SIGTERM starts a graceful drain), then stop the children
-    ([--once] children drain and exit at EOF; stragglers are killed)
-    and return the router stats plus the fleet metrics document
-    (router counters, per-shard latency percentiles, each child's own
-    [serve --json] metrics and, when [replay_dir] is set, the
-    persistent replay store's counters). No child outlives the call.
+(** Spawn the fleet, wait until every child has answered one ping on
+    its pipes (all at once, {!Child.ready_timeout_s} at most), serve
+    NDJSON requests from [client_in] to [client_out] until client EOF
+    (or, with [signals:true], until SIGINT/SIGTERM starts a graceful
+    drain), then stop the children (each reads EOF, drains and exits;
+    stragglers are killed) and return the router stats plus the fleet
+    metrics document (router counters, per-shard latency percentiles,
+    each child's own [serve --json] metrics, written to a private temp
+    dir that is removed before the call returns, and, when
+    [replay_dir] is set, the persistent replay store's counters). No
+    child outlives the call.
 
-    @raise Failure when no sofia_cli binary can be located, or when
-    [socket_dir] holds a live listener or a non-socket file on a
-    [shard-*.sock] path (the message names it).
-    @raise Child.Child_failed when a child never comes up at start. *)
+    @raise Child.Child_failed when a child does not come up at start
+    (the message names its shard); every child is killed first. *)
 
 val run_clients :
   ?obs:Sofia_obs.Obs.t ->

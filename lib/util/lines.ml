@@ -39,3 +39,21 @@ let take_rest t =
   s
 
 let clear = Buffer.clear
+
+let flush buf fd =
+  let s = Buffer.contents buf in
+  let len = String.length s in
+  let rec push off =
+    if off >= len then off
+    else
+      match Unix.write_substring fd s off (len - off) with
+      | n -> push (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
+  in
+  Buffer.clear buf;
+  match push 0 with
+  | off ->
+    Buffer.add_substring buf s off (len - off);
+    true
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) -> false

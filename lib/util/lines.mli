@@ -1,5 +1,6 @@
-(** NDJSON framing on the read side: split a byte stream that arrives
-    in arbitrary chunks into ['\n']-terminated lines.
+(** NDJSON framing: split a byte stream that arrives in arbitrary
+    chunks into ['\n']-terminated lines, and push buffered output into
+    a nonblocking fd without ever waiting on its reader.
 
     Each {!feed} scans only the bytes it is given and buffers only the
     unterminated tail, so a long line costs time linear in its length
@@ -26,3 +27,9 @@ val take_rest : t -> string
 
 val clear : t -> unit
 (** Drop the unterminated tail. *)
+
+val flush : Buffer.t -> Unix.file_descr -> bool
+(** The write side: write as much of the buffer as [fd] takes now and
+    keep the rest, for when [select] reports a nonblocking [fd]
+    writable again. [false]: the reader is gone (EPIPE, ECONNRESET,
+    EBADF), and the buffer is dropped. *)

@@ -112,6 +112,36 @@ let test_multi_fault_report_shape () =
   in
   Alcotest.(check (list string)) "by_backend names both backends" [ "sofia"; "scfp" ] rollup
 
+(* [sofia_cli campaign] with no --backend sweeps every backend, as its
+   help says: CI's multi-fault reports, which pass none, must stack
+   faults under SCFP too. *)
+let test_cli_default_backends () =
+  let cli = "../bin/sofia_cli.exe" in
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let json = Filename.temp_file "sofia_campaign" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove json)
+      (fun () ->
+        let cmd =
+          Printf.sprintf
+            "%s campaign --trials 1 --class insn_flip --workload fibonacci --json %s >/dev/null"
+            (Filename.quote cli) (Filename.quote json)
+        in
+        check_int "campaign exits 0" 0 (Sys.command cmd);
+        let backends =
+          match Json.parse_opt (In_channel.with_open_bin json In_channel.input_all) with
+          | Some j -> (
+            match Json.member "backends" j with
+            | Some (Json.List l) ->
+              List.map (function Json.Str s -> s | _ -> Alcotest.fail "backend is not a string") l
+            | _ -> Alcotest.fail "report lacks backends")
+          | None -> Alcotest.fail "report is not JSON"
+        in
+        Alcotest.(check (list string)) "no --backend runs every backend" [ "sofia"; "scfp" ]
+          backends)
+  end
+
 let test_site_apply_out_of_text () =
   let keys = Sofia.Crypto.Keys.generate ~seed:0x1L in
   let program =
@@ -143,5 +173,6 @@ let suite =
     Alcotest.test_case "campaign is seed-reproducible" `Slow test_seed_reproducible;
     Alcotest.test_case "by_class aggregates the matrix" `Quick test_by_class_aggregates;
     Alcotest.test_case "multi-fault report shape" `Quick test_multi_fault_report_shape;
+    Alcotest.test_case "CLI default: every backend" `Quick test_cli_default_backends;
     Alcotest.test_case "site application bounds" `Quick test_site_apply_out_of_text;
   ]

@@ -3,13 +3,14 @@
    replay cache's byte-identity guarantee (across restarts and tampered
    entries), the fleet-scope faults — per-shard clock skew, a lying
    child, a poisoned shard store, a client flood, a slow-loris reader,
-   a squatter on a shard socket — and the child-engine fix the fleet
+   a child that cannot start — and the child-engine fix the fleet
    motivated (a raising response callback must never cost a worker or
    a settle).
 
    Everything multi-process here drives the *real* router
-   (Sofia.Fleet.Router.run) over real [sofia_cli serve --socket --once]
-   children — no mocks; the CLI binary is a declared test dep. *)
+   (Sofia.Fleet.Router.run) over real [sofia_cli serve --stdin]
+   children on pipes — no mocks; the CLI binary is a declared test
+   dep. *)
 
 module Job = Sofia.Service.Job
 module Json = Sofia.Obs.Json
@@ -114,7 +115,7 @@ let fleet_serve ~tweak ~serve clients =
                 (try Unix.close i with Unix.Unix_error _ -> ());
                 try Unix.close o with Unix.Unix_error _ -> ())
               fds)
-          (fun () -> serve (tweak { FR.default_config with FR.cli = Some cli }) fds)
+          (fun () -> serve (tweak { FR.default_config with FR.cli = cli }) fds)
       in
       (List.map (fun (_, o) -> read_responses o) files, stats, doc))
 
@@ -317,7 +318,7 @@ let test_warm_pass_routes_nothing () =
           (cold, warm))
     in
     let st, _ =
-      FR.run { FR.default_config with FR.cli = Some cli } ~client_in:req_r ~client_out:resp_w
+      FR.run { FR.default_config with FR.cli = cli } ~client_in:req_r ~client_out:resp_w
     in
     Unix.close req_r;
     Unix.close resp_w;
@@ -463,180 +464,39 @@ let test_window_one_conservation () =
     Alcotest.(check bool) "conserved" true (FR.conserved st)
   end
 
-let test_stale_socket_recovery () =
+(* ---- start-up failure, persistent replay ---- *)
+
+let test_child_fails_at_start () =
   if not (have_cli ()) then Alcotest.skip ()
   else begin
-    (* a previous fleet that died -9 leaves socket files behind; the
-       next fleet on the same --socket-dir must come up anyway *)
-    let dir = Filename.temp_file "sofia_fleet_sock" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-        Unix.rmdir dir)
-      (fun () ->
-        (* plant a bound-but-dead Unix socket on every shard path (a
-           plain file would — correctly — be refused, not replaced) *)
-        List.iter
-          (fun k ->
-            let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.bind dead
-              (Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "shard-%d.sock" k)));
-            Unix.close dead)
-          [ 0; 1 ];
-        let jobs = List.init 6 mixed_request in
-        let rs, st, _ =
-          fleet_run
-            ~tweak:(fun c -> { c with FR.children = 2; socket_dir = Some dir })
-            (lines_of jobs)
-        in
-        check_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs;
-        List.iter (fun j -> Alcotest.(check string) "status" "done" (r_status j)) rs;
-        Alcotest.(check bool) "conserved" true (FR.conserved st))
-  end
-
-(* ---- PR 9 survivability: TCP listener, janitor, persistent replay ---- *)
-
-let test_tcp_two_clients () =
-  if not (have_cli ()) then Alcotest.skip ()
-  else begin
-    (* two concurrent TCP clients through the real accept loop; both
-       must see every id exactly once with byte-identical payloads *)
-    let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt srv Unix.SO_REUSEADDR true;
-    Unix.bind srv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    Unix.listen srv 8;
-    let addr = Unix.getsockname srv in
-    let jobs = List.init 8 mixed_request in
-    let client () =
-      (* the connect lands in the listen backlog even before the router
-         starts accepting, so spawning first is race-free *)
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd addr;
-      let oc = Unix.out_channel_of_descr fd in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        (lines_of jobs);
-      flush oc;
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let ic = Unix.in_channel_of_descr fd in
-      let rs = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           match Json.parse_opt line with
-           | Some j -> rs := j :: !rs
-           | None -> failwith ("non-JSON response line over TCP: " ^ line)
-         done
-       with End_of_file -> ());
-      close_in_noerr ic;
-      List.rev !rs
+    (* shard 1's child exits on an unknown flag before it answers its
+       ready ping: the start fails naming that shard, no shard is
+       reported up, and the healthy shard 0 is killed, not leaked *)
+    let ups = ref 0 in
+    (match
+       fleet_run
+         ~tweak:(fun c ->
+           { c with
+             FR.children = 2;
+             child_extra_args = Some (fun k -> if k = 1 then [ "--no-such-flag" ] else []);
+             on_event = Some (function FR.Child_up _ -> incr ups | _ -> ());
+           })
+         (lines_of (List.init 2 mixed_request))
+     with
+     | _ -> Alcotest.fail "a fleet started with a child that cannot start"
+     | exception Sofia.Fleet.Child.Child_failed m ->
+       Alcotest.(check bool) ("the error names shard 1: " ^ m) true
+         (contains ~needle:"shard child 1" m));
+    Alcotest.(check int) "no shard reported up" 0 !ups;
+    (* every child this process ever spawned has been reaped: none left
+       running (a zombie an earlier test left is reaped on the way) *)
+    let rec none_running () =
+      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | 0, _ -> Alcotest.fail "a child process is still running"
+      | _ -> none_running ()
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
     in
-    let d1 = Domain.spawn client in
-    let d2 = Domain.spawn client in
-    let cfg = { FR.default_config with FR.cli = Some cli; children = 2 } in
-    let st, _doc = FR.run_listener cfg ~listen_fd:srv ~accepts:2 in
-    let r1 = Domain.join d1 in
-    let r2 = Domain.join d2 in
-    Unix.close srv;
-    let ids = List.map (fun (j : Job.request) -> j.Job.id) jobs in
-    List.iter
-      (fun rs ->
-        check_ids_once ids rs;
-        List.iter (fun j -> Alcotest.(check string) "status" "done" (r_status j)) rs)
-      [ r1; r2 ];
-    let fp rs =
-      List.sort compare
-        (List.map (fun j -> (Option.get (r_str "id" j), payload_fingerprint j)) rs)
-    in
-    Alcotest.(check bool) "both TCP clients saw identical payloads" true (fp r1 = fp r2);
-    Alcotest.(check bool) "conserved" true (FR.conserved st)
-  end
-
-let test_socket_dir_janitor () =
-  if not (have_cli ()) then Alcotest.skip ()
-  else begin
-    (* a SIGKILLed fleet leaves tmp debris, stale metrics and dead
-       sockets behind; the next fleet must sweep exactly those and
-       nothing else *)
-    let dir = Filename.temp_file "sofia_fleet_jan" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-        Unix.rmdir dir)
-      (fun () ->
-        let plant name contents =
-          let oc = open_out (Filename.concat dir name) in
-          output_string oc contents;
-          close_out oc
-        in
-        plant "half-write.tmp" "{\"partial\":";
-        plant "metrics-7.json" "{\"stale\":true}";
-        plant "keep.txt" "not ours";
-        let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind dead (Unix.ADDR_UNIX (Filename.concat dir "shard-0.sock"));
-        Unix.close dead;
-        let jobs = List.init 4 mixed_request in
-        let rs, st, _ =
-          fleet_run
-            ~tweak:(fun c -> { c with FR.children = 2; socket_dir = Some dir })
-            (lines_of jobs)
-        in
-        check_ids_once (List.map (fun (j : Job.request) -> j.Job.id) jobs) rs;
-        List.iter (fun j -> Alcotest.(check string) "status" "done" (r_status j)) rs;
-        Alcotest.(check bool) "conserved" true (FR.conserved st);
-        let exists n = Sys.file_exists (Filename.concat dir n) in
-        Alcotest.(check bool) "tmp debris swept" false (exists "half-write.tmp");
-        Alcotest.(check bool) "stale metrics swept" false (exists "metrics-7.json");
-        Alcotest.(check bool) "unrelated plain file left alone" true (exists "keep.txt");
-        (* a live listener squatting on a shard socket: the router would
-           connect to it and hand it that shard's traffic, so startup
-           must fail, naming the socket, before any child is spawned *)
-        let squat = Filename.concat dir "shard-1.sock" in
-        let squatter = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Fun.protect
-          ~finally:(fun () ->
-            Unix.close squatter;
-            if Sys.file_exists squat then Sys.remove squat)
-          (fun () ->
-            Unix.bind squatter (Unix.ADDR_UNIX squat);
-            Unix.listen squatter 8;
-            let spawned = ref 0 in
-            let on_event = function FR.Child_up _ -> incr spawned | _ -> () in
-            (match
-               fleet_run
-                 ~tweak:(fun c ->
-                   { c with FR.children = 2; socket_dir = Some dir; on_event = Some on_event })
-                 (lines_of jobs)
-             with
-             | _ -> Alcotest.fail "a fleet started beside a live shard-1.sock listener"
-             | exception Failure m ->
-               Alcotest.(check bool) "the error names the socket" true
-                 (contains ~needle:"shard-1.sock" m));
-            Alcotest.(check int) "no child spawned" 0 !spawned;
-            (* the CLI reports it as one error line and exits 1 *)
-            let err = Filename.concat dir "fleet.err" in
-            let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-            let efd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-            let pid =
-              Unix.create_process cli
-                [| cli; "fleet"; "--stdin"; "--children"; "2"; "--socket-dir"; dir |]
-                null null efd
-            in
-            Unix.close null;
-            Unix.close efd;
-            let _, status = Unix.waitpid [] pid in
-            let text = In_channel.with_open_bin err In_channel.input_all in
-            Sys.remove err;
-            Alcotest.(check bool) "fleet exits 1" true (status = Unix.WEXITED 1);
-            Alcotest.(check bool) "stderr names the socket" true
-              (contains ~needle:"shard-1.sock" text);
-            Alcotest.(check bool) "no backtrace" false (contains ~needle:"exception" text)))
+    none_running ()
   end
 
 let rec rm_rf p =
@@ -942,7 +802,7 @@ let test_slow_loris () =
         let gin = Unix.openfile good_in [ Unix.O_RDONLY ] 0 in
         let gout = Unix.openfile good_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
         let cfg =
-          { FR.default_config with FR.cli = Some cli; audit_every = 0; client_linger_ms = 200 }
+          { FR.default_config with FR.cli = cli; audit_every = 0; client_linger_ms = 200 }
         in
         let st, _ =
           Fun.protect
@@ -1260,11 +1120,8 @@ let suite =
     Alcotest.test_case "malformed lines die at the router" `Slow test_malformed_at_router;
     Alcotest.test_case "ping round-trip, never replayed" `Slow test_ping_round_trip;
     Alcotest.test_case "window=1 backpressure conserves" `Slow test_window_one_conservation;
-    Alcotest.test_case "stale sockets recovered at spawn" `Slow test_stale_socket_recovery;
-    Alcotest.test_case "TCP accept loop: two concurrent clients" `Slow
-      test_tcp_two_clients;
-    Alcotest.test_case "socket-dir janitor sweeps debris only" `Slow
-      test_socket_dir_janitor;
+    Alcotest.test_case "child that cannot start fails the fleet" `Slow
+      test_child_fails_at_start;
     Alcotest.test_case "replay cache survives a router restart" `Slow
       test_replay_survives_restart;
     Alcotest.test_case "SIGTERM drain: no torn NDJSON" `Slow

@@ -480,11 +480,20 @@ let test_fleet_mix_kill9_vs_serve () =
 
 (* ---- the CLI's TCP fleet ---- *)
 
+(* the pid of each [fleet: shard K up (pid P)] line of a fleet's
+   stderr, in order *)
+let shard_pids err_path =
+  List.filter_map
+    (fun line -> Scanf.sscanf_opt line "fleet: shard %d up (pid %d)%!" (fun _ p -> p))
+    (In_channel.with_open_bin err_path In_channel.input_lines)
+
 (* [sofia_cli fleet --tcp 127.0.0.1:0 --accepts 2]: the router binds an
    ephemeral port, names it on stderr, serves two concurrent clients
    from one select loop and exits 0 after the second (the fleet binary
    exits 0 only when its counters conserve). Each client must get every
-   id once, each payload equal to single-process [serve]'s. *)
+   id once, each payload equal to single-process [serve]'s. Every
+   router fd is close-on-exec, so each shard child holds exactly its
+   stdin, stdout and stderr — not the listener, not a sibling's pipe. *)
 let test_fleet_tcp_two_clients () =
   if not (Sys.file_exists cli) then Alcotest.skip ()
   else begin
@@ -520,6 +529,17 @@ let test_fleet_tcp_two_clients () =
           !port <> None
         in
         if not (wait_for listening) then Alcotest.fail "fleet never reported its TCP port";
+        if not (wait_for (fun () -> List.length (shard_pids err_path) = 3)) then
+          Alcotest.fail "the three shards never came up";
+        if Sys.file_exists "/proc/self/fd" then
+          List.iter
+            (fun child ->
+              let fds = Sys.readdir (Printf.sprintf "/proc/%d/fd" child) in
+              Array.sort compare fds;
+              Alcotest.(check (array string))
+                (Printf.sprintf "shard child %d holds only fds 0, 1 and 2" child)
+                [| "0"; "1"; "2" |] fds)
+            (shard_pids err_path);
         let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Option.get !port) in
         let client () =
           let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -564,6 +584,166 @@ let test_fleet_tcp_two_clients () =
           answers)
   end
 
+(* ---- a stopped child never blocks the router ---- *)
+
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n > 0 && go 0
+
+(* A fleet with one shard child, stopped with SIGSTOP, is sent 40
+   protect jobs of ~25 KB each under distinct key seeds, so no replay
+   or coalescing answers one: the window routed to the stopped child
+   is far more than a pipe or socket buffer holds. The router must keep
+   running its loop, so the hang watchdog kills the child, a restart
+   answers every job once, and the fleet exits 0. Every read and write
+   here waits in [select] under one deadline: a router wedged in a
+   write to its child fails this test instead of hanging the suite. *)
+let test_fleet_stopped_child () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let n = 40 in
+    let source =
+      "main:\n"
+      ^ String.concat "" (List.init 1400 (fun i -> Printf.sprintf "  addi t0, t0, %d\n" (i mod 100)))
+      ^ "  halt\n"
+    in
+    let reqs =
+      List.init n (fun i ->
+          Job.make ~id:(Printf.sprintf "big-%02d" i) ~key_seed:(Int64.of_int (0x1000 + i))
+            (Job.Protect { source }))
+    in
+    let input =
+      String.concat "" (List.map (fun r -> Json.to_string (Job.request_to_json r) ^ "\n") reqs)
+    in
+    let err_path = Filename.temp_file "sofia_fleet_stop" ".stderr" in
+    let err_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let req_r, req_w = Unix.pipe ~cloexec:true () in
+    let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+    let pid =
+      Unix.create_process cli [| cli; "fleet"; "--stdin"; "--children"; "1" |] req_r resp_w err_fd
+    in
+    List.iter Unix.close [ err_fd; req_r; resp_w ];
+    let req_open = ref true and stopped = ref [] in
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect
+      ~finally:(fun () ->
+        (* a wedged router and its stopped child are killed, not leaked *)
+        List.iter (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ()) !stopped;
+        (match Unix.waitpid [ Unix.WNOHANG ] pid with
+         | 0, _ ->
+           Unix.kill pid Sys.sigkill;
+           ignore (Unix.waitpid [] pid)
+         | _ -> ()
+         | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ());
+        if !req_open then Unix.close req_w;
+        Unix.close resp_r;
+        Sys.set_signal Sys.sigpipe sigpipe;
+        Sys.remove err_path)
+      (fun () ->
+        if not (wait_for (fun () -> shard_pids err_path <> [])) then
+          Alcotest.fail "shard 0 never came up";
+        let child = List.hd (shard_pids err_path) in
+        Unix.kill child Sys.sigstop;
+        stopped := [ child ];
+        Unix.set_nonblock req_w;
+        let deadline = Sofia.Util.Clock.mono_s () +. 30.0 in
+        let sent = ref 0 and eof = ref false in
+        let out = Buffer.create 4096 and chunk = Bytes.create 65536 in
+        while (not !eof) && Sofia.Util.Clock.mono_s () < deadline do
+          let readable, writable, _ =
+            try Unix.select [ resp_r ] (if !req_open then [ req_w ] else []) [] 0.5
+            with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+          in
+          if writable <> [] then begin
+            (match Unix.write_substring req_w input !sent (String.length input - !sent) with
+             | k -> sent := !sent + k
+             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+            if !sent = String.length input then begin
+              Unix.close req_w;
+              req_open := false
+            end
+          end;
+          if readable <> [] then
+            match Unix.read resp_r chunk 0 (Bytes.length chunk) with
+            | 0 -> eof := true
+            | k -> Buffer.add_subbytes out chunk 0 k
+        done;
+        let lines = List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents out)) in
+        if not !eof then
+          Alcotest.failf
+            "fleet wedged behind a stopped child: it took %d of %d request bytes and \
+             answered %d of %d jobs in 30 s"
+            !sent (String.length input) (List.length lines) n;
+        (* past EOF the router has finished: the child is killed and
+           reaped, and its pid may already name another process *)
+        stopped := [];
+        let _, status = Unix.waitpid [] pid in
+        let err = In_channel.with_open_bin err_path In_channel.input_all in
+        Alcotest.(check bool) "the watchdog killed the stopped child" true
+          (contains ~needle:"fleet: shard 0 down: watchdog: hang timeout" err);
+        Alcotest.(check bool) "shard 0 restarted" true (List.length (shard_pids err_path) >= 2);
+        Alcotest.(check bool) "fleet exited 0" true (status = Unix.WEXITED 0);
+        Alcotest.(check int) "one answer per job" n (List.length lines);
+        let seen = Hashtbl.create n in
+        List.iter
+          (fun line ->
+            let id, _ = stripped line in
+            if Hashtbl.mem seen id then Alcotest.failf "fleet answered %s twice" id;
+            Hashtbl.add seen id ())
+          lines)
+  end
+
+(* ---- unusable directories ---- *)
+
+(* [sofia_cli args] fed [input]: its exit status and its stderr *)
+let cli_run args input =
+  let in_path = Filename.temp_file "sofia_smoke_in" ".ndjson" in
+  let err_path = Filename.temp_file "sofia_smoke" ".stderr" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ in_path; err_path ])
+    (fun () ->
+      Out_channel.with_open_bin in_path (fun oc -> write_requests oc input);
+      let fd_in = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+      let fd_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let fd_err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let pid = Unix.create_process cli (Array.of_list (cli :: args)) fd_in fd_out fd_err in
+      List.iter Unix.close [ fd_in; fd_out; fd_err ];
+      let _, status = Unix.waitpid [] pid in
+      (status, In_channel.with_open_bin err_path In_channel.input_all))
+
+(* A --store-dir under a plain file is one [error:] line naming the path
+   and the reason, and exit 1: from [serve], not an uncaught
+   exception; from [fleet], before any child is spawned, not a child
+   that dies on every job until the job is blamed for it. *)
+let test_unusable_store_dir () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let file = Filename.temp_file "sofia_not_a_dir" "" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        List.iter
+          (fun (what, args, dir) ->
+            let status, err = cli_run (args @ [ "--store-dir"; dir ]) [ request 0 ] in
+            Alcotest.(check bool) (what ^ " exits 1") true (status = Unix.WEXITED 1);
+            let errors =
+              List.filter (String.starts_with ~prefix:"error: ") (String.split_on_char '\n' err)
+            in
+            Alcotest.(check int) (what ^ ": one error line") 1 (List.length errors);
+            Alcotest.(check bool)
+              (what ^ " names the path and the reason: " ^ err)
+              true
+              (contains ~needle:dir (List.hd errors)
+              && contains ~needle:"Not a directory" (List.hd errors));
+            Alcotest.(check bool) (what ^ ": no uncaught exception") false
+              (contains ~needle:"exception" err))
+          [
+            ("serve", [ "serve"; "--stdin" ], Filename.concat file "sub");
+            ("fleet", [ "fleet"; "--stdin"; "--children"; "1" ], file);
+          ])
+  end
+
 let suite =
   [
     Alcotest.test_case "pipe mode, 200 mixed requests" `Slow test_pipe_mode_200;
@@ -578,4 +758,7 @@ let suite =
       test_fleet_tcp_two_clients;
     Alcotest.test_case "fleet warm restart across processes" `Slow
       test_fleet_warm_restart_across_processes;
+    Alcotest.test_case "fleet: a stopped child never blocks the router" `Slow
+      test_fleet_stopped_child;
+    Alcotest.test_case "unusable --store-dir: one error line" `Slow test_unusable_store_dir;
   ]
