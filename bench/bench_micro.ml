@@ -31,6 +31,12 @@ let rows () =
      pipeline ~8x per block visit.) *)
   let w64 = Sofia.Workloads.Adpcm.workload ~samples:64 () in
   let image64 = Transform.protect_exn ~keys ~nonce:6 (Workload.assemble w64) in
+  (* a tight-loop kernel beside the branchy codec: its hot cycles run
+     whole iterations as superblocks, where ADPCM's data-dependent
+     branches leave them after a few blocks *)
+  let crc = Sofia.Workloads.Kernels.crc32 () in
+  let crc_program = Workload.assemble crc in
+  let crc_image = Transform.protect_exn ~keys ~nonce:6 crc_program in
   let cold_config = { RC.default with RC.edge_memo = false } in
   let cold_ks_config = { cold_config with RC.ks_cache_slots = Some 1024 } in
   (* guard against the regression this pair replaces: the cache must
@@ -67,6 +73,15 @@ let rows () =
         Test.make ~name:"simulate-adpcm-sofia-ref"
           (Staged.stage (fun () ->
                ignore (Sofia.Cpu.Sofia_runner.run ~config:ref_config ~keys image)));
+        Test.make ~name:"simulate-crc32-vanilla"
+          (Staged.stage (fun () -> ignore (Sofia.Cpu.Vanilla.run crc_program)));
+        Test.make ~name:"simulate-crc32-vanilla-ref"
+          (Staged.stage (fun () -> ignore (Sofia.Cpu.Vanilla.run ~config:ref_config crc_program)));
+        Test.make ~name:"simulate-crc32-sofia"
+          (Staged.stage (fun () -> ignore (Sofia.Cpu.Sofia_runner.run ~keys crc_image)));
+        Test.make ~name:"simulate-crc32-sofia-ref"
+          (Staged.stage (fun () ->
+               ignore (Sofia.Cpu.Sofia_runner.run ~config:ref_config ~keys crc_image)));
         Test.make ~name:"simulate-adpcm-sofia-coldfrontend"
           (Staged.stage (fun () ->
                ignore (Sofia.Cpu.Sofia_runner.run ~config:cold_config ~keys image64)));

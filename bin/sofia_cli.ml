@@ -662,7 +662,9 @@ let serve_cmd =
   let use_stdin =
     Arg.(value & flag & info [ "stdin" ]
            ~doc:"Pipe mode: read NDJSON requests from standard input, stream responses to \
-                 standard output, exit at EOF.")
+                 standard output, exit at EOF. If standard output closes early (say, \
+                 $(b,| head)), the remaining responses are dropped, every job still runs, \
+                 and the exit status is the same as when every response was read.")
   in
   let socket =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"

@@ -50,7 +50,31 @@ let access t addr =
     false
   end
 
-let hit_same_line t n = t.n_access <- t.n_access + n
+let count_hits t n = t.n_access <- t.n_access + n
+
+let resident t addr =
+  let line_addr = addr lsr t.line_shift in
+  Array.unsafe_get t.lines (line_addr land (Array.length t.lines - 1))
+  = line_addr lsr t.tag_shift
+
+let all_resident t addrs =
+  let i = ref (Array.length addrs - 1) in
+  while !i >= 0 && resident t (Array.unsafe_get addrs !i) do
+    decr i
+  done;
+  !i < 0
+
+let conflict_free t addrs =
+  let sets = Array.length t.lines - 1 in
+  let lines = Array.map (fun a -> a lsr t.line_shift) addrs in
+  let ok = ref true in
+  Array.iteri
+    (fun i l ->
+      for j = 0 to i - 1 do
+        if lines.(j) <> l && lines.(j) land sets = l land sets then ok := false
+      done)
+    lines;
+  !ok
 
 let accesses t = t.n_access
 let misses t = t.n_miss

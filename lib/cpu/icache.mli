@@ -20,11 +20,21 @@ val access : t -> int -> bool
     address); returns [true] on hit, [false] on miss (the line is then
     filled). *)
 
-val hit_same_line : t -> int -> unit
-(** [hit_same_line t n] records [n] further accesses to the line the
-    last {!access} touched: all hits, since nothing can evict a line
-    between two accesses to it. The vanilla engine probes once per
-    line-bounded block and counts the block's other fetches here. *)
+val count_hits : t -> int -> unit
+(** [count_hits t n] records [n] accesses known to hit without probing:
+    the rest of a vanilla line-bounded block after its one probe, or
+    the visits of a superblock whose lines are all {!all_resident} and
+    {!conflict_free} (nothing else is fetched in between, so nothing
+    can evict them). *)
+
+val all_resident : t -> int array -> bool
+(** An {!access} to each of these addresses now would hit. Changes
+    nothing, counts nothing. *)
+
+val conflict_free : t -> int array -> bool
+(** No two of the lines holding these addresses map to the same set,
+    unless they are the same line: all of them can be resident at
+    once, and accesses among them never evict each other. *)
 
 val accesses : t -> int
 val misses : t -> int

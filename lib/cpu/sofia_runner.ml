@@ -310,7 +310,13 @@ let edge_key ~target ~prev_pc = ((target land 0xFFFF_FFFF) lsl 31) lor (prev_pc 
    even the hashtable. A chained serve performs exactly the accounting
    of a memo hit — the chain is an L0 in front of the memo, not a
    different cache — and is consulted only when the memo is enabled
-   and no transient fault is armed for the fetch. *)
+   and no transient fault is armed for the fetch.
+
+   [cb_exit]/[cb_exit_res] remember how the block's last visit left it,
+   and [cb_heat] counts its entries: a block entered often enough tries
+   to close a cycle of last exits through its chains into a superblock
+   ([cb_super]) — unless it already lies on a live superblock's cycle
+   ([cb_member]), which would only build that cycle again, rotated. *)
 type cblock = {
   cb_base : int;
   cb_first : int;  (* address of slot 0 *)
@@ -319,13 +325,59 @@ type cblock = {
   mutable cb_fall : compiled;
   mutable cb_last_key : int;  (* packed edge key of [cb_last], or min_int *)
   mutable cb_last : compiled;
+  mutable cb_exit : int;  (* slots the last visit retired, 0 before one left *)
+  mutable cb_exit_res : int;  (* its last slot result *)
+  mutable cb_heat : int;
+  mutable cb_super : super option;
+  mutable cb_member : bool;  (* on the cycle of a live superblock *)
 }
 
 and compiled = C_none | C_ok of cblock | C_violation of Machine.violation
 
+(* A superblock: one iteration of a cycle of [C_ok] blocks, as a flat
+   {!Decoded.trace} whose part [j] is position [j]'s visit. The arrays
+   of [k + 1] prefix sums hold what positions [0 .. j-1] add to the
+   run's counters, so any number of whole iterations and the positions
+   of a partial one are accounted in one step. *)
+and super = {
+  sp_trace : Decoded.trace;
+  sp_blocks : cblock array;
+  sp_red : bool array;  (* position [j] is entered by a redirect *)
+  sp_cyc : int array;  (* cycles of position [j]'s visit *)
+  sp_insns : int array;
+  sp_cycles : int array;
+  sp_stalls : int array;
+  sp_reds : int array;  (* positions entered by a redirect *)
+}
+
+let cblock ~timing ~regs ~mem ~base ~kind insns =
+  let words_fetched = Block.words_per_block - (Block.mac_words kind - 2) in
+  {
+    cb_base = base;
+    cb_first = base + Block.first_insn_offset kind;
+    cb_floor = Timing.block_fetch_floor timing ~words_fetched;
+    cb_dec =
+      Decoded.compile ~timing ~regs ~mem ~first:(base + Block.first_insn_offset kind) insns;
+    cb_fall = C_none;
+    cb_last_key = min_int;
+    cb_last = C_none;
+    cb_exit = 0;
+    cb_exit_res = Decoded.res_next;
+    cb_heat = 0;
+    cb_super = None;
+    cb_member = false;
+  }
+
 let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Obs.none) ?on_finish
     ?prefill ~(keys : Keys.t) (image : Image.t) =
-  let mem = Memory.create ~size_bytes:config.Run_config.mem_size () in
+  (* a caller that sees the RAM in [on_finish] may keep it; every other
+     run borrows its domain's pooled RAM *)
+  let size_bytes = config.Run_config.mem_size in
+  let mem =
+    match on_finish with
+    | None -> Memory.acquire ~size_bytes
+    | Some _ -> Memory.create ~size_bytes ()
+  in
   Memory.load_bytes mem ~addr:image.Image.data_base image.Image.data;
   let machine = Machine.create ~entry:image.Image.entry ~sp:(Run_config.initial_sp config) in
   List.iteri (fun i v -> if i < 8 then Machine.write_reg machine (Reg.a i) v) args;
@@ -396,22 +448,26 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
        m.Metrics.icache_misses <- m.Metrics.icache_misses + misses
      | None -> ());
     (match on_finish with Some f -> f ~machine ~mem | None -> ());
-    {
-      Machine.outcome;
-      stats =
-        {
-          Machine.cycles = !cycles;
-          instructions = !instructions;
-          mac_words_fetched = !mac_words;
-          blocks_entered = !blocks;
-          redirects = !redirects;
-          icache_accesses = Icache.accesses icache;
-          icache_misses = Icache.misses icache;
-          load_use_stalls = !load_use;
-        };
-      outputs = Memory.outputs mem;
-      output_text = Memory.output_text mem;
-    }
+    let result =
+      {
+        Machine.outcome;
+        stats =
+          {
+            Machine.cycles = !cycles;
+            instructions = !instructions;
+            mac_words_fetched = !mac_words;
+            blocks_entered = !blocks;
+            redirects = !redirects;
+            icache_accesses = Icache.accesses icache;
+            icache_misses = Icache.misses icache;
+            load_use_stalls = !load_use;
+          };
+        outputs = Memory.outputs mem;
+        output_text = Memory.output_text mem;
+      }
+    in
+    if Option.is_none on_finish then Memory.release mem;
+    result
   in
   let violation v =
     (match mx with Some m -> m.Metrics.violations <- m.Metrics.violations + 1 | None -> ());
@@ -535,8 +591,8 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
      bypass the cache in both directions, and the whole cache is
      flushed on any violation. Every trace event and shared metric is
      emitted exactly as the reference engine does; only the
-     engine_hits / engine_misses / engine_invalidations counters are
-     specific to this path. ---- *)
+     engine_hits / engine_misses / engine_invalidations / engine_traces
+     counters are specific to this path. ---- *)
   let run_fast () =
     let regs = Machine.regs machine in
     let ctable : compiled Edge_tbl.t = Edge_tbl.create 1024 in
@@ -556,19 +612,9 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
            match Block_table.decode_entry e with
            | None -> ()
            | Some insns ->
-             let kind = e.Block_table.kind in
-             let words_fetched = Block.words_per_block - (Block.mac_words kind - 2) in
              let c =
                C_ok
-                 {
-                   cb_base = e.Block_table.base;
-                   cb_first = e.Block_table.base + Block.first_insn_offset kind;
-                   cb_floor = Timing.block_fetch_floor timing ~words_fetched;
-                   cb_dec = Decoded.compile ~timing insns;
-                   cb_fall = C_none;
-                   cb_last_key = min_int;
-                   cb_last = C_none;
-                 }
+                 (cblock ~timing ~regs ~mem ~base:e.Block_table.base ~kind:e.Block_table.kind insns)
              in
              let key = edge_key ~target:e.Block_table.target ~prev_pc:e.Block_table.prev_pc in
              if not (Edge_tbl.mem ctable key) then Edge_tbl.replace ctable key c)
@@ -578,27 +624,22 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
     let hooks = tracing || Option.is_some on_retire in
     let live = Obs.live obs in
     let faults = Option.is_some fault in
+    (* superblocks run only where nothing can watch a single visit:
+       no retire hook, no trace, no armed fault, and the memo on (a
+       cold frontend re-decrypts every fetch) *)
+    let supers = memoise && not (hooks || faults) in
     let decoupled = timing.Timing.frontend = Timing.Decoupled in
     let mac2 = 2 * timing.Timing.mac_word_cycle in
     let miss_penalty = timing.Timing.icache_miss_penalty in
     let redirect_extra = timing.Timing.decrypt_redirect_extra in
     let branch_penalty = timing.Timing.taken_branch_penalty in
+    let next = Decoded.res_next in
     let compile_outcome = function
       | Block_ok { base; kind; insns } ->
         (match mx with
          | Some m -> m.Metrics.engine_misses <- m.Metrics.engine_misses + 1
          | None -> ());
-        let words_fetched = Block.words_per_block - (Block.mac_words kind - 2) in
-        C_ok
-          {
-            cb_base = base;
-            cb_first = base + Block.first_insn_offset kind;
-            cb_floor = Timing.block_fetch_floor timing ~words_fetched;
-            cb_dec = Decoded.compile ~timing insns;
-            cb_fall = C_none;
-            cb_last_key = min_int;
-            cb_last = C_none;
-          }
+        C_ok (cblock ~timing ~regs ~mem ~base ~kind insns)
       | Fetch_violation v -> C_violation v
     in
     (* accounting of a fetch served without re-decrypting — identical
@@ -638,7 +679,8 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       else fetch_memo ~target ~prev_pc
     in
     (* a violation ends the run in a CPU reset: drop every pre-decoded
-       body with it, so nothing compiled can outlive the verdict that
+       body with it — and every superblock, which only cache entries
+       hold — so nothing compiled can outlive the verdict that
        justified it *)
     let violation_invalidate v =
       Edge_tbl.reset ctable;
@@ -646,6 +688,105 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
        | Some m -> m.Metrics.engine_invalidations <- m.Metrics.engine_invalidations + 1
        | None -> ());
       violation v
+    in
+    (* the visit cycles [finalize_block] adds, as a pure function *)
+    let visit_cycles (r : cblock) ~missed ~redirected bcost =
+      (if decoupled then if bcost > r.cb_floor then bcost else r.cb_floor else bcost + mac2)
+      + (if missed then miss_penalty else 0)
+      + if redirected then redirect_extra else 0
+    in
+    (* Close a superblock headed by [head], entered by a redirect or not
+       as [redirected] says: follow each block's last exit through its
+       chain pointers until the walk is back at [head], entered the same
+       way. Every position is a [C_ok] block
+       (verified in this run, or a MAC-verified prefill entry), and the
+       blocks' icache lines must fit together, so that once all of them
+       are resident a whole iteration hits. A walk that does not close
+       allocates nothing. *)
+    let close_super head ~redirected =
+      let succ (r : cblock) =
+        let c = r.cb_exit and res = r.cb_exit_res in
+        if c = 0 then C_none
+        else if res = next then if c = Array.length r.cb_dec.Decoded.ops then r.cb_fall else C_none
+        else if res >= 0 && r.cb_last_key = edge_key ~target:res ~prev_pc:(r.cb_first + (4 * (c - 1)))
+        then r.cb_last
+        else C_none
+      in
+      let rec length r k =
+        match succ r with
+        | C_ok s when k <= Decoded.max_parts ->
+          if s == head && (r.cb_exit_res <> next) = redirected then k else length s (k + 1)
+        | C_ok _ | C_none | C_violation _ -> 0
+      in
+      let k = length head 1 in
+      if k > 0 then begin
+        let bs = Array.make k head in
+        for j = 1 to k - 1 do
+          bs.(j) <- (match succ bs.(j - 1) with C_ok s -> s | C_none | C_violation _ -> head)
+        done;
+        if Icache.conflict_free icache (Array.map (fun r -> r.cb_base) bs) then begin
+          let red = Array.make k false and cyc = Array.make k 0 in
+          let insns = Array.make (k + 1) 0 and cycles = Array.make (k + 1) 0 in
+          let stalls = Array.make (k + 1) 0 and reds = Array.make (k + 1) 0 in
+          for j = 0 to k - 1 do
+            let r = bs.(j) and c = bs.(j).cb_exit in
+            red.(j) <- bs.((j + k - 1) mod k).cb_exit_res <> next;
+            cyc.(j) <-
+              visit_cycles r ~missed:false ~redirected:red.(j)
+                (r.cb_dec.Decoded.cost_pre.(c) + if r.cb_exit_res = next then 0 else branch_penalty);
+            insns.(j + 1) <- insns.(j) + c;
+            cycles.(j + 1) <- cycles.(j) + cyc.(j);
+            stalls.(j + 1) <- stalls.(j) + r.cb_dec.Decoded.stall_pre.(c);
+            reds.(j + 1) <- (reds.(j) + if red.(j) then 1 else 0)
+          done;
+          Array.iter (fun r -> r.cb_member <- true) bs;
+          head.cb_super <-
+            Some
+              {
+                sp_trace =
+                  Decoded.trace
+                    (Array.map (fun r -> (r.cb_dec, r.cb_base, r.cb_exit, r.cb_exit_res)) bs);
+                sp_blocks = bs;
+                sp_red = red;
+                sp_cyc = cyc;
+                sp_insns = insns;
+                sp_cycles = cycles;
+                sp_stalls = stalls;
+                sp_reds = reds;
+              }
+        end
+      end
+    in
+    (* What [iters] whole iterations and positions [0 .. j-1] of the
+       next one add to the run, each visit as [exec_block] and each
+       transition as a chained [continue_*] would have accounted it,
+       plus the prologue of position [j]'s visit when [entered]. *)
+    let account_super sp ~iters ~j ~entered =
+      let k = Array.length sp.sp_blocks in
+      let visits = (iters * k) + j in
+      let insns = (iters * sp.sp_insns.(k)) + sp.sp_insns.(j) in
+      let entries = if entered then visits + 1 else visits in
+      let j' = if entered then j + 1 else j in
+      instructions := !instructions + insns;
+      cycles := !cycles + (iters * sp.sp_cycles.(k)) + sp.sp_cycles.(j);
+      load_use := !load_use + (iters * sp.sp_stalls.(k)) + sp.sp_stalls.(j);
+      blocks := !blocks + entries;
+      redirects := !redirects + (iters * sp.sp_reds.(k)) + sp.sp_reds.(j');
+      mac_words := !mac_words + (2 * entries);
+      fetch_count := !fetch_count + visits;
+      Icache.count_hits icache entries;
+      match mx with
+      | Some m ->
+        m.Metrics.retires <- m.Metrics.retires + insns;
+        m.Metrics.blocks_entered <- m.Metrics.blocks_entered + entries;
+        m.Metrics.block_fetches <- m.Metrics.block_fetches + visits;
+        m.Metrics.memo_hits <- m.Metrics.memo_hits + visits;
+        m.Metrics.engine_hits <- m.Metrics.engine_hits + visits;
+        for p = 0 to k - 1 do
+          Metrics.hist_observe_n m.Metrics.block_cycles sp.sp_cyc.(p)
+            (if p < j then iters + 1 else iters)
+        done
+      | None -> ()
     in
     let rec exec_c c ~redirected =
       match c with
@@ -704,13 +845,10 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
         end
       end
     and finalize_block (r : cblock) ~(missed : bool) ~(redirected : bool) bcost =
-      let c0 = !cycles in
-      if decoupled then cycles := !cycles + (if bcost > r.cb_floor then bcost else r.cb_floor)
-      else cycles := !cycles + bcost + mac2;
-      if missed then cycles := !cycles + miss_penalty;
-      if redirected then cycles := !cycles + redirect_extra;
+      let v = visit_cycles r ~missed ~redirected bcost in
+      cycles := !cycles + v;
       match mx with
-      | Some m -> Metrics.hist_observe m.Metrics.block_cycles (!cycles - c0)
+      | Some m -> Metrics.hist_observe m.Metrics.block_cycles v
       | None -> ()
     (* the [c >= 1] slots a visit retired, accounted once; [extra] is
        the taken-branch penalty when the visit left by a redirect *)
@@ -721,32 +859,51 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       load_use := !load_use + Array.unsafe_get dec.Decoded.stall_pre c;
       Machine.set_pc machine (r.cb_first + (4 * (c - 1)));
       finalize_block r ~missed ~redirected (Array.unsafe_get dec.Decoded.cost_pre c + extra)
+    (* A block entered the way its superblock's cycle enters it runs the
+       superblock when fuel covers a whole iteration and every line of
+       it is resident; anything else is a plain visit. *)
+    and exec_block r ~redirected =
+      if supers then begin
+        match r.cb_super with
+        | Some sp when sp.sp_red.(0) = redirected -> enter_super r sp
+        | Some _ -> visit r ~redirected
+        | None when r.cb_member -> visit r ~redirected
+        | None ->
+          r.cb_heat <- r.cb_heat + 1;
+          if r.cb_heat >= Decoded.heat_threshold then begin
+            r.cb_heat <- 0;
+            close_super r ~redirected
+          end;
+          visit r ~redirected
+      end
+      else visit r ~redirected
     (* Block-at-a-time accounting. The load-use latch is clear at
        every block entry, so a slot's cost and stall depend only on the
        block's own code and are prefix-summed at compile time
-       ({!Decoded.t}). A visit runs at most [fuel - instructions]
-       slots, so fuel runs out on the same instruction as in [Ref]; the
-       slot walk does [Decoded.exec] and one hook test per slot, and
-       [leave] accounts the visit at the slot it exits by. *)
-    and exec_block r ~redirected =
+       ({!Decoded.t}). *)
+    and visit r ~redirected =
       incr blocks;
       (match mx with
        | Some m -> m.Metrics.blocks_entered <- m.Metrics.blocks_entered + 1
        | None -> ());
-      let base = r.cb_base in
-      let missed = not (Icache.access icache base) in
-      if tracing then Obs.emit obs (Event.Block_enter { base; icache_hit = not missed });
+      let missed = not (Icache.access icache r.cb_base) in
+      if tracing then Obs.emit obs (Event.Block_enter { base = r.cb_base; icache_hit = not missed });
       if redirected then incr redirects;
       mac_words := !mac_words + 2;
+      walk r ~missed ~redirected 0
+    (* The slot walk from slot [i0]: one slot closure and one hook test
+       per slot. A visit runs at most [fuel - instructions] slots, so
+       fuel runs out on the same instruction as in [Ref]; [settle]
+       accounts the visit at the slot it exits by. *)
+    and walk r ~missed ~redirected i0 =
       let dec = r.cb_dec in
-      let ops = dec.Decoded.ops and imms = dec.Decoded.imms and first = r.cb_first in
-      let n = Array.length ops in
+      let exec = dec.Decoded.exec and first = r.cb_first in
+      let n = Array.length exec in
       (* every entry path checked fuel first, so [room >= 1] and the
          visit retires at least one slot *)
       let room = fuel - !instructions in
       let lim = if room < n then room else n in
-      let next = Decoded.res_next in
-      let i = ref 0 and res = ref next in
+      let i = ref i0 and res = ref next in
       match
         while !res = next && !i < lim do
           let pc = first + (4 * !i) in
@@ -756,31 +913,72 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
             | Some f -> f ~pc ~insn:(Array.unsafe_get dec.Decoded.insns !i)
             | None -> ()
           end;
-          res :=
-            Decoded.exec ~w:(Array.unsafe_get ops !i) ~imm:(Array.unsafe_get imms !i) ~regs ~mem
-              ~pc;
+          res := (Array.unsafe_get exec !i) ();
           incr i
         done
       with
       | exception Memory.Bus_error address ->
         leave r ~missed ~redirected ~extra:0 (!i + 1);
         violation_invalidate (Machine.Bus_fault { address })
-      | () ->
-        let c = !i and res = !res in
-        if res = next then begin
-          (* fell off the block, or out of fuel: [continue_fall] checks
-             fuel before it fetches *)
-          leave r ~missed ~redirected ~extra:0 c;
-          continue_fall r
-        end
-        else if res >= 0 then begin
-          leave r ~missed ~redirected ~extra:branch_penalty c;
-          continue_redirect r ~target:res ~prev_pc:(first + (4 * (c - 1)))
-        end
-        else begin
-          leave r ~missed ~redirected ~extra:0 c;
-          finish (Machine.Halted (Decoded.halt_code res))
-        end
+      | () -> settle r ~missed ~redirected !i !res
+    and settle r ~missed ~redirected c res =
+      if res = next then begin
+        (* fell off the block, or out of fuel: [continue_fall] checks
+           fuel before it fetches *)
+        leave r ~missed ~redirected ~extra:0 c;
+        r.cb_exit <- c;
+        r.cb_exit_res <- res;
+        continue_fall r
+      end
+      else if res >= 0 then begin
+        leave r ~missed ~redirected ~extra:branch_penalty c;
+        r.cb_exit <- c;
+        r.cb_exit_res <- res;
+        continue_redirect r ~target:res ~prev_pc:(r.cb_first + (4 * (c - 1)))
+      end
+      else begin
+        leave r ~missed ~redirected ~extra:0 c;
+        finish (Machine.Halted (Decoded.halt_code res))
+      end
+    (* Whole iterations of [sp], then an exact exit. The transition into
+       the head was accounted before entry; [budget] iterations leave
+       every transition of the last one below the fuel limit, as
+       [continue_*] require. A slot that leaves the cycle hands its
+       block's visit back to [walk]/[settle] at that slot, after the
+       iterations and positions before it are accounted. *)
+    and enter_super head sp =
+      let tr = sp.sp_trace in
+      let budget = Decoded.budget tr icache ~room:(fuel - 1 - !instructions) in
+      if budget < 1 then visit head ~redirected:sp.sp_red.(0)
+      else begin
+        (match mx with Some m -> m.Metrics.engine_traces <- m.Metrics.engine_traces + 1 | None -> ());
+        match Decoded.run_trace tr ~budget with
+        | exception Memory.Bus_error address ->
+          let j = tr.Decoded.t_part.(tr.Decoded.t_slot) in
+          account_super sp ~iters:tr.Decoded.t_iters ~j ~entered:true;
+          leave sp.sp_blocks.(j) ~missed:false ~redirected:sp.sp_red.(j) ~extra:0
+            (tr.Decoded.t_local.(tr.Decoded.t_slot) + 1);
+          violation_invalidate (Machine.Bus_fault { address })
+        | () ->
+          if tr.Decoded.t_iters = budget then begin
+            account_super sp ~iters:budget ~j:0 ~entered:false;
+            visit head ~redirected:sp.sp_red.(0)
+          end
+          else begin
+            let s = tr.Decoded.t_slot in
+            let j = tr.Decoded.t_part.(s) in
+            let r = sp.sp_blocks.(j) and redirected = sp.sp_red.(j) in
+            let c = tr.Decoded.t_local.(s) + 1 in
+            account_super sp ~iters:tr.Decoded.t_iters ~j ~entered:true;
+            if not (Decoded.keeps_paying tr) then begin
+              Array.iter (fun r -> r.cb_member <- false) sp.sp_blocks;
+              head.cb_super <- None;
+              head.cb_heat <- min_int
+            end;
+            if tr.Decoded.t_res = next then walk r ~missed:false ~redirected c
+            else settle r ~missed:false ~redirected c tr.Decoded.t_res
+          end
+      end
     in
     if !instructions >= fuel then finish Machine.Out_of_fuel
     else

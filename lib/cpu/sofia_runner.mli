@@ -27,9 +27,18 @@
     edge — strictly after the MAC verdict, never serving a block the
     comparator rejected — and invalidates the cache on violation, and
     which accounts cycles, stalls and retires once per block visit
-    rather than per instruction. Both produce bit-identical results,
-    traces and counters (modulo the [engine_*] counters);
-    [test/engine_tests.ml] pins the equivalence.
+    rather than per instruction. Hot cycles of those verified blocks
+    run as superblocks: one flat run of slot closures per iteration,
+    fuel tested and every counter accounted once per iteration, left
+    through an exact side exit at the first slot that leaves the
+    cycle. A superblock is built only from blocks that earned
+    [Block_ok] in this run or came from a MAC-verified prefill entry,
+    is flushed with the cache on any violation, and is bypassed
+    whenever [on_retire], a trace sink or [fault] is attached (a run
+    with only a metrics sink still uses it, with its counters
+    batched). Both engines produce bit-identical results, traces and
+    counters (modulo the [engine_*] counters); [test/engine_tests.ml]
+    pins the equivalence.
 
     The frontend dispatches on the image's backend tag
     ({!Sofia_transform.Backend_id}): SOFIA images fetch through the
@@ -82,7 +91,10 @@ val run :
 
     [on_finish] runs after the outcome is decided, with the final
     machine and memory — post-run architectural state inspection for
-    differential tests. *)
+    differential tests. A run that passes it gets a RAM of its own,
+    which the callback may keep; every other run borrows its domain's
+    pooled RAM ({!Memory.acquire}) and hands it back, dirtied pages
+    zeroed, when the result is built. *)
 
 type fetch_outcome =
   | Block_ok of {

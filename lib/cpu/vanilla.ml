@@ -36,9 +36,44 @@ module Obs = Sofia_obs.Obs
 module Event = Sofia_obs.Event
 module Metrics = Sofia_obs.Metrics
 
+(* The fast engine's block: a line-bounded straight-line run compiled
+   on first entry, with how its last visit left it ([vb_exit] slots,
+   last result [vb_exit_res]), its entries with no load pending
+   ([vb_heat]), its superblock and whether it lies on a live one's
+   cycle, as the SOFIA core keeps them per edge (sofia_runner.ml). *)
+type vblock = {
+  vb_dec : Decoded.t;
+  mutable vb_exit : int;
+  mutable vb_exit_res : int;
+  mutable vb_heat : int;
+  mutable vb_super : vsuper option;
+  mutable vb_member : bool;  (* on the cycle of a live superblock *)
+}
+
+(* One iteration of a hot cycle of blocks as a flat {!Decoded.trace};
+   the [k + 1] prefix sums hold what positions [0 .. j-1] add to the
+   run's counters. *)
+and vsuper = {
+  vs_trace : Decoded.trace;
+  vs_blocks : vblock array;
+  vs_pcs : int array;  (* position [j]'s entry pc *)
+  vs_s0 : int array;  (* position [j]'s slot-0 stall, 0 or 1 *)
+  vs_insns : int array;
+  vs_cycles : int array;
+  vs_stalls : int array;
+  vs_reds : int array;  (* positions left by a redirect *)
+}
+
 let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = Obs.none)
     ?on_finish ~text ~text_base ~entry ~data ~data_base () =
-  let mem = Memory.create ~size_bytes:config.Run_config.mem_size () in
+  (* a caller that sees the RAM in [on_finish] may keep it; every other
+     run borrows its domain's pooled RAM *)
+  let size_bytes = config.Run_config.mem_size in
+  let mem =
+    match on_finish with
+    | None -> Memory.acquire ~size_bytes
+    | Some _ -> Memory.create ~size_bytes ()
+  in
   Memory.load_bytes mem ~addr:data_base data;
   let machine = Machine.create ~entry ~sp:(Run_config.initial_sp config) in
   List.iteri (fun i v -> if i < 8 then Machine.write_reg machine (Reg.a i) v) args;
@@ -77,22 +112,26 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
        m.Metrics.icache_misses <- m.Metrics.icache_misses + misses
      | None -> ());
     (match on_finish with Some f -> f ~machine ~mem | None -> ());
-    {
-      Machine.outcome;
-      stats =
-        {
-          Machine.cycles = !cycles;
-          instructions = !instructions;
-          mac_words_fetched = 0;
-          blocks_entered = 0;
-          redirects = !redirects;
-          icache_accesses = Icache.accesses icache;
-          icache_misses = Icache.misses icache;
-          load_use_stalls = !load_use;
-        };
-      outputs = Memory.outputs mem;
-      output_text = Memory.output_text mem;
-    }
+    let result =
+      {
+        Machine.outcome;
+        stats =
+          {
+            Machine.cycles = !cycles;
+            instructions = !instructions;
+            mac_words_fetched = 0;
+            blocks_entered = 0;
+            redirects = !redirects;
+            icache_accesses = Icache.accesses icache;
+            icache_misses = Icache.misses icache;
+            load_use_stalls = !load_use;
+          };
+        outputs = Memory.outputs mem;
+        output_text = Memory.output_text mem;
+      }
+    in
+    if Option.is_none on_finish then Memory.release mem;
+    result
   in
   (* ---- reference engine: per-step [Encoding.decode] (cached per
      index) and the boxed [Machine.execute] interpreter ---- *)
@@ -159,18 +198,23 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
      visit: the block's other fetches are hits on the same line. The
      load-use latch carries across a fall-through, so slot 0's stall
      is checked against the incoming latch and the rest come from the
-     block's prefixes. Same event/metric stream as the reference loop
+     block's prefixes. Hot cycles of blocks run as superblocks, as in
+     the SOFIA core. Same event/metric stream as the reference loop
      modulo the engine_* counters, which count blocks. ---- *)
   let run_fast () =
     let regs = Machine.regs machine in
     let fuel = config.Run_config.fuel in
     let hooks = tracing || Option.is_some on_retire in
+    (* no superblock where a hook watches single retires *)
+    let supers = not hooks in
     let miss_penalty = timing.Timing.icache_miss_penalty in
     let stall = timing.Timing.load_use_stall in
     let branch_penalty = timing.Timing.taken_branch_penalty in
     let line_mask = lnot (config.Run_config.icache.Icache.line_bytes - 1) in
+    let next = Decoded.res_next in
+    let vblock d = { vb_dec = d; vb_exit = 0; vb_exit_res = next; vb_heat = 0; vb_super = None; vb_member = false } in
     (* [unbuilt] (compared physically) marks an entry not compiled yet *)
-    let unbuilt = Decoded.compile ~timing [||] in
+    let unbuilt = vblock (Decoded.compile ~timing ~regs ~mem ~first:0 [||]) in
     let blocks = Array.make n unbuilt in
     let compile i =
       let line = (text_base + (4 * i)) land line_mask in
@@ -182,21 +226,23 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
           | Some insn ->
             if Insn.is_control_flow insn then insn :: acc else collect (j + 1) (insn :: acc)
       in
-      Decoded.compile ~timing (Array.of_list (List.rev (collect i [])))
+      vblock
+        (Decoded.compile ~timing ~regs ~mem ~first:(text_base + (4 * i))
+           (Array.of_list (List.rev (collect i []))))
     in
     let block i =
-      let d = Array.unsafe_get blocks i in
-      if d != unbuilt then begin
+      let b = Array.unsafe_get blocks i in
+      if b != unbuilt then begin
         (match mx with Some m -> m.Metrics.engine_hits <- m.Metrics.engine_hits + 1 | None -> ());
-        d
+        b
       end
       else begin
         (match mx with
          | Some m -> m.Metrics.engine_misses <- m.Metrics.engine_misses + 1
          | None -> ());
-        let d = compile i in
-        blocks.(i) <- d;
-        d
+        let b = compile i in
+        blocks.(i) <- b;
+        b
       end
     in
     (* account the first [c >= 1] slots of a visit whose slot 0
@@ -206,7 +252,100 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
       (match mx with Some m -> m.Metrics.retires <- m.Metrics.retires + c | None -> ());
       cycles := !cycles + Array.unsafe_get d.Decoded.cost_pre c + (s0 * stall);
       load_use := !load_use + Array.unsafe_get d.Decoded.stall_pre c + s0;
-      Icache.hit_same_line icache (c - 1)
+      Icache.count_hits icache (c - 1)
+    in
+    (* Close a superblock headed by block [h], entered with no pending
+       load: follow each block's last exit until the walk is back at
+       [h] with no pending load, each position's slot-0 stall fixed by
+       the latch the cycle enters it with, and the blocks' lines able to
+       be resident together. A walk that does not close allocates
+       nothing. *)
+    let close_super h =
+      (* the block block [i]'s last exit entered, or -1 *)
+      let succ i =
+        let b = blocks.(i) in
+        let c = b.vb_exit and res = b.vb_exit_res in
+        let target =
+          if c = 0 then -1
+          else if res = next then
+            if c = Array.length b.vb_dec.Decoded.ops then text_base + (4 * (i + c)) else -1
+          else res
+        in
+        let rel = target - text_base in
+        if target < 0 || rel < 0 || rel land 3 <> 0 || rel lsr 2 >= n then -1 else rel lsr 2
+      in
+      let exit_latch i =
+        let b = blocks.(i) in
+        if b.vb_exit_res = next then
+          Decoded.loaded_dest (Array.unsafe_get b.vb_dec.Decoded.ops (b.vb_exit - 1))
+        else Decoded.no_load
+      in
+      let rec length i k =
+        let ni = succ i in
+        if ni < 0 || k > Decoded.max_parts then 0
+        else if ni = h && exit_latch i = Decoded.no_load then k
+        else if blocks.(ni) == unbuilt then 0
+        else length ni (k + 1)
+      in
+      let k = length h 1 in
+      if k > 0 then begin
+        let idx = Array.make k h in
+        for j = 1 to k - 1 do
+          idx.(j) <- succ idx.(j - 1)
+        done;
+        let pcs = Array.map (fun i -> text_base + (4 * i)) idx in
+        if Icache.conflict_free icache pcs then begin
+          let bs = Array.map (fun i -> blocks.(i)) idx in
+          let s0 =
+            Array.init k (fun j ->
+                let latch = if j = 0 then Decoded.no_load else exit_latch idx.(j - 1) in
+                if Decoded.uses bs.(j).vb_dec.Decoded.ops.(0) latch then 1 else 0)
+          in
+          let pre f =
+            let a = Array.make (k + 1) 0 in
+            for j = 0 to k - 1 do
+              a.(j + 1) <- a.(j) + f bs.(j) s0.(j)
+            done;
+            a
+          in
+          Array.iter (fun b -> b.vb_member <- true) bs;
+          blocks.(h).vb_super <-
+            Some
+              {
+                vs_trace =
+                  Decoded.trace
+                    (Array.mapi (fun j b -> (b.vb_dec, pcs.(j), b.vb_exit, b.vb_exit_res)) bs);
+                vs_blocks = bs;
+                vs_pcs = pcs;
+                vs_s0 = s0;
+                vs_insns = pre (fun b _ -> b.vb_exit);
+                vs_cycles =
+                  pre (fun b s0 ->
+                      b.vb_dec.Decoded.cost_pre.(b.vb_exit) + (s0 * stall)
+                      + if b.vb_exit_res = next then 0 else branch_penalty);
+                vs_stalls = pre (fun b s0 -> b.vb_dec.Decoded.stall_pre.(b.vb_exit) + s0);
+                vs_reds = pre (fun b _ -> if b.vb_exit_res = next then 0 else 1);
+              }
+        end
+      end
+    in
+    (* What [iters] whole iterations and positions [0 .. j-1] of the
+       next one add to the run, as [visit]/[settle] and [enter] would
+       have accounted them, plus position [j]'s icache probe when
+       [entered]. *)
+    let account_super vs ~iters ~j ~entered =
+      let k = Array.length vs.vs_blocks in
+      let insns = (iters * vs.vs_insns.(k)) + vs.vs_insns.(j) in
+      instructions := !instructions + insns;
+      cycles := !cycles + (iters * vs.vs_cycles.(k)) + vs.vs_cycles.(j);
+      load_use := !load_use + (iters * vs.vs_stalls.(k)) + vs.vs_stalls.(j);
+      redirects := !redirects + (iters * vs.vs_reds.(k)) + vs.vs_reds.(j);
+      Icache.count_hits icache (if entered then insns + 1 else insns);
+      match mx with
+      | Some m ->
+        m.Metrics.retires <- m.Metrics.retires + insns;
+        m.Metrics.engine_hits <- m.Metrics.engine_hits + (iters * k) + j
+      | None -> ()
     in
     let rec enter pc latch =
       Machine.set_pc machine pc;
@@ -217,56 +356,113 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
           finish (Machine.Cpu_reset (Machine.Bus_fault { address = pc }))
         else begin
           let i = rel lsr 2 in
-          let d = block i in
-          if not (Icache.access icache pc) then cycles := !cycles + miss_penalty;
-          let ops = d.Decoded.ops and imms = d.Decoded.imms in
-          let len = Array.length ops in
-          if len = 0 then
-            finish (Machine.Cpu_reset (Machine.Invalid_opcode { address = pc; word = text.(i) }))
-          else begin
-            let room = fuel - !instructions in
-            let lim = if room < len then room else len in
-            let s0 = if Decoded.uses (Array.unsafe_get ops 0) latch then 1 else 0 in
-            (* the slot walk: [Decoded.exec] and one hook test per slot *)
-            let next = Decoded.res_next in
-            let k = ref 0 and res = ref next in
-            match
-              while !res = next && !k < lim do
-                let pc = pc + (4 * !k) in
-                if hooks then begin
-                  if tracing then Obs.emit obs (Event.Retire { pc });
-                  match on_retire with
-                  | Some f -> f ~pc ~insn:(Array.unsafe_get d.Decoded.insns !k)
-                  | None -> ()
-                end;
-                res :=
-                  Decoded.exec ~w:(Array.unsafe_get ops !k) ~imm:(Array.unsafe_get imms !k) ~regs
-                    ~mem ~pc;
-                incr k
-              done
-            with
-            | exception Memory.Bus_error address ->
-              leave d s0 (!k + 1);
-              Machine.set_pc machine (pc + (4 * !k));
-              finish (Machine.Cpu_reset (Machine.Bus_fault { address }))
-            | () ->
-              let c = !k and res = !res in
-              leave d s0 c;
-              if res = next then
-                (* fell off the block, or out of fuel: [enter] checks
-                   fuel before anything else *)
-                enter (pc + (4 * c)) (Decoded.loaded_dest (Array.unsafe_get ops (c - 1)))
-              else if res >= 0 then begin
-                incr redirects;
-                cycles := !cycles + branch_penalty;
-                enter res Decoded.no_load
-              end
-              else begin
-                Machine.set_pc machine (pc + (4 * (c - 1)));
-                finish (Machine.Halted (Decoded.halt_code res))
-              end
+          let b = block i in
+          if supers && latch = Decoded.no_load then begin
+            match b.vb_super with
+            | Some vs -> enter_super b pc vs
+            | None when b.vb_member -> visit b pc latch
+            | None ->
+              b.vb_heat <- b.vb_heat + 1;
+              if b.vb_heat >= Decoded.heat_threshold then begin
+                b.vb_heat <- 0;
+                close_super i
+              end;
+              visit b pc latch
           end
+          else visit b pc latch
         end
+      end
+    and visit b pc latch =
+      let ops = b.vb_dec.Decoded.ops in
+      if not (Icache.access icache pc) then cycles := !cycles + miss_penalty;
+      if Array.length ops = 0 then
+        finish
+          (Machine.Cpu_reset
+             (Machine.Invalid_opcode { address = pc; word = text.((pc - text_base) lsr 2) }))
+      else walk b pc (if Decoded.uses (Array.unsafe_get ops 0) latch then 1 else 0) 0
+    (* the slot walk from slot [k0]: one slot closure and one hook test
+       per slot *)
+    and walk b pc s0 k0 =
+      let d = b.vb_dec in
+      let exec = d.Decoded.exec in
+      let len = Array.length exec in
+      let room = fuel - !instructions in
+      let lim = if room < len then room else len in
+      let k = ref k0 and res = ref next in
+      match
+        while !res = next && !k < lim do
+          let pc = pc + (4 * !k) in
+          if hooks then begin
+            if tracing then Obs.emit obs (Event.Retire { pc });
+            match on_retire with
+            | Some f -> f ~pc ~insn:(Array.unsafe_get d.Decoded.insns !k)
+            | None -> ()
+          end;
+          res := (Array.unsafe_get exec !k) ();
+          incr k
+        done
+      with
+      | exception Memory.Bus_error address ->
+        leave d s0 (!k + 1);
+        Machine.set_pc machine (pc + (4 * !k));
+        finish (Machine.Cpu_reset (Machine.Bus_fault { address }))
+      | () -> settle b pc s0 !k !res
+    and settle b pc s0 c res =
+      let d = b.vb_dec in
+      leave d s0 c;
+      if res = next then begin
+        (* fell off the block, or out of fuel: [enter] checks fuel
+           before anything else *)
+        b.vb_exit <- c;
+        b.vb_exit_res <- res;
+        enter (pc + (4 * c)) (Decoded.loaded_dest (Array.unsafe_get d.Decoded.ops (c - 1)))
+      end
+      else if res >= 0 then begin
+        incr redirects;
+        cycles := !cycles + branch_penalty;
+        b.vb_exit <- c;
+        b.vb_exit_res <- res;
+        enter res Decoded.no_load
+      end
+      else begin
+        Machine.set_pc machine (pc + (4 * (c - 1)));
+        finish (Machine.Halted (Decoded.halt_code res))
+      end
+    (* whole iterations of [vs], then an exact exit: the pc [enter] set
+       for the head stays until a side exit or the last iteration hands
+       a visit back to [walk]/[settle]/[visit] *)
+    and enter_super head pc vs =
+      let tr = vs.vs_trace in
+      let budget = Decoded.budget tr icache ~room:(fuel - 1 - !instructions) in
+      if budget < 1 then visit head pc Decoded.no_load
+      else begin
+        (match mx with Some m -> m.Metrics.engine_traces <- m.Metrics.engine_traces + 1 | None -> ());
+        match Decoded.run_trace tr ~budget with
+        | exception Memory.Bus_error address ->
+          let j = tr.Decoded.t_part.(tr.Decoded.t_slot) in
+          let i = tr.Decoded.t_local.(tr.Decoded.t_slot) in
+          account_super vs ~iters:tr.Decoded.t_iters ~j ~entered:true;
+          leave vs.vs_blocks.(j).vb_dec vs.vs_s0.(j) (i + 1);
+          Machine.set_pc machine (vs.vs_pcs.(j) + (4 * i));
+          finish (Machine.Cpu_reset (Machine.Bus_fault { address }))
+        | () ->
+          if tr.Decoded.t_iters = budget then begin
+            account_super vs ~iters:budget ~j:0 ~entered:false;
+            visit head pc Decoded.no_load
+          end
+          else begin
+            let s = tr.Decoded.t_slot in
+            let j = tr.Decoded.t_part.(s) in
+            let c = tr.Decoded.t_local.(s) + 1 in
+            account_super vs ~iters:tr.Decoded.t_iters ~j ~entered:true;
+            if not (Decoded.keeps_paying tr) then begin
+              Array.iter (fun b -> b.vb_member <- false) vs.vs_blocks;
+              head.vb_super <- None;
+              head.vb_heat <- min_int
+            end;
+            let b = vs.vs_blocks.(j) and pcj = vs.vs_pcs.(j) and s0 = vs.vs_s0.(j) in
+            if tr.Decoded.t_res = next then walk b pcj s0 c else settle b pcj s0 c tr.Decoded.t_res
+          end
       end
     in
     enter entry Decoded.no_load

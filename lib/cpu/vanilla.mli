@@ -30,7 +30,20 @@ val run :
     [on_retire] observes every retired instruction (tracing); [obs]
     attaches the observability sinks (retire/halt/reset events, icache
     and retire counters — the vanilla core has no decrypt/MAC stages to
-    observe); [on_finish] sees the final machine and memory. *)
+    observe); [on_finish] sees the final machine and memory, and a run
+    that passes it gets a RAM of its own that the callback may keep
+    (every other run borrows its domain's pooled RAM, see
+    {!Memory.acquire}).
+
+    The fast engine ([Run_config.Fast], the default) runs line-bounded
+    blocks compiled on first entry, and hot cycles of them as
+    superblocks, as the SOFIA core does: whole iterations of slot
+    closures, accounted once per iteration, left through an exact side
+    exit. A superblock position's slot-0 load-use stall is fixed by the
+    latch the cycle enters it with; one is entered only with no load
+    pending, and never while [on_retire] or a trace sink is attached.
+    Results, counters and events equal the reference engine's (modulo
+    the [engine_*] counters). *)
 
 val run_encoded :
   ?config:Run_config.t ->

@@ -28,6 +28,17 @@ let hist_observe h v =
   let b = bucket_of v in
   h.buckets.(b) <- h.buckets.(b) + 1
 
+(* [n] observations of the same value [v] *)
+let hist_observe_n h v n =
+  if n > 0 then begin
+    h.h_count <- h.h_count + n;
+    h.h_sum <- h.h_sum + (n * v);
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v;
+    let b = bucket_of v in
+    h.buckets.(b) <- h.buckets.(b) + n
+  end
+
 let hist_mean h = if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count
 
 let hist_reset h =
@@ -67,6 +78,7 @@ type t = {
   mutable engine_hits : int;
   mutable engine_misses : int;
   mutable engine_invalidations : int;
+  mutable engine_traces : int;
   mutable verify_checks : int;
   mutable verify_issues : int;
   block_cycles : histogram;
@@ -94,6 +106,7 @@ let create () =
     engine_hits = 0;
     engine_misses = 0;
     engine_invalidations = 0;
+    engine_traces = 0;
     verify_checks = 0;
     verify_issues = 0;
     block_cycles = hist_create ();
@@ -120,6 +133,7 @@ let reset t =
   t.engine_hits <- 0;
   t.engine_misses <- 0;
   t.engine_invalidations <- 0;
+  t.engine_traces <- 0;
   t.verify_checks <- 0;
   t.verify_issues <- 0;
   hist_reset t.block_cycles
@@ -146,6 +160,7 @@ let counters t =
     ("engine_hits", t.engine_hits);
     ("engine_misses", t.engine_misses);
     ("engine_invalidations", t.engine_invalidations);
+    ("engine_traces", t.engine_traces);
     ("verify_checks", t.verify_checks);
     ("verify_issues", t.verify_issues);
   ]

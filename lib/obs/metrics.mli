@@ -19,6 +19,10 @@ type histogram = {
 
 val hist_create : unit -> histogram
 val hist_observe : histogram -> int -> unit
+
+val hist_observe_n : histogram -> int -> int -> unit
+(** [hist_observe_n h v n] is [n] calls of [hist_observe h v]. *)
+
 val hist_mean : histogram -> float
 val hist_reset : histogram -> unit
 val hist_to_json : histogram -> Json.t
@@ -48,6 +52,10 @@ type t = {
   mutable engine_misses : int;  (** fast engine: block compilations *)
   mutable engine_invalidations : int;
       (** fast engine: pre-decoded cache flushes (violation/reset) *)
+  mutable engine_traces : int;
+      (** fast engine: superblock entries — each runs a hot cycle of
+          verified blocks, accounted once per iteration, until a slot
+          leaves the cycle or fuel would run short *)
   mutable verify_checks : int;  (** offline image-verifier block checks *)
   mutable verify_issues : int;
   block_cycles : histogram;  (** cycle cost per executed block visit *)

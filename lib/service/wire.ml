@@ -75,6 +75,19 @@ let with_signals ~signals intr f =
     Fun.protect ~finally:(fun () -> restore_handlers saved) f
   end
 
+(* A gone client's unwritten bytes stay in [oc]'s buffer, and any later
+   flush — the one at process exit included — raises on them. Point the
+   channel's descriptor at /dev/null and flush them away: the client can
+   never read them. *)
+let drop_pending oc =
+  match Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 with
+  | null ->
+    (try Unix.dup2 ~cloexec:false null (Unix.descr_of_out_channel oc)
+     with Unix.Unix_error _ | Sys_error _ -> ());
+    Unix.close null;
+    (try flush oc with Sys_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
 let serve_channels_intr ?(obs = Obs.none) ~(intr : intr) ~config ic oc =
   (* Workers stream responses and the reader loop answers malformed
      lines; one mutex serialises the interleaved writes. A client that
@@ -82,7 +95,10 @@ let serve_channels_intr ?(obs = Obs.none) ~(intr : intr) ~config ic oc =
      from the buffered flush) must not crash the server or poison the
      engine: the first failed write latches [client_gone] and every
      later response is dropped on the floor while the jobs still run to
-     their terminal state — the counters stay conserved. *)
+     their terminal state — the counters stay conserved. After the
+     drain the bytes the failed write left buffered are dropped too
+     ([drop_pending]), so the server's exit is the same as after a
+     client that read everything. *)
   let out_m = Mutex.create () in
   let client_gone = ref false in
   let write_line line =
@@ -132,6 +148,7 @@ let serve_channels_intr ?(obs = Obs.none) ~(intr : intr) ~config ic oc =
   read_loop ();
   ignore (Engine.drain engine);
   Engine.shutdown engine;
+  if !client_gone then drop_pending oc;
   let m = Engine.metrics engine in
   ( {
       received = !received;

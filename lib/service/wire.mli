@@ -65,7 +65,15 @@ val serve_channels :
     [~signals:true]), stream responses, then drain and shut the engine
     down. Output writes are serialised across worker domains. The
     (shut-down) engine is returned for its metrics and store
-    counters. *)
+    counters.
+
+    A client that stops reading (its pipe or socket closed) loses only
+    its responses: the first failed write stops all writing, the jobs
+    still run to their terminal states, and the bytes left in the
+    output channel's buffer are dropped by pointing its descriptor at
+    [/dev/null], so no later flush — the one at process exit included
+    — raises. The stats, and the CLI's exit status derived from them
+    ({!ok}), are the same as for a client that read everything. *)
 
 val serve_socket :
   ?obs:Sofia_obs.Obs.t ->

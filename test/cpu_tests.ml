@@ -85,7 +85,7 @@ let test_icache_geometry () =
      fetch, one miss *)
   let c = Icache.create Icache.default in
   Alcotest.(check bool) "probe misses" false (Icache.access c 0x40);
-  Icache.hit_same_line c 7;
+  Icache.count_hits c 7;
   Alcotest.(check bool) "line stays resident" true (Icache.access c 0x5C);
   check_int "accesses" 9 (Icache.accesses c);
   check_int "misses" 1 (Icache.misses c)

@@ -30,6 +30,7 @@ type snapshot = {
   stream : (int * Sofia.Isa.Insn.t) list;
   regs : int array;
   mem : bytes;
+  ram : Memory.t;  (* the RAM itself, which [on_finish] keeps *)
 }
 
 let snapshot ?config image =
@@ -46,9 +47,11 @@ let snapshot ?config image =
     stream = List.rev !stream;
     regs = Array.init 32 (fun r -> Machine.read_reg machine (Reg.of_int r));
     mem = Memory.read_range mem ~addr:0 ~len:(Memory.size_bytes mem);
+    ram = mem;
   }
 
 let check_identical name a b =
+  Alcotest.(check bool) (name ^ ": the two runs' RAMs are distinct") true (a.ram != b.ram);
   Alcotest.(check bool) (name ^ ": run_result bit-identical") true (a.result = b.result);
   Alcotest.(check bool) (name ^ ": retired streams identical") true (a.stream = b.stream);
   Alcotest.(check bool) (name ^ ": register files identical") true (a.regs = b.regs);

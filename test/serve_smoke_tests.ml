@@ -744,6 +744,41 @@ let test_unusable_store_dir () =
           ])
   end
 
+(* A reader that stops early: [serve --stdin | head -c 10]. The server
+   must drop what it cannot write and exit as if every response had
+   been read — no [Fatal error] from a flush at exit. *)
+let test_stdout_closed_early () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let req_path = Filename.temp_file "sofia_head" ".ndjson" in
+    let oc = open_out req_path in
+    for i = 0 to 399 do
+      let source = sources.(i mod Array.length sources) in
+      let req = Job.make ~id:(Printf.sprintf "head-%03d" i) (Job.Protect { source }) in
+      output_string oc (Json.to_string (Job.request_to_json req));
+      output_char oc '\n'
+    done;
+    close_out oc;
+    let err_path = Filename.temp_file "sofia_head" ".err" in
+    let status_path = Filename.temp_file "sofia_head" ".status" in
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ req_path; err_path; status_path ])
+      (fun () ->
+        for run = 1 to 3 do
+          let cmd =
+            Printf.sprintf "{ %s serve --stdin < %s 2> %s; echo $? > %s; } | head -c 10 > /dev/null"
+              (Filename.quote cli) (Filename.quote req_path) (Filename.quote err_path)
+              (Filename.quote status_path)
+          in
+          ignore (Sys.command cmd);
+          let err = In_channel.with_open_bin err_path In_channel.input_all in
+          let status = String.trim (In_channel.with_open_bin status_path In_channel.input_all) in
+          if contains ~needle:"Fatal error" err then
+            Alcotest.failf "run %d: serve died on the closed pipe:\n%s" run err;
+          Alcotest.(check string) (Printf.sprintf "run %d: exit status" run) "0" status
+        done)
+  end
+
 let suite =
   [
     Alcotest.test_case "pipe mode, 200 mixed requests" `Slow test_pipe_mode_200;
@@ -761,4 +796,5 @@ let suite =
     Alcotest.test_case "fleet: a stopped child never blocks the router" `Slow
       test_fleet_stopped_child;
     Alcotest.test_case "unusable --store-dir: one error line" `Slow test_unusable_store_dir;
+    Alcotest.test_case "stdout closed early: no fatal flush" `Slow test_stdout_closed_early;
   ]

@@ -16,6 +16,9 @@
                     fresh/baseline ratio of the unfloored rows first
      floors         [{name, ratio}]: micro row NAME must run at least
                     RATIO times faster than the baseline
+     ratios         [{num, den, min}]: in the fresh run itself, micro
+                    row NUM's median over row DEN's must be at least
+                    MIN
      checks         [{experiment, where, field, op, value}]: one
                     assertion each on the fresh report (below)
 
@@ -40,6 +43,12 @@
    row is left out of the [normalize] geomean: a pinned win is a
    deliberate shift, and counting it would read as every unfloored row
    slowing down by the win's share of the geomean.
+
+   A ratio gates a win against the oracle the repository keeps beside
+   it (a [-ref] engine, a reference cipher), measured in the same
+   process as the fast path: both medians come from the same fresh
+   passes, so the host's speed cancels out of the quotient, where a
+   floor divides by a number recorded on another machine.
 
    A check reads [field], a dotted path, from the report's top level or,
    when [experiment] is given, from the experiment with that id. When
@@ -84,6 +93,7 @@ type gates = {
   tolerance : float;
   normalize : bool;
   floors : (string * float) list;
+  ratios : (string * string * float) list;
   checks : check list;
 }
 
@@ -119,6 +129,7 @@ let gates_of_json j =
     tolerance = num "tolerance_pct" j;
     normalize = req "normalize" j = J.Bool true;
     floors = List.map (fun f -> (str "name" f, num "ratio" f)) (list "floors" j);
+    ratios = List.map (fun r -> (str "num" r, str "den" r, num "min" r)) (list "ratios" j);
     checks = List.map check_of_json (list "checks" j);
   }
 
@@ -305,6 +316,24 @@ let () =
           Printf.printf "  %-34s missing from fresh run\n" name)
       g.floors
   end;
+  (* Same-run ratios: both medians from this run's passes *)
+  let ratio_failed = ref false in
+  if g.ratios <> [] then begin
+    Printf.printf "\nsame-run ratios (fresh medians):\n";
+    List.iter
+      (fun (num, den, min) ->
+        match (List.assoc_opt num fresh, List.assoc_opt den fresh) with
+        | Some n, Some d ->
+          let ratio = n /. d in
+          let ok = ratio >= min in
+          if not ok then ratio_failed := true;
+          Printf.printf "  %s / %s  %.2fx (min %.2fx)%s\n" num den ratio min
+            (if ok then "" else "  TOO SLOW")
+        | _ ->
+          ratio_failed := true;
+          Printf.printf "  %s / %s  missing from fresh run\n" num den)
+      g.ratios
+  end;
   Printf.printf "\nchecks on the fresh report:\n";
   let check_failed = ref false in
   List.iter
@@ -324,5 +353,6 @@ let () =
        (List.length names) g.tolerance
        (String.concat ", " (List.rev names)));
   if !floor_failed then Printf.printf "FAIL: a benchmark missed its speedup floor\n";
+  if !ratio_failed then Printf.printf "FAIL: a same-run ratio fell below its minimum\n";
   if !check_failed then Printf.printf "FAIL: a check on the fresh report failed\n";
-  if !failed <> [] || !floor_failed || !check_failed then exit 1
+  if !failed <> [] || !floor_failed || !ratio_failed || !check_failed then exit 1
