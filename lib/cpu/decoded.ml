@@ -311,10 +311,13 @@ type trace = {
    [heat_threshold] times tries to close a cycle of at most [max_parts]
    blocks; a failed try waits for as many entries again. A superblock
    that leaves before its second part on most of [payoff_window]
-   entries costs more than it saves (branchy code, its cycle one path
-   of several): it is dropped for good, so a run's code stops
-   allocating once it is warm. *)
-let heat_threshold = 8
+   entries costs more than it saves (its cycle one path of several, or
+   an outer loop's path through one pass of an inner loop): it is
+   dropped for good. Short branchy runs set the threshold: a build
+   costs about a microsecond, and at 8 entries a codec whose every
+   sample takes another path builds a cycle for path after path
+   (DESIGN §11 has the ablation). *)
+let heat_threshold = 32
 let max_parts = 32
 let payoff_window = 64
 
@@ -359,19 +362,16 @@ let trace parts =
     parts;
   t
 
-(* Whole iterations that fit [room] retires, at most [max_iters] (the
-   cap spares a division per entry when fuel is far away), or 0 when
-   one of the trace's lines is not resident. With no icache miss since
-   its lines were last all resident, none can have been evicted. *)
-let max_iters = 1 lsl 20
-
+(* Whole iterations that fit [room] retires, or 0 when one of the
+   trace's lines is not resident. With no icache miss since its lines
+   were last all resident, none can have been evicted. *)
 let budget t icache ~room =
   let misses = Icache.misses icache in
   let resident = t.t_seen = misses || Icache.all_resident icache t.t_lines in
   if not resident then 0
   else begin
     t.t_seen <- misses;
-    if room >= t.t_insns * max_iters then max_iters else room / t.t_insns
+    room / t.t_insns
   end
 
 let keeps_paying t =

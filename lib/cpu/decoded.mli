@@ -82,7 +82,7 @@ type trace = private {
   mutable t_iters : int;  (** whole iterations the last {!run_trace} completed *)
   mutable t_slot : int;  (** the slot it left by *)
   mutable t_res : int;  (** that slot's result *)
-  mutable t_seen : int;
+  mutable t_seen : int;  (** icache misses when its lines were last all resident *)
   mutable t_entries : int;
   mutable t_wasted : int;
 }
@@ -94,7 +94,8 @@ val heat_threshold : int
     waits for as many again when the cycle does not close). *)
 
 val max_parts : int
-(** The most blocks one superblock's cycle may hold. *)
+(** The most blocks one superblock's cycle may hold; it also bounds
+    the walk that looks for the cycle. *)
 
 val trace : (t * int * int * int) array -> trace
 (** [trace parts]: part [(d, line, c, res)] contributes the first [c]
@@ -106,16 +107,14 @@ val budget : trace -> Icache.t -> room:int -> int
 (** How many whole iterations an entry may run: 0 unless every line of
     the trace is resident — then each of its visits hits, and its
     fetches evict nothing — else as many as retire at most [room]
-    instructions, capped at 2{^ 20} so that no division is needed
-    while fuel is far away. Probes nothing while no icache miss has
-    happened since the lines were last all resident. *)
+    instructions. Probes nothing while no icache miss has happened
+    since the lines were last all resident. *)
 
 val keeps_paying : trace -> bool
 (** Book the exit {!run_trace} just took by a slot that left the
     cycle. [false] when most of the last 64 such entries left before
-    the trace's second part: the superblock costs more than it saves
-    (a cycle that is one path of several through branchy code), and
-    the caller drops it for good. *)
+    the trace's second part: the superblock costs more than it saves,
+    and the caller drops it for good. *)
 
 val run_trace : trace -> budget:int -> unit
 (** Execute whole iterations ([budget >= 1]) until a slot's result

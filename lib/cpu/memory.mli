@@ -18,7 +18,7 @@ type t
 val create : ?size_bytes:int -> unit -> t
 (** A fresh, zeroed RAM covering [\[0, size_bytes)]; default 1 MiB.
     Zeroing and collecting 1 MiB costs a run about 120 µs, so the
-    cores take their RAM from {!acquire} unless the caller keeps it. *)
+    cores take their RAM from {!acquire}. *)
 
 val acquire : size_bytes:int -> t
 (** A zeroed RAM of [size_bytes] with no outputs: this domain's pooled

@@ -313,10 +313,13 @@ let edge_key ~target ~prev_pc = ((target land 0xFFFF_FFFF) lsl 31) lor (prev_pc 
    and no transient fault is armed for the fetch.
 
    [cb_exit]/[cb_exit_res] remember how the block's last visit left it,
-   and [cb_heat] counts its entries: a block entered often enough tries
-   to close a cycle of last exits through its chains into a superblock
-   ([cb_super]) — unless it already lies on a live superblock's cycle
-   ([cb_member]), which would only build that cycle again, rotated. *)
+   and [cb_heat] counts its entries: a block entered
+   {!Decoded.heat_threshold} times tries to close a cycle of last exits
+   through its chains into a superblock ([cb_super]) — unless it lies
+   on a live superblock's cycle ([cb_member] of them), which would only
+   build that cycle again, rotated. A head's heat stays at the
+   threshold, so every entry of it looks for its superblock; a dropped
+   head's is parked at [min_int]. *)
 type cblock = {
   cb_base : int;
   cb_first : int;  (* address of slot 0 *)
@@ -329,7 +332,7 @@ type cblock = {
   mutable cb_exit_res : int;  (* its last slot result *)
   mutable cb_heat : int;
   mutable cb_super : super option;
-  mutable cb_member : bool;  (* on the cycle of a live superblock *)
+  mutable cb_member : int;  (* live superblocks whose cycle holds it *)
 }
 
 and compiled = C_none | C_ok of cblock | C_violation of Machine.violation
@@ -365,19 +368,14 @@ let cblock ~timing ~regs ~mem ~base ~kind insns =
     cb_exit_res = Decoded.res_next;
     cb_heat = 0;
     cb_super = None;
-    cb_member = false;
+    cb_member = 0;
   }
 
 let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Obs.none) ?on_finish
     ?prefill ~(keys : Keys.t) (image : Image.t) =
-  (* a caller that sees the RAM in [on_finish] may keep it; every other
-     run borrows its domain's pooled RAM *)
-  let size_bytes = config.Run_config.mem_size in
-  let mem =
-    match on_finish with
-    | None -> Memory.acquire ~size_bytes
-    | Some _ -> Memory.create ~size_bytes ()
-  in
+  (* every run borrows its domain's pooled RAM; one whose [on_finish]
+     saw the RAM never hands it back, since the callback may keep it *)
+  let mem = Memory.acquire ~size_bytes:config.Run_config.mem_size in
   Memory.load_bytes mem ~addr:image.Image.data_base image.Image.data;
   let machine = Machine.create ~entry:image.Image.entry ~sp:(Run_config.initial_sp config) in
   List.iteri (fun i v -> if i < 8 then Machine.write_reg machine (Reg.a i) v) args;
@@ -695,6 +693,24 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       + (if missed then miss_penalty else 0)
       + if redirected then redirect_extra else 0
     in
+    (* the entry block [r]'s last exit chained to, or [C_none] *)
+    let succ (r : cblock) =
+      let c = r.cb_exit and res = r.cb_exit_res in
+      if c = 0 then C_none
+      else if res = next then if c = Array.length r.cb_dec.Decoded.ops then r.cb_fall else C_none
+      else if res >= 0 && r.cb_last_key = edge_key ~target:res ~prev_pc:(r.cb_first + (4 * (c - 1)))
+      then r.cb_last
+      else C_none
+    in
+    (* the length of the cycle from [r], position [k], back to [head],
+       or 0; defined once per run, so that a walk allocates nothing *)
+    let rec cycle_length head ~redirected r k =
+      match succ r with
+      | C_ok s when k <= Decoded.max_parts ->
+        if s == head && (r.cb_exit_res <> next) = redirected then k
+        else cycle_length head ~redirected s (k + 1)
+      | C_ok _ | C_none | C_violation _ -> 0
+    in
     (* Close a superblock headed by [head], entered by a redirect or not
        as [redirected] says: follow each block's last exit through its
        chain pointers until the walk is back at [head], entered the same
@@ -704,21 +720,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
        are resident a whole iteration hits. A walk that does not close
        allocates nothing. *)
     let close_super head ~redirected =
-      let succ (r : cblock) =
-        let c = r.cb_exit and res = r.cb_exit_res in
-        if c = 0 then C_none
-        else if res = next then if c = Array.length r.cb_dec.Decoded.ops then r.cb_fall else C_none
-        else if res >= 0 && r.cb_last_key = edge_key ~target:res ~prev_pc:(r.cb_first + (4 * (c - 1)))
-        then r.cb_last
-        else C_none
-      in
-      let rec length r k =
-        match succ r with
-        | C_ok s when k <= Decoded.max_parts ->
-          if s == head && (r.cb_exit_res <> next) = redirected then k else length s (k + 1)
-        | C_ok _ | C_none | C_violation _ -> 0
-      in
-      let k = length head 1 in
+      let k = cycle_length head ~redirected head 1 in
       if k > 0 then begin
         let bs = Array.make k head in
         for j = 1 to k - 1 do
@@ -739,7 +741,8 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
             stalls.(j + 1) <- stalls.(j) + r.cb_dec.Decoded.stall_pre.(c);
             reds.(j + 1) <- (reds.(j) + if red.(j) then 1 else 0)
           done;
-          Array.iter (fun r -> r.cb_member <- true) bs;
+          Array.iter (fun r -> r.cb_member <- r.cb_member + 1) bs;
+          head.cb_heat <- Decoded.heat_threshold;
           head.cb_super <-
             Some
               {
@@ -859,24 +862,25 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
       load_use := !load_use + Array.unsafe_get dec.Decoded.stall_pre c;
       Machine.set_pc machine (r.cb_first + (4 * (c - 1)));
       finalize_block r ~missed ~redirected (Array.unsafe_get dec.Decoded.cost_pre c + extra)
-    (* A block entered the way its superblock's cycle enters it runs the
-       superblock when fuel covers a whole iteration and every line of
-       it is resident; anything else is a plain visit. *)
+    (* An entry below the heat threshold only counts itself. At the
+       threshold a block on no live cycle tries to close one, and a head
+       entered the way its cycle enters it runs the superblock when fuel
+       covers a whole iteration and every line of it is resident;
+       anything else is a plain visit. *)
     and exec_block r ~redirected =
-      if supers then begin
+      let heat = r.cb_heat in
+      if heat < Decoded.heat_threshold then begin
+        r.cb_heat <- heat + 1;
+        visit r ~redirected
+      end
+      else
         match r.cb_super with
         | Some sp when sp.sp_red.(0) = redirected -> enter_super r sp
         | Some _ -> visit r ~redirected
-        | None when r.cb_member -> visit r ~redirected
         | None ->
-          r.cb_heat <- r.cb_heat + 1;
-          if r.cb_heat >= Decoded.heat_threshold then begin
-            r.cb_heat <- 0;
-            close_super r ~redirected
-          end;
+          r.cb_heat <- 0;
+          if supers && r.cb_member = 0 then close_super r ~redirected;
           visit r ~redirected
-      end
-      else visit r ~redirected
     (* Block-at-a-time accounting. The load-use latch is clear at
        every block entry, so a slot's cost and stall depend only on the
        block's own code and are prefix-summed at compile time
@@ -971,7 +975,7 @@ let run ?(config = Run_config.default) ?(args = []) ?fault ?on_retire ?(obs = Ob
             let c = tr.Decoded.t_local.(s) + 1 in
             account_super sp ~iters:tr.Decoded.t_iters ~j ~entered:true;
             if not (Decoded.keeps_paying tr) then begin
-              Array.iter (fun r -> r.cb_member <- false) sp.sp_blocks;
+              Array.iter (fun r -> r.cb_member <- r.cb_member - 1) sp.sp_blocks;
               head.cb_super <- None;
               head.cb_heat <- min_int
             end;

@@ -91,10 +91,10 @@ val run :
 
     [on_finish] runs after the outcome is decided, with the final
     machine and memory — post-run architectural state inspection for
-    differential tests. A run that passes it gets a RAM of its own,
-    which the callback may keep; every other run borrows its domain's
-    pooled RAM ({!Memory.acquire}) and hands it back, dirtied pages
-    zeroed, when the result is built. *)
+    differential tests. Every run borrows its domain's pooled RAM
+    ({!Memory.acquire}) and hands it back, dirtied pages zeroed, when
+    the result is built — except a run that passes [on_finish]: the
+    callback may keep the RAM, so that run never hands it back. *)
 
 type fetch_outcome =
   | Block_ok of {

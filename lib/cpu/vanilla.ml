@@ -38,16 +38,16 @@ module Metrics = Sofia_obs.Metrics
 
 (* The fast engine's block: a line-bounded straight-line run compiled
    on first entry, with how its last visit left it ([vb_exit] slots,
-   last result [vb_exit_res]), its entries with no load pending
-   ([vb_heat]), its superblock and whether it lies on a live one's
-   cycle, as the SOFIA core keeps them per edge (sofia_runner.ml). *)
+   last result [vb_exit_res]), its entries ([vb_heat]), its superblock
+   and how many live superblocks' cycles hold it, as the SOFIA core
+   keeps them per edge (sofia_runner.ml). *)
 type vblock = {
   vb_dec : Decoded.t;
   mutable vb_exit : int;
   mutable vb_exit_res : int;
   mutable vb_heat : int;
   mutable vb_super : vsuper option;
-  mutable vb_member : bool;  (* on the cycle of a live superblock *)
+  mutable vb_member : int;  (* live superblocks whose cycle holds it *)
 }
 
 (* One iteration of a hot cycle of blocks as a flat {!Decoded.trace};
@@ -66,14 +66,9 @@ and vsuper = {
 
 let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = Obs.none)
     ?on_finish ~text ~text_base ~entry ~data ~data_base () =
-  (* a caller that sees the RAM in [on_finish] may keep it; every other
-     run borrows its domain's pooled RAM *)
-  let size_bytes = config.Run_config.mem_size in
-  let mem =
-    match on_finish with
-    | None -> Memory.acquire ~size_bytes
-    | Some _ -> Memory.create ~size_bytes ()
-  in
+  (* every run borrows its domain's pooled RAM; one whose [on_finish]
+     saw the RAM never hands it back, since the callback may keep it *)
+  let mem = Memory.acquire ~size_bytes:config.Run_config.mem_size in
   Memory.load_bytes mem ~addr:data_base data;
   let machine = Machine.create ~entry ~sp:(Run_config.initial_sp config) in
   List.iteri (fun i v -> if i < 8 then Machine.write_reg machine (Reg.a i) v) args;
@@ -212,7 +207,7 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
     let branch_penalty = timing.Timing.taken_branch_penalty in
     let line_mask = lnot (config.Run_config.icache.Icache.line_bytes - 1) in
     let next = Decoded.res_next in
-    let vblock d = { vb_dec = d; vb_exit = 0; vb_exit_res = next; vb_heat = 0; vb_super = None; vb_member = false } in
+    let vblock d = { vb_dec = d; vb_exit = 0; vb_exit_res = next; vb_heat = 0; vb_super = None; vb_member = 0 } in
     (* [unbuilt] (compared physically) marks an entry not compiled yet *)
     let unbuilt = vblock (Decoded.compile ~timing ~regs ~mem ~first:0 [||]) in
     let blocks = Array.make n unbuilt in
@@ -254,6 +249,35 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
       load_use := !load_use + Array.unsafe_get d.Decoded.stall_pre c + s0;
       Icache.count_hits icache (c - 1)
     in
+    (* the block that block [i]'s last exit entered, or -1 *)
+    let succ i =
+      let b = blocks.(i) in
+      let c = b.vb_exit and res = b.vb_exit_res in
+      let target =
+        if c = 0 then -1
+        else if res = next then
+          if c = Array.length b.vb_dec.Decoded.ops then text_base + (4 * (i + c)) else -1
+        else res
+      in
+      let rel = target - text_base in
+      if target < 0 || rel < 0 || rel land 3 <> 0 || rel lsr 2 >= n then -1 else rel lsr 2
+    in
+    let exit_latch i =
+      let b = blocks.(i) in
+      if b.vb_exit_res = next then
+        Decoded.loaded_dest (Array.unsafe_get b.vb_dec.Decoded.ops (b.vb_exit - 1))
+      else Decoded.no_load
+    in
+    (* the length of the cycle from block [i], position [k], back to
+       [h], or 0; defined once per run, so that a walk allocates
+       nothing *)
+    let rec cycle_length h i k =
+      let ni = succ i in
+      if ni < 0 || k > Decoded.max_parts then 0
+      else if ni = h && exit_latch i = Decoded.no_load then k
+      else if blocks.(ni) == unbuilt then 0
+      else cycle_length h ni (k + 1)
+    in
     (* Close a superblock headed by block [h], entered with no pending
        load: follow each block's last exit until the walk is back at
        [h] with no pending load, each position's slot-0 stall fixed by
@@ -261,33 +285,7 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
        be resident together. A walk that does not close allocates
        nothing. *)
     let close_super h =
-      (* the block block [i]'s last exit entered, or -1 *)
-      let succ i =
-        let b = blocks.(i) in
-        let c = b.vb_exit and res = b.vb_exit_res in
-        let target =
-          if c = 0 then -1
-          else if res = next then
-            if c = Array.length b.vb_dec.Decoded.ops then text_base + (4 * (i + c)) else -1
-          else res
-        in
-        let rel = target - text_base in
-        if target < 0 || rel < 0 || rel land 3 <> 0 || rel lsr 2 >= n then -1 else rel lsr 2
-      in
-      let exit_latch i =
-        let b = blocks.(i) in
-        if b.vb_exit_res = next then
-          Decoded.loaded_dest (Array.unsafe_get b.vb_dec.Decoded.ops (b.vb_exit - 1))
-        else Decoded.no_load
-      in
-      let rec length i k =
-        let ni = succ i in
-        if ni < 0 || k > Decoded.max_parts then 0
-        else if ni = h && exit_latch i = Decoded.no_load then k
-        else if blocks.(ni) == unbuilt then 0
-        else length ni (k + 1)
-      in
-      let k = length h 1 in
+      let k = cycle_length h h 1 in
       if k > 0 then begin
         let idx = Array.make k h in
         for j = 1 to k - 1 do
@@ -308,7 +306,8 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
             done;
             a
           in
-          Array.iter (fun b -> b.vb_member <- true) bs;
+          Array.iter (fun b -> b.vb_member <- b.vb_member + 1) bs;
+          blocks.(h).vb_heat <- Decoded.heat_threshold;
           blocks.(h).vb_super <-
             Some
               {
@@ -357,19 +356,21 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
         else begin
           let i = rel lsr 2 in
           let b = block i in
-          if supers && latch = Decoded.no_load then begin
+          (* below the heat threshold an entry only counts itself; see
+             the SOFIA core's [exec_block] *)
+          let heat = b.vb_heat in
+          if heat < Decoded.heat_threshold then begin
+            b.vb_heat <- heat + 1;
+            visit b pc latch
+          end
+          else if latch <> Decoded.no_load then visit b pc latch
+          else
             match b.vb_super with
             | Some vs -> enter_super b pc vs
-            | None when b.vb_member -> visit b pc latch
             | None ->
-              b.vb_heat <- b.vb_heat + 1;
-              if b.vb_heat >= Decoded.heat_threshold then begin
-                b.vb_heat <- 0;
-                close_super i
-              end;
+              b.vb_heat <- 0;
+              if supers && b.vb_member = 0 then close_super i;
               visit b pc latch
-          end
-          else visit b pc latch
         end
       end
     and visit b pc latch =
@@ -456,7 +457,7 @@ let run_encoded ?(config = Run_config.default) ?(args = []) ?on_retire ?(obs = O
             let c = tr.Decoded.t_local.(s) + 1 in
             account_super vs ~iters:tr.Decoded.t_iters ~j ~entered:true;
             if not (Decoded.keeps_paying tr) then begin
-              Array.iter (fun b -> b.vb_member <- false) vs.vs_blocks;
+              Array.iter (fun b -> b.vb_member <- b.vb_member - 1) vs.vs_blocks;
               head.vb_super <- None;
               head.vb_heat <- min_int
             end;

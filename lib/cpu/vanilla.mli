@@ -30,10 +30,10 @@ val run :
     [on_retire] observes every retired instruction (tracing); [obs]
     attaches the observability sinks (retire/halt/reset events, icache
     and retire counters — the vanilla core has no decrypt/MAC stages to
-    observe); [on_finish] sees the final machine and memory, and a run
-    that passes it gets a RAM of its own that the callback may keep
-    (every other run borrows its domain's pooled RAM, see
-    {!Memory.acquire}).
+    observe); [on_finish] sees the final machine and memory. Every run
+    borrows its domain's pooled RAM ({!Memory.acquire}); a run that
+    passes [on_finish] never hands it back, so the callback may keep
+    it.
 
     The fast engine ([Run_config.Fast], the default) runs line-bounded
     blocks compiled on first entry, and hot cycles of them as

@@ -192,7 +192,7 @@ let test_workload (w : Workload.t) () =
     (normalize_sofia tbl (List.rev !s_stream));
   (* final architectural state *)
   let vm, vmem = Option.get !v_state and sm, smem = Option.get !s_state in
-  (* a run that passes [on_finish] keeps a RAM of its own *)
+  (* a RAM that [on_finish] saw never goes back to the pool *)
   Alcotest.(check bool) (name ^ ": the two runs' RAMs are distinct") true (vmem != smem);
   check_registers name program image vm sm;
   check_memory name program vmem smem;

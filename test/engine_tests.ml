@@ -63,8 +63,8 @@ let run_vanilla ?config ?obs ?(retires = true) program =
 let outcome_t = Alcotest.testable Machine.pp_outcome ( = )
 
 (* Bit-identity of two captures of the same image/program: [None], or
-   what differs first. A run that passes [on_finish] keeps a RAM of its
-   own, so the two RAMs compared are never the same one. *)
+   what differs first. A RAM that [on_finish] saw never goes back to
+   the pool, so the two RAMs compared are never the same one. *)
 let capture_diff name (f : capture) (r : capture) =
   let nf = List.length f.stream and nr = List.length r.stream in
   let stream_diff () =
@@ -639,7 +639,10 @@ let test_loop_exits () =
       check (Printf.sprintf "halt after %d iterations" iters)
         (Sofia.Asm.Assembler.assemble (halt_source ~iters))
         halted)
-    [ 1; 2; 9; 10; 17; 33; 300 ];
+    (* the iterations just after a superblock can first form, as the
+       heat threshold places them *)
+    (let h = Sofia.Cpu.Decoded.heat_threshold in
+     [ 1; 2; h + 1; h + 2; (2 * h) + 1; (4 * h) + 1; 300 ]);
   check_every_core_entered entered
 
 (* A run with only a metrics sink still runs superblocks, with its
@@ -705,7 +708,7 @@ let print_gen_case c =
     (match c.tamper with
      | Some (b, w, bit) -> Printf.sprintf " flip bit %d of word %d of block %d" bit w b
      | None -> "")
-    (Minic_gen.generate ~trips:(8, 40) ~seed:(Int64.of_int c.seed) ())
+    (Minic_gen.generate ~trips:(24, 80) ~seed:(Int64.of_int c.seed) ())
 
 (* One bit of one word (instruction or MAC/tag) of one block flipped. *)
 let tampered (image : Image.t) (b, word, bit) =
@@ -720,7 +723,7 @@ let prop_generated =
     ~name:"generated programs: fast = ref, tampered or prefilled"
     (QCheck.make ~print:print_gen_case gen_program_case)
     (fun c ->
-      let src = Minic_gen.generate ~trips:(8, 40) ~seed:(Int64.of_int c.seed) () in
+      let src = Minic_gen.generate ~trips:(24, 80) ~seed:(Int64.of_int c.seed) () in
       match Sofia.Minic.Compile.to_program src with
       | Error _ -> QCheck.assume_fail ()
       | Ok program ->
