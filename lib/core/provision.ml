@@ -17,27 +17,36 @@ let nonce_of_version version =
     Error "version exceeds the 8-bit nonce space: re-keying required before wrapping ω"
   else Ok version
 
+(* The layout depends on the program alone, so a release is laid out
+   once and only encrypted and verified per device (paper §II: the
+   provider holds every device's keys). *)
 let release ~devices ~version program =
   match nonce_of_version version with
   | Error m -> Error m
-  | Ok nonce ->
-    let rec build acc = function
+  | Ok nonce -> (
+    let rec build layout acc = function
       | [] -> Ok { version; nonce; images = List.rev acc }
       | d :: rest -> (
-        match Sofia_transform.Transform.protect ~keys:d.keys ~nonce program with
-        | Error e ->
+        let image =
+          Sofia_transform.Transform.encrypt ~backend:Sofia_transform.Backend_id.Sofia
+            ~keys:d.keys ~nonce layout
+        in
+        match Sofia_transform.Verify.check_against_source ~keys:d.keys program image with
+        | [] -> build layout ((d.device_id, image) :: acc) rest
+        | issue :: _ ->
           Error
-            (Format.asprintf "%s: transformation failed: %a" d.device_id
-               Sofia_transform.Layout.pp_error e)
-        | Ok image -> (
-          match Sofia_transform.Verify.check_against_source ~keys:d.keys program image with
-          | [] -> build ((d.device_id, image) :: acc) rest
-          | issue :: _ ->
-            Error
-              (Format.asprintf "%s: verification failed: %a" d.device_id
-                 Sofia_transform.Verify.pp_issue issue)))
+            (Format.asprintf "%s: verification failed: %a" d.device_id
+               Sofia_transform.Verify.pp_issue issue))
     in
-    build [] devices
+    match devices with
+    | [] -> Ok { version; nonce; images = [] }
+    | first :: _ -> (
+      match Sofia_transform.Layout.layout program with
+      | Error e ->
+        Error
+          (Format.asprintf "%s: transformation failed: %a" first.device_id
+             Sofia_transform.Layout.pp_error e)
+      | Ok layout -> build layout [] devices))
 
 let image_for release ~device_id = List.assoc_opt device_id release.images
 

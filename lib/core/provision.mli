@@ -33,9 +33,13 @@ val release :
   version:int ->
   Sofia_asm.Program.t ->
   (release, string) result
-(** Build and {e verify} one image per device. Fails with a rendered
-    diagnostic if the transformation or the independent verifier
-    rejects any image. *)
+(** Build and {e verify} one image per device: the program is laid
+    out once, then encrypted and checked by the independent verifier
+    under each device's keys. Each image is the one
+    {!Sofia_transform.Transform.protect} builds for that device. Fails
+    with a rendered diagnostic, naming the first device when the
+    layout is refused, if the transformation or the verifier rejects
+    any image. *)
 
 val image_for : release -> device_id:string -> Sofia_transform.Image.t option
 

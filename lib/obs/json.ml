@@ -7,20 +7,27 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Plain characters are copied a run at a time; only the characters
+   JSON must escape are written one by one. *)
+let write_escaped buf s =
+  let n = String.length s in
+  let rec go from i =
+    if i = n then Buffer.add_substring buf s from (i - from)
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s from (i - from);
+        (match c with
+         | '"' -> Buffer.add_string buf "\\\""
+         | '\\' -> Buffer.add_string buf "\\\\"
+         | '\n' -> Buffer.add_string buf "\\n"
+         | '\r' -> Buffer.add_string buf "\\r"
+         | '\t' -> Buffer.add_string buf "\\t"
+         | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      | _ -> go from (i + 1)
+  in
+  go 0 0
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -31,7 +38,7 @@ let rec write buf = function
     else Buffer.add_string buf "null"
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    write_escaped buf s;
     Buffer.add_char buf '"'
   | List items ->
     Buffer.add_char buf '[';
@@ -47,7 +54,7 @@ let rec write buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        write_escaped buf k;
         Buffer.add_string buf "\":";
         write buf v)
       fields;
@@ -87,41 +94,69 @@ let parse s =
     end
     else fail (Printf.sprintf "expected '%s'" word)
   in
+  (* the end of the run of plain string characters from [i] *)
+  let rec run_end i =
+    if i < n && match String.unsafe_get s i with '"' | '\\' -> false | _ -> true then
+      run_end (i + 1)
+    else i
+  in
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> fail "bad \\u escape"
+  in
+  (* A string without escapes is one [String.sub]; otherwise each run
+     between escapes is copied whole. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (if !pos >= n then fail "unterminated escape";
-         (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-            if !pos + 4 >= n then fail "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
-            pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-         advance ());
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    pos := run_end start;
+    if !pos < n && s.[!pos] = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create ((2 * (!pos - start)) + 16) in
+      Buffer.add_substring buf s start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match s.[!pos] with
+        | '"' -> advance ()
+        | _ ->
+          (* a backslash *)
+          advance ();
+          if !pos >= n then fail "unterminated escape";
+          (match s.[!pos] with
+           | '"' -> Buffer.add_char buf '"'
+           | '\\' -> Buffer.add_char buf '\\'
+           | '/' -> Buffer.add_char buf '/'
+           | 'n' -> Buffer.add_char buf '\n'
+           | 'r' -> Buffer.add_char buf '\r'
+           | 't' -> Buffer.add_char buf '\t'
+           | 'b' -> Buffer.add_char buf '\b'
+           | 'f' -> Buffer.add_char buf '\012'
+           | 'u' ->
+             if !pos + 4 >= n then fail "truncated \\u escape";
+             let code = ref 0 in
+             for k = 1 to 4 do
+               code := (!code lsl 4) lor hex_digit s.[!pos + k]
+             done;
+             let code = !code in
+             if code < 0x80 then Buffer.add_char buf (Char.chr code)
+             else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
+             pos := !pos + 4
+           | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
+          advance ();
+          let from = !pos in
+          pos := run_end from;
+          Buffer.add_substring buf s from (!pos - from);
+          go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in

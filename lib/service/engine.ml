@@ -77,10 +77,20 @@ let outcome_label = function
 exception Permanent of string
 (* structured executor failure; becomes a [Failed] response *)
 
-let assemble_or_fail source =
-  try Sofia_asm.Assembler.assemble source with
+let parse_or_fail store source =
+  try Store.find_or_parse store ~source with
   | Sofia_asm.Assembler.Error { line; message } ->
     raise (Permanent (Printf.sprintf "assembly error at line %d: %s" line message))
+
+(* Lay [source] out from the store's parse cache, then encrypt and MAC
+   it under this request's keys: the per-key half is all that runs
+   once the source has been seen. *)
+let encrypt_source ~store ~(req : Job.request) ~keys source =
+  let backend = req.Job.backend in
+  match Store.layout store (parse_or_fail store source) ~backend with
+  | Ok layout -> Sofia_transform.Transform.encrypt ~backend ~keys ~nonce:req.Job.nonce layout
+  | Error e ->
+    raise (Permanent (Format.asprintf "transform error: %a" Sofia_transform.Layout.pp_error e))
 
 (* Persist a cold-built image to the on-disk tier: the sealed artifact
    (with its ciphertext MAC verdict in the meta) plus the verified-edge
@@ -108,9 +118,9 @@ let persist_image d ~keys ~nonce ~source ~(image : Sofia_transform.Image.t) ~sfi
     ~artifact_fp:(Fs.fingerprint64 sfi) (Block_table.to_bytes table);
   (tag, table)
 
-(* [program] and [keys] are the request's own lazily derived inputs
-   (see {!execute}): forced here only when the store misses. *)
-let protect_entry ~disk ~store ~(req : Job.request) ~program ~keys source =
+(* [keys] is the request's own lazily derived key set (see {!execute}):
+   forced here only when the store misses. *)
+let protect_entry ~disk ~store ~(req : Job.request) ~keys source =
   let backend = req.Job.backend in
   let key = Store.key ~source ~key_seed:req.key_seed ~nonce:req.nonce ~backend in
   Store.find_or_build store ~key ~build:(fun () ->
@@ -149,64 +159,48 @@ let protect_entry ~disk ~store ~(req : Job.request) ~program ~keys source =
       in
       match warm with
       | Some entry -> entry
-      | None -> (
-        let program = Lazy.force program in
-        let b = Registry.find backend in
-        match b.Sofia_protection.Backend.protect ~keys ~nonce:req.nonce program with
-        | Error e ->
-          raise
-            (Permanent
-               (Format.asprintf "transform error: %a" Sofia_transform.Layout.pp_error e))
-        | Ok image ->
-          let bytes = Sofia_transform.Binary_format.serialize image in
-          let mac, table =
-            match disk with
-            | None -> (None, None)
-            | Some d ->
-              let tag, table =
-                persist_image d ~keys ~nonce:req.nonce ~source ~image ~sfi:bytes
-                  ~issues:None
-              in
-              (Some (Printf.sprintf "%016Lx" tag), Some table)
-          in
-          {
-            Store.bytes;
-            image;
-            digest = Store.fingerprint bytes;
-            text_bytes = Sofia_transform.Image.text_size_bytes image;
-            expansion = Sofia_transform.Transform.expansion_ratio image;
-            blocks = Array.length image.Sofia_transform.Image.blocks;
-            memo_m = Mutex.create ();
-            issues = None;
-            mac;
-            from_disk = false;
-            table;
-          }))
+      | None ->
+        let image = encrypt_source ~store ~req ~keys source in
+        let bytes = Sofia_transform.Binary_format.serialize image in
+        let mac, table =
+          match disk with
+          | None -> (None, None)
+          | Some d ->
+            let tag, table =
+              persist_image d ~keys ~nonce:req.nonce ~source ~image ~sfi:bytes ~issues:None
+            in
+            (Some (Printf.sprintf "%016Lx" tag), Some table)
+        in
+        {
+          Store.bytes;
+          image;
+          digest = Store.fingerprint bytes;
+          text_bytes = Sofia_transform.Image.text_size_bytes image;
+          expansion = Sofia_transform.Transform.expansion_ratio image;
+          blocks = Array.length image.Sofia_transform.Image.blocks;
+          memo_m = Mutex.create ();
+          issues = None;
+          mac;
+          from_disk = false;
+          table;
+        })
 
-let verify_issues ~disk ~(req : Job.request) ~program ~keys source (entry : Store.entry) =
+let verify_issues ~disk ~store ~(req : Job.request) ~keys source (entry : Store.entry) =
   let b = Registry.find req.Job.backend in
   let fresh = ref false in
   let issues =
     Store.fill_issues entry (fun () ->
         fresh := true;
-        let program = Lazy.force program in
         let keys = Lazy.force keys in
         (* a disk-loaded image is ciphertext-only: the independent
            verifier needs the plaintext block views, so re-derive the
            (deterministic) protected image from the source *)
         let image =
-          if entry.Store.from_disk then
-            match b.Sofia_protection.Backend.protect ~keys ~nonce:req.nonce program with
-            | Ok image -> image
-            | Error e ->
-              raise
-                (Permanent
-                   (Format.asprintf "transform error: %a" Sofia_transform.Layout.pp_error
-                      e))
+          if entry.Store.from_disk then encrypt_source ~store ~req ~keys source
           else entry.Store.image
         in
-        List.length
-          (b.Sofia_protection.Backend.verify_against_source ~keys program image))
+        let program = Store.program (parse_or_fail store source) in
+        List.length (b.Sofia_protection.Backend.verify_against_source ~keys program image))
   in
   (* write the freshly earned verdict back to the artifact meta so the
      next process restart starts warm on verify/attest too (same sfi
@@ -249,25 +243,22 @@ let simulated_of_result ~cached (r : Machine.run_result) =
       cached;
     }
 
-(* A request derives its keys and assembles its source at most once,
-   however many of protect, verify and MAC need them: the [lazy] values
-   below are shared by those steps. They live for one request only —
-   OCaml 5's [Lazy] is not domain-safe, and a request runs on one
-   worker. Only the deterministic parse is shared; the verifier still
+(* A request derives its keys at most once, however many of protect,
+   verify and MAC need them: the [lazy] below is shared by those steps
+   and lives for one request only, because OCaml 5's [Lazy] is not
+   domain-safe and a request runs on one worker. Program and layout
+   come from the store's parse cache, shared by every request for the
+   same source; the verifier takes only the program from it and still
    re-derives structure, MACs and ciphertext from keys, program and
    image (DESIGN §9). *)
 let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
     (req : Job.request) =
   let keys = lazy (Sofia_crypto.Keys.generate ~seed:req.Job.key_seed) in
-  let protected source =
-    let program = lazy (assemble_or_fail source) in
-    let entry, cached = protect_entry ~disk ~store ~req ~program ~keys source in
-    (program, entry, cached)
-  in
+  let protected source = protect_entry ~disk ~store ~req ~keys source in
   match req.Job.spec with
   | Job.Ping -> Job.Ponged { shard; workers }
   | Job.Protect { source } ->
-    let _, entry, cached = protected source in
+    let entry, cached = protected source in
     Job.Protected
       {
         text_bytes = entry.Store.text_bytes;
@@ -277,15 +268,15 @@ let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
         cached;
       }
   | Job.Verify { source } ->
-    let program, entry, cached = protected source in
-    Job.Verified { issues = verify_issues ~disk ~req ~program ~keys source entry; cached }
+    let entry, cached = protected source in
+    Job.Verified { issues = verify_issues ~disk ~store ~req ~keys source entry; cached }
   | Job.Attest { source } ->
-    let program, entry, cached = protected source in
-    let issues = verify_issues ~disk ~req ~program ~keys source entry in
+    let entry, cached = protected source in
+    let issues = verify_issues ~disk ~store ~req ~keys source entry in
     Job.Attested { digest = entry.Store.digest; mac = mac_digest ~keys entry; issues; cached }
   | Job.Simulate { source; sofia } ->
     if sofia then begin
-      let _, entry, cached = protected source in
+      let entry, cached = protected source in
       let r =
         Sofia_cpu.Sofia_runner.run
           ~config:(run_config ~engine ~backend:req.Job.backend ks_cache_slots)
@@ -294,7 +285,7 @@ let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
       simulated_of_result ~cached r
     end
     else begin
-      let program = assemble_or_fail source in
+      let program = Store.program (parse_or_fail store source) in
       simulated_of_result ~cached:false
         (Sofia_cpu.Vanilla.run ~config:(run_config ~engine None) program)
     end
@@ -546,6 +537,11 @@ let metrics_json t =
                 ("misses", J.Int (Store.misses t.store));
                 ("evictions", J.Int (Store.evictions t.store));
                 ("entries", J.Int (Store.length t.store)) ] );
+          (let c = Store.parse_counters t.store in
+           ( "parses",
+             J.Obj
+               [ ("hits", J.Int c.Store.hits); ("misses", J.Int c.Store.misses);
+                 ("evictions", J.Int c.Store.evictions); ("entries", J.Int c.Store.entries) ] ));
           ( "queue",
             J.Obj
               [ ("capacity", J.Int (Jobq.capacity t.queue));

@@ -55,7 +55,9 @@ type config = {
           effective count is reported in {!metrics_json}. *)
   queue_capacity : int;
   backpressure : backpressure;
-  store_slots : int;  (** content-addressed image store cap; 0 disables *)
+  store_slots : int;
+      (** content-addressed image store cap; 0 disables it (the parse
+          cache keeps its own constant bound, {!Store.parsed_slots}) *)
   ks_cache_slots : int option;  (** keystream cache for [Simulate]/[Run_image] jobs *)
   engine : Sofia_cpu.Run_config.engine;
       (** execution engine for simulation jobs (default [Fast]); job
@@ -164,7 +166,8 @@ val queue_depth_max : t -> int
 
 val metrics_json : t -> Sofia_obs.Json.t
 (** The full serving-metrics document: {!Svc_metrics.to_json} plus the
-    store's hit/miss/eviction/entry counters, the queue-depth
+    store's hit/miss/eviction/entry counters ([store] for images,
+    [parses] for its parse cache, {!Store.parse_counters}), the queue-depth
     gauge/high-water mark and the effective and requested worker
     counts — the ["service_metrics"] object of the bench JSON schema. *)
 
@@ -174,8 +177,11 @@ val run_batch : ?obs:Sofia_obs.Obs.t -> config -> Job.request list -> Job.respon
 
 val execute_oneshot : Job.request -> Job.status
 (** Run one job the way a one-shot CLI invocation would: no queue, no
-    worker pool, no store, no keystream cache — the sequential baseline
-    the load-generator bench compares the engine against. *)
+    worker pool, no keystream cache, and a fresh {!Store.t} with its
+    image cache off, so nothing is shared across calls. Its parse cache
+    lets one request assemble its source once however many of protect
+    and verify need the program. The oracle the engine's answers are
+    compared against. *)
 
 val outcome_label : Sofia_cpu.Machine.outcome -> string
 (** Stable wire form: [halted:N], [cpu_reset:<violation>], [out_of_fuel]. *)

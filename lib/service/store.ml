@@ -29,13 +29,36 @@ type key = {
   backend : Sofia_transform.Backend_id.t;
 }
 
+module Layout = Sofia_transform.Layout
+module Backend_id = Sofia_transform.Backend_id
+
+(* The key-independent half of protect: a source's program and its
+   per-backend layouts. Keyed by the full source text for the reason
+   [key] gives: a hash collision would hand one client another's
+   program. The program is fixed at insert; each layout slot is
+   written once, under the store lock, the first write winning, and
+   nothing reachable from an entry is written after, so every worker
+   and every image built from it may read it. *)
+type parsed = {
+  program : Sofia_asm.Program.t;
+  mutable sofia : (Layout.t, Layout.error) result option;
+  mutable scfp : (Layout.t, Layout.error) result option;
+}
+
+type counters = { hits : int; misses : int; evictions : int; entries : int }
+
+let parsed_slots = 64
+
 type t = {
   slots : int;
   lru : (key, entry) Sofia_util.Lru.t;
+  parses : (string, parsed) Sofia_util.Lru.t;
   m : Mutex.t;
 }
 
-let create ~slots = { slots; lru = Sofia_util.Lru.create (max 1 slots); m = Mutex.create () }
+let create ~slots =
+  { slots; lru = Sofia_util.Lru.create (max 1 slots);
+    parses = Sofia_util.Lru.create parsed_slots; m = Mutex.create () }
 
 (* FNV-1a, 64-bit — display-only image identity, never a cache key *)
 let fingerprint b = Printf.sprintf "%016Lx" (Sofia_util.Hash.fnv1a64 (Bytes.unsafe_to_string b))
@@ -55,6 +78,32 @@ let find_or_build t ~key ~build =
     | None ->
       let e = build () in
       (with_lock t (fun () -> Sofia_util.Lru.add t.lru key e), false)
+
+(* Assembly runs outside the lock, like an image build; a source that
+   fails to assemble raises and is not cached. *)
+let find_or_parse t ~source =
+  match with_lock t (fun () -> Sofia_util.Lru.find t.parses source) with
+  | Some p -> p
+  | None ->
+    let p = { program = Sofia_asm.Assembler.assemble source; sofia = None; scfp = None } in
+    with_lock t (fun () -> Sofia_util.Lru.add t.parses source p)
+
+let program p = p.program
+
+let layout t p ~backend =
+  let slot () = match backend with Backend_id.Sofia -> p.sofia | Backend_id.Scfp -> p.scfp in
+  match with_lock t slot with
+  | Some l -> l
+  | None ->
+    let l = Layout.layout ~backend p.program in
+    with_lock t (fun () ->
+        match slot () with
+        | Some first -> first
+        | None ->
+          (match backend with
+           | Backend_id.Sofia -> p.sofia <- Some l
+           | Backend_id.Scfp -> p.scfp <- Some l);
+          l)
 
 (* The memoised fields are read and written from every worker domain;
    the per-entry mutex makes check-compute-publish race-free (and
@@ -87,3 +136,9 @@ let length t = with_lock t (fun () -> Sofia_util.Lru.length t.lru)
 let hits t = with_lock t (fun () -> Sofia_util.Lru.hits t.lru)
 let misses t = with_lock t (fun () -> Sofia_util.Lru.misses t.lru)
 let evictions t = with_lock t (fun () -> Sofia_util.Lru.evictions t.lru)
+
+let parse_counters t =
+  with_lock t (fun () ->
+      let l = t.parses in
+      { hits = Sofia_util.Lru.hits l; misses = Sofia_util.Lru.misses l;
+        evictions = Sofia_util.Lru.evictions l; entries = Sofia_util.Lru.length l })

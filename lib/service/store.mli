@@ -22,6 +22,14 @@
     protect-only workload never pays for them — and a verify job after
     an attest (or vice versa) reuses them.
 
+    Beside the images sits a second LRU, of {!parsed} sources: the
+    assembled program and, per backend, its layout. Those depend on
+    the source text alone, so the many keys one release is provisioned
+    under share one parse and one layout, and only the key schedule,
+    encryption, MACs, serialisation and verification run per key. It
+    is keyed by the full source text, for the reason {!key} gives, and
+    holds at most {!parsed_slots} sources whatever [slots] says.
+
     Thread-safety: lookup/insert/touch are mutex-protected; builders
     run {e outside} the lock so a slow protect does not stall unrelated
     workers, and the first finished insert wins if two workers race on
@@ -57,7 +65,8 @@ type key
 type t
 
 val create : slots:int -> t
-(** [slots <= 0] disables caching: every {!find_or_build} builds. *)
+(** [slots <= 0] disables the image cache: every {!find_or_build}
+    builds. The parse cache is always on. *)
 
 val key :
   source:string ->
@@ -75,6 +84,36 @@ val fill_issues : entry -> (unit -> int) -> int
     memo mutex (racing fills serialise; the winner's value is shared). *)
 
 val fill_mac : entry -> (unit -> string) -> string
+
+type parsed
+(** One source's assembled program and its per-backend layouts. The
+    program and every layout are read-only: images built from a layout
+    share its arrays, and every request under every key reads them. *)
+
+val parsed_slots : int
+(** The parse cache's bound, in sources (64). An entry takes about six
+    times its source's bytes (DESIGN §9). *)
+
+val find_or_parse : t -> source:string -> parsed
+(** The cached parse of [source], assembled on a miss outside the lock
+    (a racing worker's first insert wins). A failed assembly raises
+    {!Sofia_asm.Assembler.Error} and caches nothing. *)
+
+val program : parsed -> Sofia_asm.Program.t
+
+val layout :
+  t ->
+  parsed ->
+  backend:Sofia_transform.Backend_id.t ->
+  (Sofia_transform.Layout.t, Sofia_transform.Layout.error) result
+(** The program's layout under [backend], computed on first use and
+    kept with the entry, a refusal included. *)
+
+type counters = { hits : int; misses : int; evictions : int; entries : int }
+
+val parse_counters : t -> counters
+(** {!find_or_parse} lookups that hit and missed, sources evicted, and
+    sources held. *)
 
 val length : t -> int
 val hits : t -> int

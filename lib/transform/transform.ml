@@ -166,13 +166,16 @@ let scfp_encrypt_layout ~keys ~nonce (l : Layout.t) : Image.t =
       };
   }
 
-let protect ?(backend = Backend_id.Sofia) ~keys ~nonce program =
+(* the nonce is checked when [~nonce] is applied, so [protect] refuses
+   a bad one before it lays anything out *)
+let encrypt ~backend ~keys ~nonce =
   if nonce < 0 || nonce > 0xFF then invalid_arg "Transform.protect: nonce must be 8-bit";
-  let encrypt =
-    match backend with
-    | Backend_id.Sofia -> encrypt_layout ~keys ~nonce
-    | Backend_id.Scfp -> scfp_encrypt_layout ~keys ~nonce
-  in
+  match backend with
+  | Backend_id.Sofia -> encrypt_layout ~keys ~nonce
+  | Backend_id.Scfp -> scfp_encrypt_layout ~keys ~nonce
+
+let protect ?(backend = Backend_id.Sofia) ~keys ~nonce program =
+  let encrypt = encrypt ~backend ~keys ~nonce in
   Result.map encrypt (Layout.layout ~backend program)
 
 let protect_exn ?backend ~keys ~nonce program =

@@ -34,6 +34,16 @@ val protect_exn :
   Image.t
 (** @raise Invalid_argument on transformation errors. *)
 
+val encrypt :
+  backend:Backend_id.t -> keys:Sofia_crypto.Keys.t -> nonce:int -> Layout.t -> Image.t
+(** The per-key half of {!protect}: encrypt and MAC a layout that
+    {!Layout.layout} built under the same [backend]. The layout depends
+    on the program alone, so a provider lays a release out once and
+    calls this once per device key; {!protect} is [Layout.layout]
+    followed by this. The layout is only read: every image built from
+    it shares its [data], [addr_of_orig] and per-block [insns].
+    @raise Invalid_argument when [nonce] is not 8-bit. *)
+
 val encrypt_layout : keys:Sofia_crypto.Keys.t -> nonce:int -> Layout.t -> Image.t
 (** Encrypt an already-computed layout with the SOFIA pipeline
     (exposed so tests can inspect the plaintext layout and its

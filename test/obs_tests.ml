@@ -203,6 +203,139 @@ let test_json_parse_errors () =
       Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true (Json.parse_opt s = None))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; "{\"a\" 1}" ]
 
+(* ---- JSON strings: escapes, runs and error offsets ---- *)
+
+(* The reference the run-copying string code is held to: the escape
+   writer and the string reader taken a character at a time. The one
+   difference from the old reader is on purpose: a [\u] escape whose
+   four characters are not all hex digits fails as a parse error
+   ([int_of_string] used to raise [Failure] out of [parse]). *)
+let ref_escape s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* [text] holds one JSON string value, maybe cut short *)
+let ref_parse_string text =
+  let n = String.length text in
+  let pos = ref 0 in
+  let fail msg = Error (Printf.sprintf "%s at offset %d" msg !pos) in
+  let buf = Buffer.create 16 in
+  let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  let rec go () =
+    if !pos >= n then fail "unterminated string"
+    else
+      match text.[!pos] with
+      | '"' ->
+        incr pos;
+        if !pos = n then Ok (Buffer.contents buf) else fail "trailing characters"
+      | '\\' -> (
+        incr pos;
+        if !pos >= n then fail "unterminated escape"
+        else
+          let plain c =
+            Buffer.add_char buf c;
+            incr pos;
+            go ()
+          in
+          match text.[!pos] with
+          | '"' -> plain '"'
+          | '\\' -> plain '\\'
+          | '/' -> plain '/'
+          | 'n' -> plain '\n'
+          | 'r' -> plain '\r'
+          | 't' -> plain '\t'
+          | 'b' -> plain '\b'
+          | 'f' -> plain '\012'
+          | 'u' ->
+            if !pos + 4 >= n then fail "truncated \\u escape"
+            else
+              let hex = String.sub text (!pos + 1) 4 in
+              if not (String.for_all is_hex hex) then fail "bad \\u escape"
+              else begin
+                let code = int_of_string ("0x" ^ hex) in
+                if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
+                pos := !pos + 5;
+                go ()
+              end
+          | c -> fail (Printf.sprintf "bad escape '\\%c'" c))
+      | c ->
+        Buffer.add_char buf c;
+        incr pos;
+        go ()
+  in
+  pos := 1;
+  go ()
+
+(* one piece of a JSON string's text: plain bytes (control and
+   non-ASCII bytes included), a short escape, a [\u] escape of any
+   code in either case, or a malformed escape *)
+let gen_piece =
+  let open QCheck.Gen in
+  let plain_char =
+    map Char.chr
+      (oneof [ int_range 0x20 0x7e; int_range 0 0x1f; int_range 0x80 0xff ])
+  in
+  frequency
+    [
+      ( 4,
+        map
+          (String.map (function '"' | '\\' -> 'x' | c -> c))
+          (string_size ~gen:plain_char (int_range 0 12)) );
+      (2, map (fun c -> "\\" ^ String.make 1 c) (oneofl [ '"'; '\\'; '/'; 'n'; 'r'; 't'; 'b'; 'f' ]));
+      ( 2,
+        map2
+          (fun code upper ->
+            let h = Printf.sprintf "%04x" code in
+            "\\u" ^ if upper then String.uppercase_ascii h else h)
+          (oneof [ int_range 0 0x7f; int_range 0x80 0xffff ])
+          bool );
+      (1, oneofl [ "\\q"; "\\u12g4"; "\\u1_23"; "\\U0041"; "\\x" ]);
+    ]
+
+let prop_json_strings =
+  QCheck.Test.make ~count:500 ~name:"json strings: runs = character reference"
+    QCheck.(
+      make
+        ~print:(fun (pieces, cut) -> Printf.sprintf "%S cut %d" (String.concat "" pieces) cut)
+        Gen.(pair (list_size (int_range 0 12) gen_piece) (int_range 0 1000)))
+    (fun (pieces, cut) ->
+      let text = "\"" ^ String.concat "" pieces ^ "\"" in
+      let outcome t =
+        match Json.parse t with
+        | Json.Str v -> Ok v
+        | _ -> Error "not a string"
+        | exception Json.Parse_error m -> Error m
+      in
+      (* whole, and cut short anywhere after the opening quote *)
+      let short = String.sub text 0 (1 + (cut mod String.length text)) in
+      let same t =
+        outcome t = ref_parse_string t
+        || QCheck.Test.fail_reportf "%S: parse %s, reference %s" t
+             (match outcome t with Ok v -> Printf.sprintf "%S" v | Error m -> m)
+             (match ref_parse_string t with Ok v -> Printf.sprintf "%S" v | Error m -> m)
+      in
+      same text && same short
+      &&
+      match ref_parse_string text with
+      | Error _ -> true
+      | Ok v ->
+        let emitted = Json.to_string (Json.Str v) in
+        emitted = "\"" ^ ref_escape v ^ "\""
+        && Json.parse emitted = Json.Str v
+        && Json.to_string (Json.Obj [ (v, Json.Str v) ])
+           = "{\"" ^ ref_escape v ^ "\":\"" ^ ref_escape v ^ "\"}")
+
 let suite =
   [
     Alcotest.test_case "json scalars" `Quick test_json_scalars;
@@ -210,6 +343,7 @@ let suite =
     Alcotest.test_case "json nesting" `Quick test_json_nesting;
     Alcotest.test_case "json parse roundtrip" `Quick test_json_parse_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
+    QCheck_alcotest.to_alcotest prop_json_strings;
     Alcotest.test_case "trace basics" `Quick test_trace_basics;
     Alcotest.test_case "trace wrap-around" `Quick test_trace_wraparound;
     Alcotest.test_case "trace jsonl" `Quick test_trace_jsonl;

@@ -44,6 +44,29 @@ let test_release_runs_everywhere () =
             [ 36 ] r.Machine.outputs)
       fleet
 
+(* the release lays out once; each device's image must still be the
+   one a per-device protect builds, byte for byte *)
+let test_release_matches_per_device_protect () =
+  let fleet = Provision.mint_fleet ~seed:23L ~count:4 in
+  let p = program () in
+  let serialize = Sofia.Transform.Binary_format.serialize in
+  match Provision.release ~devices:fleet ~version:9 p with
+  | Error m -> Alcotest.fail m
+  | Ok rel ->
+    List.iter
+      (fun d ->
+        let expected =
+          serialize (Sofia.Transform.Transform.protect_exn ~keys:d.Provision.keys ~nonce:9 p)
+        in
+        match Provision.image_for rel ~device_id:d.Provision.device_id with
+        | None -> Alcotest.fail "missing image"
+        | Some image ->
+          Alcotest.(check bool)
+            (d.Provision.device_id ^ " image = per-device protect")
+            true
+            (Bytes.equal expected (serialize image)))
+      fleet
+
 let test_cross_device_rejection () =
   let fleet = Provision.mint_fleet ~seed:13L ~count:2 in
   match (fleet, Provision.release ~devices:fleet ~version:1 (program ())) with
@@ -83,6 +106,8 @@ let suite =
     Alcotest.test_case "fleet minting" `Quick test_fleet_minting;
     Alcotest.test_case "nonce policy" `Quick test_nonce_policy;
     Alcotest.test_case "release runs on every device" `Quick test_release_runs_everywhere;
+    Alcotest.test_case "release image = per-device protect" `Quick
+      test_release_matches_per_device_protect;
     Alcotest.test_case "cross-device image rejected" `Quick test_cross_device_rejection;
     Alcotest.test_case "ciphertext diversity" `Quick test_ciphertext_diversity;
     Alcotest.test_case "version bump changes all ciphertext" `Quick

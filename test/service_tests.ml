@@ -461,27 +461,76 @@ let test_shared_program_matches_oneshot () =
       | _ -> Alcotest.failf "%s: expected a fresh verify or attest" req.Job.id)
     reqs responses
 
-(* The sharing is sound only while protect and verify leave the program
-   as the assembler made it: an in-place patch (say, of a relocated
-   data word) would hand the verifier a different program. *)
-let test_shared_program_unchanged () =
-  let keys = Sofia.Crypto.Keys.generate ~seed:0x5A1EL in
+(* The parse cache is sound only while nothing writes what it holds:
+   every request under every key reads the same program and layouts,
+   and each image shares its layout's [data], [insns] and
+   [addr_of_orig]. An in-place patch anywhere (say, of a relocated
+   data word) would hand later requests, and the verifier, a different
+   program. So after protect, verify, attest and both simulates, and a
+   verify that re-protects a disk-loaded entry, under both backends,
+   what the store holds must equal a fresh parse and layout. *)
+let registry_sources () =
+  shared_sources ()
+  @ List.map
+      (fun (w : Sofia.Workloads.Workload.t) -> w.Sofia.Workloads.Workload.source)
+      (Sofia.Workloads.Registry.benchmark_suite ())
+
+let check_cache_pristine store sources =
   List.iter
     (fun source ->
+      let p = Store.find_or_parse store ~source in
+      let program = Sofia.Asm.Assembler.assemble source in
+      check_bool "cached program = fresh parse" true (Store.program p = program);
       List.iter
         (fun backend ->
-          let b = Sofia.Protection.Registry.find backend in
-          let program = Sofia.Asm.Assembler.assemble source in
-          (match b.Sofia.Protection.Backend.protect ~keys ~nonce:3 program with
-           | Ok image ->
-             ignore (b.Sofia.Protection.Backend.verify_against_source ~keys program image)
-           | Error _ -> Alcotest.fail "protect refused a test program");
-          check_bool "program unchanged" true (program = Sofia.Asm.Assembler.assemble source))
+          check_bool
+            (Sofia.Transform.Backend_id.name backend ^ " layout = fresh layout")
+            true
+            (Store.layout store p ~backend = Sofia.Transform.Layout.layout ~backend program))
         backends)
-    (shared_sources ()
-    @ List.map
-        (fun (w : Sofia.Workloads.Workload.t) -> w.Sofia.Workloads.Workload.source)
-        (Sofia.Workloads.Registry.benchmark_suite ()))
+    sources
+
+let test_shared_program_unchanged () =
+  let dir = Filename.temp_dir "sofia_svc_pristine" "" in
+  let cleanup () =
+    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      let sources = registry_sources () in
+      List.iter
+        (fun backend ->
+          let cfg = { Engine.default_config with Engine.workers = 1; store_dir = Some dir } in
+          let job seed spec =
+            Job.make ~key_seed:seed ~nonce:3 ~backend ~id:(Printf.sprintf "%Lx" seed) spec
+          in
+          let stored source = job 0x5A1EL (Job.Protect { source }) in
+          let _, first = Engine.run_batch cfg (List.map stored sources) in
+          check_cache_pristine (Engine.store first) sources;
+          (* a new engine: the first verify of each source loads its
+             ciphertext-only image from disk and re-protects it *)
+          let reqs =
+            List.concat_map
+              (fun source ->
+                [ job 0x5A1EL (Job.Verify { source });
+                  job 0x5A1FL (Job.Protect { source });
+                  job 0x5A20L (Job.Verify { source });
+                  job 0x5A21L (Job.Attest { source });
+                  job 0x5A22L (Job.Simulate { source; sofia = true });
+                  job 0x5A23L (Job.Simulate { source; sofia = false }) ])
+              sources
+          in
+          let responses, t = Engine.run_batch cfg reqs in
+          let disk = Option.get (Engine.disk_store t) in
+          check_bool "verified from disk" true (Sofia.Store_fs.Store_fs.hits disk > 0);
+          List.iter2
+            (fun (req : Job.request) (r : Job.response) ->
+              match r.Job.status with
+              | Job.Done _ -> ()
+              | s -> Alcotest.failf "%s: %s" req.Job.id (Job.status_name s))
+            reqs responses;
+          check_cache_pristine (Engine.store t) sources)
+        backends)
 
 (* A disk-loaded image is ciphertext only: verify must re-protect it
    from the (shared) program to give the verifier plaintext views. *)
@@ -632,6 +681,231 @@ let test_registry_mix () =
       check_conservation (Engine.metrics t))
     backends
 
+(* ---- the parse cache ---- *)
+
+(* read through the metrics document, as an operator would *)
+let parses t field =
+  match Option.bind (Json.member "parses" (Engine.metrics_json t)) (Json.member field) with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "metrics document lacks parses.%s" field
+
+let fresh_key = ref 0xCAC4EL
+
+let fresh ?(backend = Sofia.Transform.Backend_id.Sofia) spec =
+  fresh_key := Int64.add !fresh_key 1L;
+  Job.make ~key_seed:!fresh_key ~nonce:4 ~backend ~id:(Printf.sprintf "%Lx" !fresh_key) spec
+
+let check_oneshot reqs responses =
+  List.iter2
+    (fun (req : Job.request) (r : Job.response) ->
+      check_bool (req.Job.id ^ " equals one-shot") true
+        (uncached r.Job.status = uncached (Engine.execute_oneshot req)))
+    reqs responses
+
+(* Two sources that differ in one instruction near their end, found so
+   that [Hashtbl.hash] cannot tell them apart: a cache keyed by a hash
+   of the source would serve the second the first's program. *)
+let colliding_sources () =
+  let source k =
+    Printf.sprintf
+      ".equ OUT, 0xFFFF0000\nstart:\n  la a6, OUT\n  call f\n  st a0, 0(a6)\n  halt\nf:\n  li a0, %d\n  ret\n"
+      k
+  in
+  let seen = Hashtbl.create 65536 in
+  let rec go k =
+    let h = Hashtbl.hash (source k) in
+    match Hashtbl.find_opt seen h with
+    | Some k0 -> [ (k0, source k0); (k, source k) ]
+    | None ->
+      Hashtbl.add seen h k;
+      go (k + 1)
+  in
+  go 0
+
+let test_parse_cache_whole_source () =
+  let pair = colliding_sources () in
+  let jobs source =
+    [ fresh (Job.Protect { source }); fresh (Job.Simulate { source; sofia = true });
+      fresh (Job.Simulate { source; sofia = false }) ]
+  in
+  let reqs = List.concat_map (fun (_, source) -> jobs source) pair in
+  let responses, t = Engine.run_batch { Engine.default_config with Engine.workers = 1 } reqs in
+  check_oneshot reqs responses;
+  let outputs =
+    List.filter_map
+      (fun (r : Job.response) ->
+        match r.Job.status with Job.Done (Job.Simulated { outputs; _ }) -> Some outputs | _ -> None)
+      responses
+  in
+  (match (pair, outputs) with
+   | [ (ka, _); (kb, _) ], [ sa; va; sb; vb ] ->
+     check_bool "first source's outputs" true (sa = [ ka ] && va = [ ka ]);
+     check_bool "second source's outputs" true (sb = [ kb ] && vb = [ kb ])
+   | _ -> Alcotest.fail "expected two sources and four simulations");
+  (match List.map digest_of [ List.nth responses 0; List.nth responses 3 ] with
+   | [ da; db ] -> check_bool "distinct images" true (da <> db)
+   | _ -> assert false);
+  check_int "one parse per source" 2 (parses t "misses");
+  check_int "then hits" 4 (parses t "hits");
+  check_int "two sources held" 2 (parses t "entries")
+
+(* one entry per source, one layout per backend: a SOFIA layout (with
+   multiplexor blocks) must never be served to an SCFP request *)
+let test_layouts_per_backend () =
+  let open Sofia.Transform in
+  let source = (Sofia.Workloads.Kernels.dispatch ()).Sofia.Workloads.Workload.source in
+  let reqs =
+    List.concat_map
+      (fun backend ->
+        [ fresh ~backend (Job.Protect { source }); fresh ~backend (Job.Attest { source }) ])
+      [ Backend_id.Sofia; Backend_id.Scfp; Backend_id.Sofia ]
+  in
+  let responses, t = Engine.run_batch { Engine.default_config with Engine.workers = 1 } reqs in
+  check_oneshot reqs responses;
+  check_int "one parse" 1 (parses t "misses");
+  check_int "one source held" 1 (parses t "entries");
+  let store = Engine.store t in
+  let p = Store.find_or_parse store ~source in
+  match (Store.layout store p ~backend:Backend_id.Sofia, Store.layout store p ~backend:Backend_id.Scfp) with
+  | Ok sofia, Ok scfp ->
+    let program = Sofia.Asm.Assembler.assemble source in
+    check_bool "sofia layout = fresh" true (Ok sofia = Layout.layout ~backend:Backend_id.Sofia program);
+    check_bool "scfp layout = fresh" true (Ok scfp = Layout.layout ~backend:Backend_id.Scfp program);
+    check_bool "the two differ" true (sofia <> scfp)
+  | _ -> Alcotest.fail "dispatch must lay out under both backends"
+
+(* The corpus the fresh-provision traffic draws from, each source under
+   four fresh keys, every op, both backends, on a two-worker engine:
+   whatever the cache shares, every answer is the one-shot one. *)
+let test_fresh_keys_match_oneshot () =
+  let sources =
+    List.map
+      (fun (w : Sofia.Workloads.Workload.t) -> w.Sofia.Workloads.Workload.source)
+      (Sofia.Workloads.Registry.benchmark_suite () @ Sofia.Workloads.Compiled.all ())
+  in
+  let reqs =
+    List.concat_map
+      (fun source ->
+        List.mapi
+          (fun i spec -> fresh ~backend:(List.nth backends (i mod 2)) spec)
+          [ Job.Protect { source }; Job.Verify { source }; Job.Attest { source };
+            Job.Simulate { source; sofia = true }; Job.Simulate { source; sofia = false } ])
+      sources
+  in
+  let responses, t = Engine.run_batch { Engine.default_config with Engine.workers = 2 } reqs in
+  check_oneshot reqs responses;
+  let n = List.length sources in
+  check_int "every source held" n (parses t "entries");
+  check_bool "each source parsed at least once" true (parses t "misses" >= n);
+  (* protect and each simulate look up once, verify and attest twice *)
+  check_int "every lookup counted" (7 * n) (parses t "hits" + parses t "misses")
+
+(* A source that does not assemble caches nothing, and a refused
+   layout is kept as the refusal: either way a repeat gets the first
+   answer's text, which is the one-shot text. *)
+let test_refusals_repeat () =
+  let open Sofia.Transform in
+  let bad_asm = "main:\n  frob x\n" in
+  (* two indirect sites share a target: SCFP's link patch needs a
+     unique jalr predecessor, SOFIA's code pointer a unique port *)
+  let fanin =
+    "start:\n  la t0, f\n.targets f\n  jalr t0\n  la t0, f\n.targets f\n  jalr t0\n  halt\nf: ret\n"
+  in
+  let cases =
+    [ (bad_asm, Backend_id.Sofia, "assembly error at line 2");
+      (fanin, Backend_id.Scfp, "transform error: SCFP layout");
+      (fanin, Backend_id.Sofia, "transform error: code pointer") ]
+  in
+  let reqs =
+    List.concat_map
+      (fun (source, backend, _) ->
+        [ fresh ~backend (Job.Protect { source }); fresh ~backend (Job.Verify { source }) ])
+      cases
+  in
+  let responses, t = Engine.run_batch { Engine.default_config with Engine.workers = 1 } reqs in
+  check_oneshot reqs responses;
+  let texts =
+    List.map
+      (fun (r : Job.response) ->
+        match r.Job.status with
+        | Job.Failed m -> m
+        | s -> Alcotest.failf "%s: expected Failed, got %s" r.Job.id (Job.status_name s))
+      responses
+  in
+  List.iteri
+    (fun i (_, _, prefix) ->
+      let first = List.nth texts (2 * i) and again = List.nth texts ((2 * i) + 1) in
+      check_str "repeat = first" first again;
+      check_bool (first ^ " starts " ^ prefix) true
+        (String.length first >= String.length prefix
+        && String.sub first 0 (String.length prefix) = prefix))
+    cases;
+  check_int "bad source: two misses; fan-in: one" 3 (parses t "misses");
+  check_int "only the source that assembled is held" 1 (parses t "entries")
+
+(* ---- allocation: what a warm protect still runs ---- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* With the source's parse and layout cached, a protect under a fresh
+   key runs only the per-key stages: key schedule, encrypt-and-MAC,
+   serialize and fingerprint. Measured on the engine's worker, between
+   the [fault] hook (right before the job) and [on_response] (right
+   after it settles), its minor words must stay within those stages,
+   each measured alone on the same input, plus a slack under a tenth of
+   one assembly for the bookkeeping around them. The same protect with
+   no cache to hit (the one-shot path, a fresh store) must break that
+   bound, or the gate could not see the cache go. Minor words are exact
+   for one binary and input. *)
+let test_warm_protect_allocation () =
+  let module Tr = Sofia.Transform in
+  let source = (Sofia.Workloads.Adpcm.workload ~samples:256 ()).Sofia.Workloads.Workload.source in
+  let backend = Tr.Backend_id.Sofia and nonce = 4 and seed = 0xA110CL in
+  let req key_seed = Job.make ~key_seed ~nonce ~backend ~id:"a" (Job.Protect { source }) in
+  let start = ref 0.0 and spent = ref [] in
+  let cfg =
+    { Engine.default_config with
+      Engine.workers = 1;
+      fault = Some (fun _ ~attempt:_ -> start := Gc.minor_words ()) }
+  in
+  let t =
+    Engine.create ~on_response:(fun _ -> spent := (Gc.minor_words () -. !start) :: !spent) cfg
+  in
+  Engine.start t;
+  (* the first protect fills the cache; the next two are warm *)
+  List.iter (fun k -> Engine.submit t (req k)) [ 1L; seed; Int64.succ seed ];
+  ignore (Engine.drain t);
+  Engine.shutdown t;
+  let warm =
+    match !spent with
+    | [ w2; w1; _cold ] ->
+      check_bool "warm protects allocate alike" true (w1 = w2);
+      w1
+    | _ -> Alcotest.fail "expected three protects"
+  in
+  let program = Sofia.Asm.Assembler.assemble source in
+  let layout = Tr.Layout.layout_exn ~backend program in
+  let keys = Sofia.Crypto.Keys.generate ~seed in
+  let image = Tr.Transform.encrypt ~backend ~keys ~nonce layout in
+  let bytes = Tr.Binary_format.serialize image in
+  let stages =
+    minor_words (fun () -> Sofia.Crypto.Keys.generate ~seed)
+    +. minor_words (fun () -> Tr.Transform.encrypt ~backend ~keys ~nonce layout)
+    +. minor_words (fun () -> Tr.Binary_format.serialize image)
+    +. minor_words (fun () -> Store.fingerprint bytes)
+  in
+  let assembly = minor_words (fun () -> Sofia.Asm.Assembler.assemble source) in
+  let bound = stages +. (assembly /. 10.0) -. 1.0 in
+  let bypassed = minor_words (fun () -> Engine.execute_oneshot (req seed)) in
+  Printf.printf "warm protect %.0f words; per-key stages %.0f; assembly %.0f; bound %.0f; \
+                 bypassed %.0f\n"
+    warm stages assembly bound bypassed;
+  check_bool "warm protect within the per-key stages" true (warm <= bound);
+  check_bool "a protect that misses the cache breaks the bound" true (bypassed > bound)
+
 let suite =
   [
     Alcotest.test_case "jobq fifo and close" `Quick test_jobq_fifo;
@@ -663,4 +937,11 @@ let suite =
     Alcotest.test_case "serve_channels" `Quick test_serve_channels;
     Alcotest.test_case "metrics json shape" `Quick test_metrics_json_shape;
     Alcotest.test_case "registry mix matches one-shot" `Quick test_registry_mix;
+    Alcotest.test_case "parse cache keys the whole source" `Quick test_parse_cache_whole_source;
+    Alcotest.test_case "parse cache: one layout per backend" `Quick test_layouts_per_backend;
+    Alcotest.test_case "fresh keys on two workers match one-shot" `Quick
+      test_fresh_keys_match_oneshot;
+    Alcotest.test_case "refusals repeat their first text" `Quick test_refusals_repeat;
+    Alcotest.test_case "allocation: a warm protect runs only per-key stages" `Quick
+      test_warm_protect_allocation;
   ]
