@@ -1,3 +1,6 @@
+module Layout = Sofia_transform.Layout
+module Backend_id = Sofia_transform.Backend_id
+
 type entry = {
   bytes : Bytes.t;
   image : Sofia_transform.Image.t;
@@ -26,11 +29,8 @@ type key = {
   source : string;
   key_seed : int64;
   nonce : int;
-  backend : Sofia_transform.Backend_id.t;
+  backend : Backend_id.t;
 }
-
-module Layout = Sofia_transform.Layout
-module Backend_id = Sofia_transform.Backend_id
 
 (* The key-independent half of protect: a source's program and its
    per-backend layouts. Keyed by the full source text for the reason
@@ -41,8 +41,7 @@ module Backend_id = Sofia_transform.Backend_id
    and every image built from it may read it. *)
 type parsed = {
   program : Sofia_asm.Program.t;
-  mutable sofia : (Layout.t, Layout.error) result option;
-  mutable scfp : (Layout.t, Layout.error) result option;
+  layouts : (Layout.t, Layout.error) result option array;  (* SOFIA's, then SCFP's *)
 }
 
 type counters = { hits : int; misses : int; evictions : int; entries : int }
@@ -85,24 +84,22 @@ let find_or_parse t ~source =
   match with_lock t (fun () -> Sofia_util.Lru.find t.parses source) with
   | Some p -> p
   | None ->
-    let p = { program = Sofia_asm.Assembler.assemble source; sofia = None; scfp = None } in
+    let p = { program = Sofia_asm.Assembler.assemble source; layouts = [| None; None |] } in
     with_lock t (fun () -> Sofia_util.Lru.add t.parses source p)
 
 let program p = p.program
 
 let layout t p ~backend =
-  let slot () = match backend with Backend_id.Sofia -> p.sofia | Backend_id.Scfp -> p.scfp in
-  match with_lock t slot with
+  let i = match backend with Backend_id.Sofia -> 0 | Backend_id.Scfp -> 1 in
+  match with_lock t (fun () -> p.layouts.(i)) with
   | Some l -> l
   | None ->
     let l = Layout.layout ~backend p.program in
     with_lock t (fun () ->
-        match slot () with
+        match p.layouts.(i) with
         | Some first -> first
         | None ->
-          (match backend with
-           | Backend_id.Sofia -> p.sofia <- Some l
-           | Backend_id.Scfp -> p.scfp <- Some l);
+          p.layouts.(i) <- Some l;
           l)
 
 (* The memoised fields are read and written from every worker domain;
