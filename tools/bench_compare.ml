@@ -16,6 +16,10 @@
                     fresh/baseline ratio of the unfloored rows first
      floors         [{name, ratio}]: micro row NAME must run at least
                     RATIO times faster than the baseline
+     pinned         [name]: micro rows whose win a deterministic count in
+                    dune runtest holds in place of a floor (a minor-word
+                    pin); held to the budget like any row, but left out
+                    of the normalize geomean like a floored row
      ratios         [{num, den, min}]: in the fresh run itself, micro
                     row NUM's median over row DEN's must be at least
                     MIN
@@ -40,8 +44,8 @@
    unnormalized medians: the geomean scaling would partially cancel the
    very speedup being gated (a large win drags the geomean itself, so
    the normalized ratio understates it). For the same reason a floored
-   row is left out of the [normalize] geomean: a pinned win is a
-   deliberate shift, and counting it would read as every unfloored row
+   or [pinned] row is left out of the [normalize] geomean: a pinned win
+   is a deliberate shift, and counting it would read as every other row
    slowing down by the win's share of the geomean.
 
    A ratio gates a win against the oracle the repository keeps beside
@@ -93,6 +97,7 @@ type gates = {
   tolerance : float;
   normalize : bool;
   floors : (string * float) list;
+  pinned : string list;
   ratios : (string * string * float) list;
   checks : check list;
 }
@@ -129,6 +134,10 @@ let gates_of_json j =
     tolerance = num "tolerance_pct" j;
     normalize = req "normalize" j = J.Bool true;
     floors = List.map (fun f -> (str "name" f, num "ratio" f)) (list "floors" j);
+    pinned =
+      List.map
+        (function J.Str s -> s | _ -> bad "gate file: \"pinned\" must list row names")
+        (list "pinned" j);
     ratios = List.map (fun r -> (str "num" r, str "den" r, num "min" r)) (list "ratios" j);
     checks = List.map check_of_json (list "checks" j);
   }
@@ -261,11 +270,14 @@ let () =
     else begin
       let ratios =
         List.filter_map
-          (fun (name, b, f) -> if List.mem_assoc name g.floors then None else Some (f /. b))
+          (fun (name, b, f) ->
+            if List.mem_assoc name g.floors || List.mem name g.pinned then None
+            else Some (f /. b))
           paired
       in
       let geomean = if ratios = [] then 1.0 else Sofia.Util.Stats.geomean ratios in
-      Printf.printf "normalizing by geomean fresh/baseline ratio %.3f (%d unfloored rows)\n"
+      Printf.printf
+        "normalizing by geomean fresh/baseline ratio %.3f (%d unfloored, unpinned rows)\n"
         geomean (List.length ratios);
       1.0 /. geomean
     end
