@@ -915,14 +915,16 @@ let batch_cmd =
     List.iter (fun r -> print_endline (Job.response_to_line r)) responses;
     let m = Engine.metrics engine in
     let st = Engine.store engine in
+    let parses = Sofia.Service.Store.parse_counters st in
     Format.eprintf
       "batch: %d jobs in %.3fs (%.1f jobs/s), %d done, %d rejected, %d timed out, %d failed; \
-       store %d hits / %d misses@."
+       store %d hits / %d misses; parses %d hits / %d misses@."
       (List.length responses) dt
       (float_of_int (List.length responses) /. dt)
       m.Sofia.Service.Svc_metrics.completed m.Sofia.Service.Svc_metrics.rejected
       m.Sofia.Service.Svc_metrics.timed_out m.Sofia.Service.Svc_metrics.failed
-      (Sofia.Service.Store.hits st) (Sofia.Service.Store.misses st);
+      (Sofia.Service.Store.hits st) (Sofia.Service.Store.misses st)
+      parses.Sofia.Service.Store.hits parses.Sofia.Service.Store.misses;
     (match Engine.disk_store engine with
      | Some d ->
        let module Fs = Sofia.Store_fs.Store_fs in
