@@ -37,8 +37,8 @@ type key = {
    [key] gives: a hash collision would hand one client another's
    program. The program is fixed at insert; each layout slot is
    written once, under the store lock, the first write winning, and
-   nothing reachable from an entry is written after, so every worker
-   and every image built from it may read it. *)
+   nothing else reachable from an entry is ever written, so every
+   worker and every image built from it may read it. *)
 type parsed = {
   program : Sofia_asm.Program.t;
   layouts : (Layout.t, Layout.error) result option array;  (* SOFIA's, then SCFP's *)
@@ -46,6 +46,8 @@ type parsed = {
 
 type counters = { hits : int; misses : int; evictions : int; entries : int }
 
+(* more than twice the 26 programs any benchmark workload draws from;
+   about 7 MB if every one were the size of the ADPCM source *)
 let parsed_slots = 64
 
 type t = {

@@ -91,8 +91,8 @@ type parsed
     share its arrays, and every request under every key reads them. *)
 
 val parsed_slots : int
-(** The parse cache's bound, in sources (64). An entry takes about six
-    times its source's bytes (DESIGN §9). *)
+(** The parse cache's bound, in sources (64). An entry takes five to
+    six times its source's bytes (DESIGN §9). *)
 
 val find_or_parse : t -> source:string -> parsed
 (** The cached parse of [source], assembled on a miss outside the lock
