@@ -724,8 +724,8 @@ let fleet_cmd =
             | a -> Ok (a, p)
             | exception Not_found -> Error (host ^ ": cannot resolve"))))
   in
-  let run use_stdin socket tcp accepts children workers queue window replay_dir deadline
-      engine backend store_dir store_budget metrics json_out =
+  let run use_stdin socket tcp accepts children queue window replay_dir deadline engine backend
+      store_dir store_budget metrics json_out =
     if children < 1 then or_die (Error (Printf.sprintf "--children must be >= 1 (got %d)" children));
     if queue < 1 then or_die (Error (Printf.sprintf "--queue must be >= 1 (got %d)" queue));
     if window < 1 then or_die (Error (Printf.sprintf "--window must be >= 1 (got %d)" window));
@@ -736,7 +736,6 @@ let fleet_cmd =
     let cfg =
       { R.default_config with
         R.children;
-        workers;
         queue;
         window = min window queue;
         replay_dir;
@@ -846,11 +845,8 @@ let fleet_cmd =
   in
   let children =
     Arg.(value & opt int 3 & info [ "children" ] ~docv:"N"
-           ~doc:"Shard children (each a real $(b,serve --stdin) process on two pipes).")
-  in
-  let workers =
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N"
-           ~doc:"Engine worker domains per child.")
+           ~doc:"Shard children, each a real $(b,serve --stdin --workers 1) process on two \
+                 pipes.")
   in
   let window =
     Arg.(value & opt int 32 & info [ "window" ] ~docv:"N"
@@ -866,10 +862,12 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Serve jobs through N serve child processes sharded by image content hash, \
-             with crash-restart (backoff-paced, budget-bounded), hang-kill, \
-             circuit-breaker with probation rejoin, response-audit supervision and an \
-             optionally persistent replay cache at the router")
-    Term.(const run $ use_stdin $ socket $ tcp $ accepts $ children $ workers $ queue_arg
+             with crash-restart (backoff-paced; the third death within 10 s quarantines \
+             the shard), hang-kill, probation rejoin, response-audit supervision and an \
+             optionally persistent replay cache at the router. $(b,--queue), \
+             $(b,--deadline-ms), $(b,--engine), $(b,--backend), $(b,--store-dir) and \
+             $(b,--store-budget) are forwarded to every child.")
+    Term.(const run $ use_stdin $ socket $ tcp $ accepts $ children $ queue_arg
           $ window $ replay_dir $ deadline_arg $ engine_arg $ backend_arg $ store_dir_arg $ store_budget_arg
           $ metrics_arg $ json_out_arg)
 

@@ -83,12 +83,13 @@ let start ~cli ~args ~shard =
    caller's [chunk] and return the complete non-blank lines; the partial
    tail waits for the next read. [`Eof] is the child's exit. *)
 let drain_input p chunk =
+  let non_blank = function Lines.Line l -> String.trim l <> "" | Lines.Too_long -> true in
   match p.rfd with
   | None -> `Eof
   | Some fd -> (
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> `Eof
-    | n -> `Lines (List.filter (fun l -> String.trim l <> "") (Lines.feed p.lines chunk n))
+    | n -> `Lines (List.filter non_blank (Lines.feed p.lines chunk n))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Lines []
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> `Eof)
 

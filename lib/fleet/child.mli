@@ -53,10 +53,12 @@ val flush : proc -> unit
     writable. A child whose stdin is gone loses its write end; its
     stdout reaching EOF reports the death. *)
 
-val drain_input : proc -> Bytes.t -> [ `Lines of string list | `Eof ]
+val drain_input : proc -> Bytes.t -> [ `Lines of Sofia_util.Lines.line list | `Eof ]
 (** Read what select said is there into the given scratch buffer
     (reused across calls; not retained); complete non-blank lines only
-    (a partial line waits in [lines] for the next readable event). *)
+    (a partial line waits in [lines] for the next readable event). A
+    line past {!Sofia_util.Lines.max_line} comes back as [Too_long],
+    which the supervisor treats like any torn line: as a death. *)
 
 val close_input : proc -> unit
 (** Close our end of the child's stdin: it reads EOF, drains and

@@ -21,7 +21,6 @@ include Supervisor.Types
 
 type config = {
   children : int;
-  workers : int;
   queue : int;
   cli : string;
   store_dir : string option;
@@ -40,7 +39,6 @@ type config = {
 let default_config =
   {
     children = 3;
-    workers = 1;
     queue = 64;
     cli = "sofia_cli";
     store_dir = None;
@@ -168,8 +166,7 @@ let replay_store rstore (req : Job.request) key c =
 let child_args cfg dir k =
   let base =
     [
-      "serve"; "--stdin"; "--shard"; string_of_int k;
-      "--workers"; string_of_int cfg.workers;
+      "serve"; "--stdin"; "--shard"; string_of_int k; "--workers"; "1";
       "--queue"; string_of_int cfg.queue;
       "--json"; Filename.concat dir (Printf.sprintf "metrics-%d.json" k);
     ]
@@ -227,7 +224,6 @@ let metrics_json t =
          J.Obj
            [
              ("children", J.Int t.cfg.children);
-             ("workers_per_child", J.Int t.cfg.workers);
              ("window", J.Int t.cfg.window);
              ("audit_every", J.Int t.cfg.audit_every);
            ] );
@@ -337,7 +333,9 @@ let close_client_fds cl =
   end
 
 let client_line t cl line =
-  if String.trim line <> "" then cl.cl_pending <- cl.cl_pending + 1;
+  (match line with
+   | Lines.Line l when String.trim l = "" -> ()
+   | _ -> cl.cl_pending <- cl.cl_pending + 1);
   S.client_line t.core ~now:(Clock.mono_s ()) cl line
 
 (* slow-client isolation: a client whose write buffer has not fully
@@ -492,8 +490,7 @@ let serve ?(signals = false) t =
     (* a trailing unterminated line at EOF is still a request *)
     List.iter
       (fun cl ->
-        if cl.cl_eof && Lines.pending cl.cl_lines > 0 then
-          client_line t cl (Lines.take_rest cl.cl_lines))
+        if cl.cl_eof then Option.iter (client_line t cl) (Lines.take_rest cl.cl_lines))
       t.clients;
     let now = Clock.mono_s () in
     S.tick t.core ~now;

@@ -7,11 +7,15 @@
     the router supervises whole processes — watchdog, crash-restart,
     circuit breaker, graceful drain — because a process, unlike an
     OCaml domain, can actually be killed; it is the serving stack's
-    only supervisor. The loop serves any number of concurrent clients (pipes,
-    AF_UNIX or TCP accepts) with per-client buffers, so one stalled
-    reader never blocks the fleet; requests to each child wait in its
-    own nonblocking output buffer, bounded by the window, so one
-    stopped child never blocks it either (the hang watchdog kills it).
+    only supervisor. Each child is [serve --stdin --workers 1]: the
+    fleet's unit of parallelism is the process. The loop serves any
+    number of concurrent clients (pipes, AF_UNIX or TCP accepts) with
+    per-client buffers, so one stalled reader never blocks the fleet;
+    a client line longer than {!Sofia_util.Lines.max_line} is answered
+    with one [error] and never buffered whole; requests to each child
+    wait in its own nonblocking output buffer, bounded by the window,
+    so one stopped child never blocks it either (the hang watchdog
+    kills it).
 
     Children are {e untrusted-but-supervised} (DESIGN §13): the router
     never fabricates a payload, but it renames jobs on the child hop,
@@ -21,10 +25,11 @@
     liar. The byte-identical payload guarantee of single-process
     [serve] is preserved end to end.
 
-    Survivability (DESIGN §15): crash-restarts are paced by
-    exponential backoff with deterministic jitter and bounded by a
-    restart budget over a sliding window; breaker quarantines are
-    probed back into service after a cooldown (probation: K
+    Survivability (DESIGN §15): one death rule paces and bounds a
+    crashing shard — each death within a 10 s window defers its
+    restart by an exponential backoff with deterministic jitter, and
+    the third quarantines it on the breaker cause; breaker quarantines
+    are probed back into service after a cooldown (probation: K
     consecutive clean probes re-admit the shard and its traffic
     re-sheds back home), while integrity quarantines are permanent;
     and the replay cache can persist across router restarts through
@@ -36,7 +41,6 @@ end
 
 type config = {
   children : int;  (** shard count (>= 1) *)
-  workers : int;  (** engine workers per child *)
   queue : int;  (** per-child engine queue capacity *)
   cli : string;  (** the sofia_cli binary; a bare name is looked up in [PATH] *)
   store_dir : string option;  (** parent dir; child [k] gets [shard-k/] *)
@@ -68,14 +72,15 @@ type config = {
 }
 
 val default_config : config
-(** 3 children of the [sofia_cli] in [PATH], 1 worker each, [Fast]
-    engine, window 32, audit every 16th distinct key, 5 s slow-client
-    linger, no persistent replay dir. The supervision timings are {!Supervisor}'s constants. *)
+(** 3 children of the [sofia_cli] in [PATH], [Fast] engine, window 32,
+    audit every 16th distinct key, 5 s slow-client linger, no
+    persistent replay dir. The supervision timings are {!Supervisor}'s
+    constants. *)
 
 val replay_cap : int
 (** {!Supervisor.replay_cap}. The fleet metrics document's [router]
-    object reports [replay_entries] (at most this) and
-    [replay_evictions]. *)
+    object reports [replay_entries] (at most this), [replay_evictions],
+    and the raw-line memo's [memo_hits] and [memo_evictions]. *)
 
 val run :
   ?obs:Sofia_obs.Obs.t ->

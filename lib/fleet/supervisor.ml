@@ -22,10 +22,11 @@
    Quarantine has a two-cause taxonomy. A child caught lying about a
    content hash is quarantined for INTEGRITY: killed, never restarted,
    its traffic re-shed to healthy shards. A child quarantined by the
-   BREAKER (repeated deaths, exhausted restart budget) is merely
-   suspected of a bad environment: after a cooldown it is restarted on
-   probation and must answer K consecutive clean probes before it is
-   re-admitted and its traffic dynamically re-shed back home.
+   BREAKER (too many deaths within a window, or a failed restart) is
+   merely suspected of a bad environment: after a cooldown it is
+   restarted on probation and must answer K consecutive clean probes
+   before it is re-admitted and its traffic dynamically re-shed back
+   home.
 
    The replay cache can persist across router restarts through the
    [load]/[store] effects (Router backs them with the §12 store_fs
@@ -37,6 +38,7 @@ module J = Sofia_obs.Json
 module Obs = Sofia_obs.Obs
 module Event = Sofia_obs.Event
 module Lru = Sofia_util.Lru
+module Lines = Sofia_util.Lines
 
 module Types = struct
   type event =
@@ -96,14 +98,12 @@ let unsettled s = s.submitted - (s.done_ + s.rejected + s.timed_out + s.failed)
    them. *)
 let probe_interval_s = 0.25
 let hang_timeout_s = 5.0
-let breaker_threshold = 3
+let death_limit = 3
+let death_window_s = 10.0
 let redispatch_limit = 2
 let rejoin_cooldown_s = 30.0
 let rejoin_probes = 3
 let restart_backoff_ms = 25
-let restart_backoff_max_ms = 2_000
-let restart_budget = 6
-let restart_budget_window_s = 10.0
 
 (* The per-shard latency ring: p50/p99 describe the most recent jobs,
    and a router that serves for months holds 32 KiB per shard. *)
@@ -183,13 +183,13 @@ type 'c shard = {
   c_queue : 'c dispatch Queue.t;
   mutable c_up : bool;  (* a live process holds the shard's connection *)
   mutable c_last_rx : float;
-  mutable c_consec_deaths : int;
+  mutable c_deaths : float list;  (* its deaths within [death_window_s], newest first *)
   mutable c_probe_out : bool;
   mutable c_quar : quarantine_cause option;
-  mutable c_quar_since : float;
-  mutable c_probation : int;  (* clean probes so far; -1 = not on probation *)
-  mutable c_restart_at : float;  (* deferred restart due time; 0.0 = none *)
-  mutable c_restart_times : float list;  (* restart budget window, newest first *)
+  mutable c_probation : int;  (* clean probes since its probation restart *)
+  mutable c_restart_at : float;
+      (* deferred restart due time, a crash-restart's or a breaker
+         quarantine's probation; 0.0 = none *)
 }
 
 type 'c t = {
@@ -434,10 +434,12 @@ and enqueue t k d =
    are re-dispatched to the replacement (or re-shed / failed once their
    incarnation budget is gone), audits are sent again to another shard
    (see [reaudit]), probes evaporate. The death is recorded and the
-   replacement scheduled BEFORE the victims are settled. The
-   replacement is deferred: exponential backoff with jitter, bounded by
-   a restart budget over a sliding window, so a poison environment
-   produces a paced, bounded restart storm rather than a hot loop. *)
+   replacement scheduled BEFORE the victims are settled. One rule paces
+   and bounds a crashing shard: its nth death within [death_window_s]
+   defers the replacement by [restart_backoff_ms] * 2^(n-1) plus
+   jitter, and its [death_limit]th quarantines it, so a poison
+   environment produces a paced, bounded restart storm rather than a
+   hot loop. *)
 and handle_death t k reason =
   let ch = t.kids.(k) in
   if ch.c_up then begin
@@ -446,47 +448,34 @@ and handle_death t k reason =
          service and owes no client anything beyond probes — back to
          cooldown, no death accounting *)
       ignore (evict t k);
-      ch.c_probation <- -1;
-      ch.c_quar_since <- t.now;
+      ch.c_restart_at <- t.now +. rejoin_cooldown_s;
       emit_obs t "fleet_probation_death" (Printf.sprintf "shard %d: %s" k reason)
     end
     else begin
-      let work = evict t k in
+      let work = evict t k and now = t.now in
       t.stats.deaths <- t.stats.deaths + 1;
       ch.cs.ss_deaths <- ch.cs.ss_deaths + 1;
-      ch.c_consec_deaths <- ch.c_consec_deaths + 1;
+      ch.c_deaths <- now :: List.filter (fun ts -> now -. ts <= death_window_s) ch.c_deaths;
+      let n = List.length ch.c_deaths in
       emit_obs t "fleet_child_death"
-        (Printf.sprintf "shard %d: %s (consecutive %d)" k reason ch.c_consec_deaths);
+        (Printf.sprintf "shard %d: %s (death %d within %.0f s)" k reason n death_window_s);
       fire t (Child_down (k, reason));
-      if ch.c_consec_deaths >= breaker_threshold then
-        quarantine t [ k ] ~cause:Breaker "breaker: repeated child deaths"
+      if n >= death_limit then quarantine t [ k ] ~cause:Breaker "breaker: repeated child deaths"
       else begin
-        let now = t.now in
-        ch.c_restart_times <-
-          List.filter (fun ts -> now -. ts <= restart_budget_window_s) ch.c_restart_times;
-        if List.length ch.c_restart_times >= restart_budget then
-          quarantine t [ k ] ~cause:Breaker "restart budget exhausted"
-        else begin
-          (* schedule the replacement: 2^(deaths-1) * base, capped, plus
-             up to 25% deterministic jitter *)
-          let expo =
-            min restart_backoff_max_ms
-              (restart_backoff_ms * (1 lsl min 16 (max 0 (ch.c_consec_deaths - 1))))
-          in
-          let delay_ms = expo + jitter t ((expo / 4) + 1) in
-          ch.c_restart_at <- now +. (float_of_int delay_ms /. 1000.0);
-          t.stats.backoffs <- t.stats.backoffs + 1;
-          emit_obs t "fleet_restart_backoff"
-            (Printf.sprintf "shard %d: restart in %dms (death %d)" k delay_ms
-               ch.c_consec_deaths)
-        end
+        let expo = restart_backoff_ms lsl (n - 1) in
+        (* plus up to 25% deterministic jitter *)
+        let delay_ms = expo + jitter t ((expo / 4) + 1) in
+        ch.c_restart_at <- now +. (float_of_int delay_ms /. 1000.0);
+        t.stats.backoffs <- t.stats.backoffs + 1;
+        emit_obs t "fleet_restart_backoff"
+          (Printf.sprintf "shard %d: restart in %dms (death %d)" k delay_ms n)
       end;
       (* settle the orphans only after the supervision state is updated;
-         orphans first so a killer job re-dispatches ahead of parked work
-         (keeping its deaths consecutive for the breaker), and only
-         orphans consume an incarnation try — a parked job never touched
-         the dead child. Work re-routed to this same (still healthy)
-         shard parks in its queue until the deferred restart pumps it. *)
+         orphans first so a killer job meets the replacement ahead of
+         parked work, and only orphans consume an incarnation try — a
+         parked job never touched the dead child. Work re-routed to this
+         same (still healthy) shard parks in its queue until the
+         deferred restart pumps it. *)
       resettle t work
     end
   end
@@ -494,11 +483,12 @@ and handle_death t k reason =
 (* Removal from service: the breaker at process scope, and the only
    correct answer to a child caught lying about a content hash. Kill
    it and re-shed its traffic. A [Breaker] quarantine is a suspicion
-   about the environment — the shard earns its way back through
-   cooldown + probation probes (see [tick]); an [Integrity] quarantine
-   is permanent. Every shard in [ks] is out of service before any of
-   their work moves, so no orphan is re-shed and no audit re-sent onto
-   a fellow suspect, and no abandoned audit can vouch for one. *)
+   about the environment — the shard earns its way back through a
+   deferred probation restart after the cooldown and clean probes (see
+   [tick]); an [Integrity] quarantine is permanent. Every shard in [ks]
+   is out of service before any of their work moves, so no orphan is
+   re-shed and no audit re-sent onto a fellow suspect, and no abandoned
+   audit can vouch for one. *)
 and quarantine t ks ~cause reason =
   let ks = List.filter (fun k -> not t.kids.(k).cs.ss_quarantined) ks in
   List.iter
@@ -506,13 +496,14 @@ and quarantine t ks ~cause reason =
       let ch = t.kids.(k) in
       ch.cs.ss_quarantined <- true;
       ch.c_quar <- Some cause;
-      ch.c_quar_since <- t.now;
-      ch.c_probation <- -1;
-      ch.c_restart_at <- 0.0;
       t.stats.quarantines <- t.stats.quarantines + 1;
       (match cause with
-       | Breaker -> t.stats.quar_breaker <- t.stats.quar_breaker + 1
-       | Integrity -> t.stats.quar_integrity <- t.stats.quar_integrity + 1);
+       | Breaker ->
+         t.stats.quar_breaker <- t.stats.quar_breaker + 1;
+         ch.c_restart_at <- t.now +. rejoin_cooldown_s
+       | Integrity ->
+         t.stats.quar_integrity <- t.stats.quar_integrity + 1;
+         ch.c_restart_at <- 0.0);
       emit_obs t "fleet_quarantine" (Printf.sprintf "shard %d: %s" k reason);
       fire t (Child_down (k, "quarantined: " ^ reason)))
     ks;
@@ -712,9 +703,6 @@ let rejoin t k =
   let ch = t.kids.(k) in
   ch.cs.ss_quarantined <- false;
   ch.c_quar <- None;
-  ch.c_probation <- -1;
-  ch.c_consec_deaths <- 0;
-  ch.c_restart_times <- [];
   t.stats.rejoins <- t.stats.rejoins + 1;
   emit_obs t "fleet_rejoin"
     (Printf.sprintf "shard %d re-admitted after %d clean probes" k rejoin_probes);
@@ -724,8 +712,7 @@ let child_line t ~now k line =
   t.now <- now;
   let ch = t.kids.(k) in
   ch.c_last_rx <- now;
-  ch.c_consec_deaths <- 0;
-  match J.parse_opt line with
+  match match line with Lines.Line l -> J.parse_opt l | Lines.Too_long -> None with
   | Some (J.Obj fields) -> (
     match get_str fields "id" with
     | None -> emit_obs t "fleet_bad_child_line" (Printf.sprintf "shard %d: no id" k)
@@ -741,9 +728,10 @@ let child_line t ~now k line =
         (match d.d_kind with
          | Probe ->
            ch.c_probe_out <- false;
-           (* probation: a quarantined-by-breaker shard earns its way
-              back with K consecutive clean probe responses *)
-           if ch.cs.ss_quarantined && ch.c_probation >= 0 then begin
+           (* probation: a quarantined shard that is up is on probation,
+              and earns its way back with K consecutive clean probe
+              responses *)
+           if ch.cs.ss_quarantined then begin
              ch.c_probation <- ch.c_probation + 1;
              if ch.c_probation >= rejoin_probes then rejoin t k
            end
@@ -771,8 +759,8 @@ let child_line t ~now k line =
            | None -> ()));
         pump t k)))
   | _ ->
-    (* a torn or non-JSON line from a child is a protocol violation —
-       treat the child as compromised-or-dying *)
+    (* a torn, non-JSON or over-long line from a child is a protocol
+       violation — treat the child as compromised-or-dying *)
     handle_death t k "torn NDJSON from child"
 
 (* A child's connection closed. At drain, a child that owes nothing has
@@ -923,19 +911,26 @@ let admit_line t cl line =
 let client_line t ~now cl line =
   t.now <- now;
   t.stats.received <- t.stats.received + 1;
-  if String.trim line <> "" then
-    match admit_line t cl line with
+  (* malformed lines are answered by the router itself; children never
+     see bytes that failed to parse *)
+  let malformed ~id msg =
+    t.stats.malformed <- t.stats.malformed + 1;
+    t.fx.deliver cl (Job.error_line ~id msg)
+  in
+  match line with
+  | Lines.Line l when String.trim l = "" -> ()
+  | Lines.Too_long ->
+    malformed ~id:None (Printf.sprintf "request line longer than %d bytes" Lines.max_line)
+  | Lines.Line l -> (
+    match admit_line t cl l with
     | Ok () -> ()
     | Error msg ->
-      (* malformed lines are answered by the router itself; children
-         never see bytes that failed to parse *)
-      t.stats.malformed <- t.stats.malformed + 1;
-      let id = Option.bind (J.parse_opt line) (fun j ->
+      let id = Option.bind (J.parse_opt l) (fun j ->
           match J.member "id" j with Some (J.Str s) -> Some s | _ -> None)
       in
-      t.fx.deliver cl (Job.error_line ~id msg)
+      malformed ~id msg)
 
-(* ---- housekeeping: probes + watchdog + restarts + rejoin ---------- *)
+(* ---- housekeeping: restarts, watchdog, probes --------------------- *)
 
 let send_probe t k =
   let ch = t.kids.(k) in
@@ -944,44 +939,26 @@ let send_probe t k =
   Hashtbl.replace ch.c_outstanding d.d_iid d;
   if not (t.fx.send k (request_line d)) then handle_death t k "write failed (probe)"
 
+(* One lifecycle for every shard. A shard that is down restarts when
+   its deferred restart is due: after a crash's backoff (even during a
+   drain, so parked work can settle; the shard stays formally healthy
+   meanwhile, parking its routed work), or after a breaker quarantine's
+   cooldown, which is its probation (never started once a signal began
+   the drain, and a failed one is deferred by the cooldown again). With none due, a
+   shard that exited in order at drain restarts once work is parked on
+   it. A shard that is up, owes traffic (jobs or a probe) and has sent
+   nothing for a whole hang timeout is wedged: a process, unlike a
+   domain, can be killed, and handle_death redispatches its work. An
+   idle one is probed; on probation, its clean probes re-admit it. *)
 let tick t ~now =
   t.now <- now;
   Array.iteri
     (fun k ch ->
-      if ch.cs.ss_quarantined then begin
-        (* breaker quarantines are probed back to life; integrity
-           quarantines never are *)
-        match ch.c_quar with
-        | Some Breaker when not t.stats.interrupted ->
-          if not ch.c_up then begin
-            if now -. ch.c_quar_since >= rejoin_cooldown_s then begin
-              match t.fx.restart k with
-              | Ok pid ->
-                ch.c_up <- true;
-                ch.c_probation <- 0;
-                ch.c_probe_out <- false;
-                ch.c_last_rx <- now;
-                emit_obs t "fleet_probation_start" (Printf.sprintf "shard %d" k);
-                fire t (Child_up (k, pid))
-              | Error m ->
-                emit_obs t "fleet_probation_restart_failed" m;
-                ch.c_quar_since <- now
-            end
-          end
-          else if ch.c_probe_out && now -. ch.c_last_rx >= hang_timeout_s then
-            handle_death t k "probation watchdog: hang timeout"
-          else if (not ch.c_probe_out) && now -. ch.c_last_rx >= probe_interval_s then
-            send_probe t k
-        | _ -> ()
-      end
-      else if not ch.c_up then begin
-        (* deferred crash-restart, once its backoff delay has elapsed —
-           the shard stays formally healthy meanwhile, parking its
-           routed work. Restarts proceed even during a stop/drain so
-           parked work can still settle; a shard that exited in order at
-           drain (no restart due) restarts once work is parked on it. *)
+      let probation = ch.cs.ss_quarantined in
+      if not ch.c_up then begin
         if
-          (ch.c_restart_at > 0.0 && now >= ch.c_restart_at)
+          (ch.c_restart_at > 0.0 && now >= ch.c_restart_at
+           && not (probation && t.stats.interrupted))
           || (ch.c_restart_at = 0.0 && not (Queue.is_empty ch.c_queue))
         then begin
           ch.c_restart_at <- 0.0;
@@ -989,26 +966,32 @@ let tick t ~now =
           | Ok pid ->
             ch.c_up <- true;
             ch.c_last_rx <- now;
-            ch.c_restart_times <- now :: ch.c_restart_times;
-            t.stats.restarts <- t.stats.restarts + 1;
-            ch.cs.ss_restarts <- ch.cs.ss_restarts + 1;
+            if probation then begin
+              ch.c_probation <- 0;
+              emit_obs t "fleet_probation_start" (Printf.sprintf "shard %d" k)
+            end
+            else begin
+              t.stats.restarts <- t.stats.restarts + 1;
+              ch.cs.ss_restarts <- ch.cs.ss_restarts + 1
+            end;
             fire t (Child_up (k, pid));
             pump t k
+          | Error m when probation ->
+            emit_obs t "fleet_probation_restart_failed" m;
+            ch.c_restart_at <- now +. rejoin_cooldown_s
           | Error m ->
             emit_obs t "fleet_child_restart_failed" m;
             quarantine t [ k ] ~cause:Breaker ("restart failed: " ^ m)
         end
       end
       else if
-        (* watchdog: traffic owed (jobs or a probe in flight) and
-           nothing received for a whole hang timeout — the child is
-           wedged. Unlike a hung domain, a hung process can be killed;
-           handle_death redispatches its work. *)
         (Hashtbl.length ch.c_outstanding > 0 || ch.c_probe_out)
         && now -. ch.c_last_rx >= hang_timeout_s
       then begin
-        t.stats.hangs <- t.stats.hangs + 1;
-        ch.cs.ss_hangs <- ch.cs.ss_hangs + 1;
+        if not probation then begin
+          t.stats.hangs <- t.stats.hangs + 1;
+          ch.cs.ss_hangs <- ch.cs.ss_hangs + 1
+        end;
         emit_obs t "fleet_child_hang"
           (Printf.sprintf "shard %d: no traffic for %.0fms" k (hang_timeout_s *. 1000.0));
         handle_death t k "watchdog: hang timeout"
@@ -1068,6 +1051,8 @@ let stats_json t =
       ("slow_client_drops", J.Int s.slow_client_drops);
       ("replay_entries", J.Int (Lru.length t.cache));
       ("replay_evictions", J.Int (Lru.evictions t.cache));
+      ("memo_hits", J.Int (Lru.hits t.memo));
+      ("memo_evictions", J.Int (Lru.evictions t.memo));
     ]
 
 let create ?(obs = Obs.none) ?on_event ~now ~children ~window ~audit_every ~backend fx =
@@ -1102,13 +1087,11 @@ let create ?(obs = Obs.none) ?on_event ~now ~children ~window ~audit_every ~back
             c_queue = Queue.create ();
             c_up = true;
             c_last_rx = now;
-            c_consec_deaths = 0;
+            c_deaths = [];
             c_probe_out = false;
             c_quar = None;
-            c_quar_since = 0.0;
-            c_probation = -1;
+            c_probation = 0;
             c_restart_at = 0.0;
-            c_restart_times = [];
           })
         stats.shards;
     cache = Lru.create replay_cap;

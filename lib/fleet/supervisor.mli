@@ -1,7 +1,8 @@
 (** The fleet router's supervision core (DESIGN §13/§15): admission,
     content-keyed replay and coalescing, per-shard dispatch windows,
-    audit votes, death handling, crash-restart backoff and budget,
-    breaker and integrity quarantine, and probation rejoin — with no
+    audit votes, one shard lifecycle (deaths counted over a window,
+    backoff-paced restarts, breaker and integrity quarantine, and
+    probation rejoin through the same deferred restart) — with no
     process, fd or clock of its own.
 
     Four entry points feed it events, each stamped with the monotonic
@@ -90,29 +91,27 @@ val probe_interval_s : float
 val hang_timeout_s : float
 (** silence with traffic owed before the watchdog kills a child: 5 s *)
 
-val breaker_threshold : int
-(** consecutive deaths before quarantine: 3 *)
+val death_limit : int
+(** deaths within {!death_window_s} that quarantine a shard on the
+    breaker cause: 3 *)
+
+val death_window_s : float
+(** 10 s *)
 
 val redispatch_limit : int
 (** child incarnations one job may consume: 2 *)
 
 val rejoin_cooldown_s : float
-(** rest of a breaker-quarantined shard before a probation restart: 30 s.
-    A probation death restarts the same cooldown. *)
+(** rest of a breaker-quarantined shard before its probation restart:
+    30 s. A probation death or a failed probation restart defers that
+    restart by the same cooldown again. *)
 
 val rejoin_probes : int
 (** consecutive clean probes that re-admit: 3 *)
 
 val restart_backoff_ms : int
-(** base crash-restart delay (25 ms), doubled per consecutive death up
-    to 2 s, plus up to 25% deterministic jitter *)
-
-val restart_budget : int
-(** crash-restarts one shard may take within {!restart_budget_window_s}
-    before it is quarantined on the breaker cause: 6 *)
-
-val restart_budget_window_s : float
-(** 10 s *)
+(** base crash-restart delay: the nth death within {!death_window_s}
+    waits 25 ms * 2^(n-1), plus up to 25% deterministic jitter *)
 
 val replay_cap : int
 (** Entries the replay cache (content key → rendered answer) may hold,
@@ -170,13 +169,15 @@ val create :
 
 val stats : 'c t -> stats
 
-val client_line : 'c t -> now:float -> 'c -> string -> unit
+val client_line : 'c t -> now:float -> 'c -> Sofia_util.Lines.line -> unit
 (** One NDJSON request line from a client. A blank line is counted and
     otherwise ignored; every other line is answered exactly once through
-    [deliver], at once (replay, malformed) or when its job settles. *)
+    [deliver], at once (replay, malformed) or when its job settles. A
+    [Too_long] line is malformed: one [error] response. *)
 
-val child_line : 'c t -> now:float -> int -> string -> unit
-(** One response line from shard [k]'s child. *)
+val child_line : 'c t -> now:float -> int -> Sofia_util.Lines.line -> unit
+(** One response line from shard [k]'s child. A line that is not a JSON
+    object, [Too_long] included, is a death. *)
 
 val child_closed : 'c t -> now:float -> draining:bool -> int -> unit
 (** Shard [k]'s connection reached EOF. With [draining] (no more client
@@ -184,12 +185,13 @@ val child_closed : 'c t -> now:float -> draining:bool -> int -> unit
     anything else is a death. *)
 
 val tick : 'c t -> now:float -> unit
-(** Housekeeping: deferred restarts, probes, the hang watchdog and
-    probation. The driver calls it after every round of events. *)
+(** Housekeeping: deferred restarts (crash-restarts and probation
+    alike), the hang watchdog and probes. The driver calls it after
+    every round of events. *)
 
 val stats_json : 'c t -> Sofia_obs.Json.t
-(** The router counters, including [replay_entries] and
-    [replay_evictions]. *)
+(** The router counters, including [replay_entries],
+    [replay_evictions], [memo_hits] and [memo_evictions]. *)
 
 val shards_json : 'c t -> Sofia_obs.Json.t
 (** Per-shard counters with p50/p99 router-observed latency. *)

@@ -1,29 +1,56 @@
 (* Only the unterminated tail is ever buffered, and each read is scanned
    from its own first byte, so a byte is copied at most twice (into the
-   tail, then into its line) however the stream was chunked. *)
+   tail, then into its line) however the stream was chunked. A line
+   that outgrows [max_line] stops being buffered: its tail is freed and
+   the rest of it is skipped up to its newline. *)
 
-type t = Buffer.t
+type line = Line of string | Too_long
 
-let create () = Buffer.create 256
+type t = { tail : Buffer.t; mutable over : bool  (* skipping an over-long line *) }
+
+let max_line = 1 lsl 20
+
+let create () = { tail = Buffer.create 256; over = false }
 
 let rec newline chunk i n =
   if i >= n || Bytes.get chunk i = '\n' then i else newline chunk (i + 1) n
+
+(* Add [len] bytes to the unterminated line, or drop the line once it is
+   past the cap. *)
+let keep t chunk start len =
+  if not t.over then
+    if Buffer.length t.tail + len > max_line then begin
+      Buffer.reset t.tail;
+      t.over <- true
+    end
+    else Buffer.add_subbytes t.tail chunk start len
+
+(* The line held in [t] ends here. *)
+let finish t =
+  if t.over then begin
+    t.over <- false;
+    Too_long
+  end
+  else begin
+    let l = Buffer.contents t.tail in
+    Buffer.clear t.tail;
+    Line l
+  end
 
 let feed t chunk n =
   let rec scan start acc =
     let i = newline chunk start n in
     if i >= n then begin
-      Buffer.add_subbytes t chunk start (n - start);
+      keep t chunk start (n - start);
       List.rev acc
     end
     else begin
       let line =
-        if Buffer.length t = 0 then Bytes.sub_string chunk start (i - start)
+        if Buffer.length t.tail = 0 && (not t.over) && i - start <= max_line then
+          Line (Bytes.sub_string chunk start (i - start))
         else begin
-          Buffer.add_subbytes t chunk start (i - start);
-          let l = Buffer.contents t in
-          Buffer.clear t;
-          l
+          keep t chunk start (i - start);
+          finish t
         end
       in
       scan (i + 1) (line :: acc)
@@ -31,14 +58,13 @@ let feed t chunk n =
   in
   scan 0 []
 
-let pending t = Buffer.length t
+let pending t = Buffer.length t.tail
 
-let take_rest t =
-  let s = Buffer.contents t in
-  Buffer.clear t;
-  s
+let take_rest t = if t.over || Buffer.length t.tail > 0 then Some (finish t) else None
 
-let clear = Buffer.clear
+let clear t =
+  Buffer.reset t.tail;
+  t.over <- false
 
 let flush buf fd =
   let s = Buffer.contents buf in

@@ -10,13 +10,15 @@
    After every event: no id is answered twice or to another client, no
    more jobs settle than were admitted, no client receives a payload
    other than the honest one (a schedule with a liar audits every
-   distinct key, and its kills spare one designated honest shard), and
-   no shard takes more crash-restarts within one budget window than the
-   budget. At quiescence every id has been answered exactly once and
-   the counters conserve. The test prints how many schedules reached
-   each supervision transition and fails if one was never reached. Two
-   pinned schedules replay audit faults: one the property found, and
-   one it rarely reaches, built by hand.
+   distinct key, and its kills spare one designated honest shard), no
+   shard dies more than [death_limit] times within [death_window_s],
+   and a breaker quarantine comes exactly at a shard's [death_limit]th
+   death within that window. At quiescence every id has been answered
+   exactly once and the counters conserve. The test prints how many
+   schedules reached each supervision transition and fails if one was
+   never reached. Three pinned schedules replay faults: two audit
+   faults, one the property found and one it rarely reaches, built by
+   hand, and a shard that answers between its crashes.
 
    A failure prints the qcheck seed; QCHECK_SEED=<seed> replays it. *)
 
@@ -27,6 +29,7 @@ module J = Sofia.Obs.Json
 module Obs = Sofia.Obs.Obs
 module Event = Sofia.Obs.Event
 module Trace = Sofia.Obs.Trace
+module Lines = Sofia.Util.Lines
 
 type ev =
   | Send of int * int  (* client, job: a content index, or [jobs] for a ping *)
@@ -72,7 +75,6 @@ let contains s sub =
 
 let transitions =
   [ "watchdog hang kill"; "crash-restart after backoff"; "breaker quarantine";
-    "restart-budget quarantine";
     "probation rejoin"; "probation death"; "integrity quarantine by a 2-1 vote";
     "fail-closed conflict"; "re-audit on a third shard"; "abandoned audit";
     "redispatch-limit failure";
@@ -88,7 +90,6 @@ type proc = {
   mutable hung : bool;
   mutable fail_next : bool;
   mutable inbox : string list;  (* request lines held, oldest first *)
-  mutable restarts : float list;  (* crash-restart times, newest first *)
 }
 
 type sim = {
@@ -102,6 +103,7 @@ type sim = {
   honest : (string, string) Hashtbl.t;  (* protect id -> honest digest *)
   answered : (string, unit) Hashtbl.t;
   disk : (string, S.entry option) Hashtbl.t;  (* content key -> entry; None = tampered *)
+  deaths : float list array;  (* per shard: its deaths within [death_window_s], newest first *)
   reached : (string, unit) Hashtbl.t;
 }
 
@@ -149,15 +151,9 @@ let restart sim k =
     p.eof_due <- false;
     p.hung <- false;
     p.inbox <- [];
-    (* a restart of a quarantined shard is its probation, outside the budget *)
-    if not (S.stats (core sim)).S.shards.(k).S.ss_quarantined then begin
+    (* a restart of a quarantined shard is its probation *)
+    if not (S.stats (core sim)).S.shards.(k).S.ss_quarantined then
       reach sim "crash-restart after backoff";
-      p.restarts <-
-        sim.now :: List.filter (fun r -> sim.now -. r <= S.restart_budget_window_s) p.restarts;
-      if List.length p.restarts > S.restart_budget then
-        fail "shard %d restarted %d times within %.0f s" k (List.length p.restarts)
-          S.restart_budget_window_s
-    end;
     sim.pid <- sim.pid + 1;
     Ok sim.pid
   end
@@ -190,10 +186,24 @@ let effects sim =
     wall = (fun () -> 0.0);
   }
 
+(* Counted from the deaths themselves, not from restarts: a shard that
+   exits in order at drain restarts without a death. A probation death
+   is no [Child_down]. *)
 let on_event sim = function
-  | S.Child_down (_, reason) ->
-    if contains reason "breaker: repeated child deaths" then reach sim "breaker quarantine";
-    if contains reason "restart budget exhausted" then reach sim "restart-budget quarantine";
+  | S.Child_down (k, reason) ->
+    if not (String.starts_with ~prefix:"quarantined: " reason) then begin
+      sim.deaths.(k) <-
+        sim.now :: List.filter (fun d -> sim.now -. d <= S.death_window_s) sim.deaths.(k);
+      if List.length sim.deaths.(k) > S.death_limit then
+        fail "shard %d died %d times within %.0f s" k (List.length sim.deaths.(k))
+          S.death_window_s
+    end;
+    if contains reason "breaker: repeated child deaths" then begin
+      reach sim "breaker quarantine";
+      if List.length sim.deaths.(k) <> S.death_limit then
+        fail "shard %d quarantined by the breaker at %d deaths within %.0f s" k
+          (List.length sim.deaths.(k)) S.death_window_s
+    end;
     if contains reason "outvoted 2-1" then reach sim "integrity quarantine by a 2-1 vote"
   | S.Child_rejoin _ -> reach sim "probation rejoin"
   | S.Client_response _ | S.Child_up _ -> ()
@@ -222,7 +232,7 @@ let respond sim k i =
     if contains line marker then crash p
     else
       match Job.request_of_line line with
-      | Ok req -> S.child_line (core sim) ~now:sim.now k (answer sim k req)
+      | Ok req -> S.child_line (core sim) ~now:sim.now k (Lines.Line (answer sim k req))
       | Error e -> fail "the router sent a child an unparseable line (%s): %s" e line
   end
 
@@ -242,14 +252,15 @@ let send sim c j =
   (match req.Job.spec with
    | Job.Protect _ -> Hashtbl.replace sim.honest id (digest (Shard.content_key req))
    | _ -> ());
-  S.client_line (core sim) ~now:sim.now c (J.to_string (Job.request_to_json req))
+  S.client_line (core sim) ~now:sim.now c (Lines.Line (J.to_string (Job.request_to_json req)))
 
 let garbage sim c =
   let n = sim.next.(c) in
   sim.next.(c) <- n + 1;
   let id = Printf.sprintf "c%d-%d" c n in
   Hashtbl.replace sim.owner id c;
-  S.client_line (core sim) ~now:sim.now c (Printf.sprintf {|{"id":"%s","op":"detonate"}|} id)
+  S.client_line (core sim) ~now:sim.now c
+    (Lines.Line (Printf.sprintf {|{"id":"%s","op":"detonate"}|} id))
 
 let step sim = function
   | Send (c, j) -> send sim c j
@@ -304,14 +315,13 @@ let drain sim =
   in
   go 0
 
-let run_schedule sch =
+let simulate sch =
   let sim =
     {
       sch;
       procs =
         Array.init sch.shards (fun _ ->
-            { alive = true; eof_due = false; hung = false; fail_next = false; inbox = [];
-              restarts = [] });
+            { alive = true; eof_due = false; hung = false; fail_next = false; inbox = [] });
       now = 1000.0;
       pid = 0;
       core = None;
@@ -320,6 +330,7 @@ let run_schedule sch =
       honest = Hashtbl.create 64;
       answered = Hashtbl.create 64;
       disk = Hashtbl.create 8;
+      deaths = Array.make sch.shards [];
       reached = Hashtbl.create 16;
     }
   in
@@ -362,6 +373,10 @@ let run_schedule sch =
     (fun name () ->
       Hashtbl.replace coverage name (1 + Option.value ~default:0 (Hashtbl.find_opt coverage name)))
     sim.reached;
+  sim
+
+let run_schedule sch =
+  ignore (simulate sch);
   true
 
 (* ---- schedules ------------------------------------------------------ *)
@@ -388,8 +403,9 @@ let gen_schedule =
   let* audit_every = if calm then return 1 else int_range 0 2 in
   let* disk = list_repeat jobs (int_bound 2) in
   (* a stormy schedule flaps shard 0 on a short clock: it keeps
-     answering between crashes, so the restart budget, not the breaker,
-     is what stops it *)
+     answering between crashes, so what stops it is the count of its
+     deaths within [death_window_s] reaching [death_limit], not a run
+     of deaths with no answer between them *)
   let* stormy = if calm then return false else bool in
   let shard = int_bound (shards - 1) in
   let killable =
@@ -438,7 +454,8 @@ let show sch =
     (String.concat "; " (List.map show_ev sch.events))
 
 let prop =
-  QCheck2.Test.make ~count:1000 ~name:"fault schedules: exactly once, honest, within budget"
+  QCheck2.Test.make ~count:1000
+    ~name:"fault schedules: exactly once, honest, within the death limit"
     ~print:show gen_schedule run_schedule
 
 let test_schedules =
@@ -493,11 +510,36 @@ let reshed_schedule () =
     disk = List.init jobs (fun _ -> 0);
     events = [ Send (0, a); Send (0, k) ] @ death @ death @ death }
 
-let regression name sch =
+(* A stormy flap, pinned: the shard a ping routes to answers one ping,
+   crashes and is restarted, [death_limit] times on a 100 ms clock. Its
+   answers between crashes do not save it, since deaths are counted
+   over a window, not in a run: its [death_limit]th death within
+   [death_window_s] quarantines it, after [death_limit - 1] restarts,
+   and the next ping is re-shed. *)
+let stormy_schedule () =
+  let shards = 2 and ping = Send (0, jobs) in
+  let k = Shard.route ~shards (request ~poison:false ~id:"" jobs) in
+  let flap = [ ping; Flap k; Advance 100 ] in
+  ( k,
+    { shards; clients = 1; window = 1; audit_every = 0; liar = None; poison = false;
+      disk = List.init jobs (fun _ -> 0);
+      events = List.concat (List.init S.death_limit (fun _ -> flap)) @ [ ping ] } )
+
+let regression ?(expect = fun _ -> true) name sch =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:1 ~name ~print:show (QCheck2.Gen.return sch) run_schedule)
+    (QCheck2.Test.make ~count:1 ~name ~print:show (QCheck2.Gen.return sch) (fun sch ->
+         expect (simulate sch)))
 
 let suite =
+  let k, stormy = stormy_schedule () in
   [ test_schedules;
     regression "re-audit when the audit's shard dies" (reaudit_schedule ());
-    regression "re-audit when the primary joins its audit" (reshed_schedule ()) ]
+    regression "re-audit when the primary joins its audit" (reshed_schedule ());
+    regression "a shard that answers between crashes is quarantined" stormy ~expect:(fun sim ->
+        let s = S.stats (core sim) in
+        let ss = s.S.shards.(k) in
+        Hashtbl.mem sim.reached "breaker quarantine"
+        && s.S.quar_breaker = 1 && ss.S.ss_deaths = S.death_limit
+        && ss.S.ss_restarts = S.death_limit - 1
+        && ss.S.ss_done = S.death_limit
+        && s.S.resheds >= 1) ]

@@ -409,9 +409,14 @@ let test_malformed_at_router () =
   if not (have_cli ()) then Alcotest.skip ()
   else begin
     let good = List.init 4 mixed_request in
+    (* a request line past the 1 MiB cap: dropped unread, one error *)
+    let huge =
+      "{\"id\":\"huge\",\"op\":\"protect\",\"source\":\""
+      ^ String.make (2 * Sofia.Util.Lines.max_line) 'x' ^ "\"}"
+    in
     let lines =
       [ "this is not json"; "{\"op\":\"protect\"}"; "{\"id\":\"trunc\",\"op\":\"prot";
-        "{\"id\":\"badop\",\"op\":\"detonate\",\"source\":\"halt\"}" ]
+        "{\"id\":\"badop\",\"op\":\"detonate\",\"source\":\"halt\"}"; huge ]
       @ lines_of good
       @ [ "{\"id\":\"bad-nonce\",\"op\":\"protect\",\"source\":\"halt\",\"nonce\":9999}" ]
     in
@@ -421,7 +426,7 @@ let test_malformed_at_router () =
     Alcotest.(check int) "one response per input line" (List.length lines)
       (List.length rs);
     Alcotest.(check int) "every line received" (List.length lines) st.FR.received;
-    Alcotest.(check int) "malformed counted" 5 st.FR.malformed;
+    Alcotest.(check int) "malformed counted" 6 st.FR.malformed;
     Alcotest.(check int) "only the good lines became jobs" (List.length good) st.FR.submitted;
     Alcotest.(check int) "no child deaths" 0 st.FR.deaths;
     List.iter
@@ -954,9 +959,10 @@ let test_replay_tables_bounded () =
   else begin
     (* cap + k distinct protect keys through a real fleet, in batches
        that wait for their answers so recency is fixed: key 1 is sent
-       again at the head of every batch and must stay replayable, while
-       key 0, never touched again, must be evicted from both tables and
-       routed to a child again, answering with the same payload *)
+       again at the head of every batch and must stay replayable (a memo
+       hit each time after its first), while key 0, never touched again,
+       must be evicted from both tables and routed to a child again,
+       answering with the same payload *)
     let cap = FR.replay_cap and k = 8 and batch = 128 in
     let key i ~id =
       Job.make ~id ~key_seed:(Int64.of_int (0x5000 + i)) (Job.Protect { source = sources.(0) })
@@ -1013,8 +1019,9 @@ let test_replay_tables_bounded () =
                         key (next + i) ~id:(Printf.sprintf "fill-%d" (next + i)))));
             batches (b + 1) last
           end
+          else b
         in
-        batches 0 2;
+        let reuses = batches 0 2 in
         let reused = List.hd (round [ key 1 ~id:"reuse-last" ]) in
         Alcotest.(check int) "the re-used key is replayed" 0 (attempts reused);
         let again = List.hd (round [ key 0 ~id:"first-again" ]) in
@@ -1045,6 +1052,8 @@ let test_replay_tables_bounded () =
         in
         Alcotest.(check bool) "replay_entries <= cap" true (router "replay_entries" <= cap);
         Alcotest.(check bool) "replay_evictions >= k" true (router "replay_evictions" >= k);
+        Alcotest.(check int) "memo_hits: key 1 after its first line" reuses (router "memo_hits");
+        Alcotest.(check bool) "memo_evictions >= k" true (router "memo_evictions" >= k);
         let routed =
           match Json.member "shards" doc with
           | Some (Json.List shards) ->

@@ -404,7 +404,7 @@ let test_fleet_mix_kill9_vs_serve () =
         let resp_r, resp_w = Unix.pipe ~cloexec:true () in
         let pid =
           Unix.create_process cli
-            [| cli; "fleet"; "--stdin"; "--children"; "3"; "--workers"; "1" |]
+            [| cli; "fleet"; "--stdin"; "--children"; "3" |]
             req_r resp_w err_fd
         in
         Unix.close err_fd;

@@ -262,10 +262,58 @@ let prop_lines_any_chunking =
       in
       go 0 0;
       let pending = Lines.pending t in
-      let rest = Lines.take_rest t in
-      pending = String.length rest
+      let rest = Option.value ~default:(Lines.Line "") (Lines.take_rest t) in
+      rest = Lines.Line (String.sub s (String.length s - pending) pending)
       && Lines.pending t = 0
-      && List.rev (rest :: !got) = String.split_on_char '\n' s)
+      && List.rev (rest :: !got)
+         = List.map (fun l -> Lines.Line l) (String.split_on_char '\n' s))
+
+(* A line past the cap is never held: it comes back as one [Too_long]
+   whether it crosses the cap inside one chunk or across many, the
+   lines around it are untouched, and a line of exactly the cap is
+   kept. *)
+let test_lines_cap () =
+  let cap = Lines.max_line in
+  let feed_all t chunks = List.concat_map (fun c -> Lines.feed t c (Bytes.length c)) chunks in
+  let show = function
+    | Lines.Line l -> Printf.sprintf "Line %d bytes" (String.length l)
+    | Lines.Too_long -> "Too_long"
+  in
+  let check name want got =
+    Alcotest.(check (list string)) name (List.map show want) (List.map show got)
+  in
+  (* inside one chunk: the over-long line starts and ends in it *)
+  let t = Lines.create () in
+  check "one chunk" [ Lines.Line "a"; Lines.Too_long; Lines.Line "b" ]
+    (feed_all t [ Bytes.of_string ("a\n" ^ String.make (cap + 1) 'x' ^ "\nb\n") ]);
+  Alcotest.(check int) "nothing pending" 0 (Lines.pending t);
+  (* across chunks: 64 KiB pieces, the buffered tail never passes the cap *)
+  let t = Lines.create () in
+  let piece = Bytes.make 65536 'y' in
+  let most = ref 0 in
+  let head = feed_all t [ Bytes.of_string "{\"id\":" ] in
+  let body =
+    List.concat_map
+      (fun _ ->
+        let l = Lines.feed t piece (Bytes.length piece) in
+        most := max !most (Lines.pending t);
+        l)
+      (List.init 40 Fun.id)
+  in
+  let tail = feed_all t [ Bytes.of_string "tail\nnext\n" ] in
+  check "across chunks" [ Lines.Too_long; Lines.Line "next" ] (head @ body @ tail);
+  Alcotest.(check bool) "tail bounded by the cap" true (!most <= cap);
+  (* the cap itself is kept, split across two chunks *)
+  let t = Lines.create () in
+  let half = Bytes.make (cap / 2) 'z' in
+  Alcotest.(check bool) "exactly the cap is kept" true
+    (feed_all t [ half; half; Bytes.of_string "\n" ] = [ Lines.Line (String.make cap 'z') ]);
+  (* an over-long last line without its newline *)
+  let t = Lines.create () in
+  check "over-long tail" [] (feed_all t [ Bytes.make (cap + 1) 'w' ]);
+  Alcotest.(check (option string)) "take_rest" (Some "Too_long")
+    (Option.map show (Lines.take_rest t));
+  Alcotest.(check (option string)) "then nothing" None (Option.map show (Lines.take_rest t))
 
 let suite =
   [
@@ -291,4 +339,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lru_model;
     Alcotest.test_case "lru rejects a zero cap" `Quick test_lru_rejects_zero_cap;
     QCheck_alcotest.to_alcotest prop_lines_any_chunking;
+    Alcotest.test_case "lines: an over-long line is dropped, not held" `Quick test_lines_cap;
   ]
