@@ -943,22 +943,24 @@ let send_probe t k =
    its deferred restart is due: after a crash's backoff (even during a
    drain, so parked work can settle; the shard stays formally healthy
    meanwhile, parking its routed work), or after a breaker quarantine's
-   cooldown, which is its probation (never started once a signal began
-   the drain, and a failed one is deferred by the cooldown again). With none due, a
-   shard that exited in order at drain restarts once work is parked on
-   it. A shard that is up, owes traffic (jobs or a probe) and has sent
-   nothing for a whole hang timeout is wedged: a process, unlike a
-   domain, can be killed, and handle_death redispatches its work. An
-   idle one is probed; on probation, its clean probes re-admit it. *)
+   cooldown, which is its probation (a failed one is deferred by the
+   cooldown again). With none due, a shard that exited in order at
+   drain restarts once work is parked on it. A shard that is up, owes
+   traffic (jobs or a probe) and has sent nothing for a whole hang
+   timeout is wedged: a process, unlike a domain, can be killed, and
+   handle_death redispatches its work. An idle one is probed; on
+   probation, its clean probes re-admit it. Once a signal began the
+   drain, a quarantined shard is left as it is: no probation restart,
+   probe or watchdog. *)
 let tick t ~now =
   t.now <- now;
   Array.iteri
     (fun k ch ->
       let probation = ch.cs.ss_quarantined in
-      if not ch.c_up then begin
+      if probation && t.stats.interrupted then ()
+      else if not ch.c_up then begin
         if
-          (ch.c_restart_at > 0.0 && now >= ch.c_restart_at
-           && not (probation && t.stats.interrupted))
+          (ch.c_restart_at > 0.0 && now >= ch.c_restart_at)
           || (ch.c_restart_at = 0.0 && not (Queue.is_empty ch.c_queue))
         then begin
           ch.c_restart_at <- 0.0;

@@ -58,7 +58,8 @@ module Types : sig
     mutable resheds : int;  (** jobs routed off a quarantined home shard *)
     mutable interrupted : bool;
         (** a signal started the drain; the driver sets it, and the core
-            then starts no probation *)
+            then leaves quarantined shards as they are: no probation
+            restart, probe or watchdog *)
     mutable backoffs : int;  (** deferred (backoff-paced) restarts scheduled *)
     mutable rejoins : int;  (** shards re-admitted after probation *)
     mutable quar_breaker : int;  (** quarantines eligible for rejoin *)

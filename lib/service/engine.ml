@@ -77,6 +77,18 @@ let outcome_label = function
 exception Permanent of string
 (* structured executor failure; becomes a [Failed] response *)
 
+(* A failure's text is clipped, so no request can make its response
+   long: an assembler error quotes the bad token with %S, which writes
+   a byte above 0x7f as \ddd, and JSON doubles the backslash (five wire
+   bytes per source byte); a bad image's path is echoed whole. A fleet
+   child's response must fit the router's line cap
+   (Sofia_util.Lines.max_line). *)
+let max_failure = 1024
+
+let failed e =
+  let m = match e with Permanent m -> m | e -> Printexc.to_string e in
+  Job.Failed (if String.length m <= max_failure then m else String.sub m 0 max_failure ^ "...")
+
 let parse_or_fail store source =
   try Store.find_or_parse store ~source with
   | Sofia_asm.Assembler.Error { line; message } ->
@@ -319,9 +331,7 @@ let execute_oneshot req =
   try
     Job.Done
       (execute ~disk:None ~store ~ks_cache_slots:None ~engine:Sofia_cpu.Run_config.Fast req)
-  with
-  | Permanent m -> Job.Failed m
-  | e -> Job.Failed (Printexc.to_string e)
+  with e -> failed e
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -461,8 +471,7 @@ let process t ~worker (p : pending) =
           ~ks_cache_slots:t.cfg.ks_cache_slots ~engine:t.cfg.engine p.req
       with
       | payload -> Job.Done payload
-      | exception Permanent m -> Job.Failed m
-      | exception e -> Job.Failed (Printexc.to_string e)
+      | exception e -> failed e
     in
     settle t p ~attempts:1 ~worker status
   end

@@ -29,13 +29,14 @@
 
     {b Failures.} A job runs once. Anything it raises — a structured
     executor error or any other exception, the [fault] hook's included —
-    settles it [Failed] with the error text, and the worker takes the
-    next job: no exception ever escapes a worker, so the pool never
-    shrinks and {!drain} cannot wedge. There is no in-process crash
-    restart, hang watchdog or circuit breaker: a domain cannot be
-    killed, so that supervision lives one level up, in the fleet
-    router, where the supervised unit is a whole [serve] process
-    ({!Sofia_fleet.Supervisor}; DESIGN.md §13, §15).
+    settles it [Failed] with the error text (clipped to its first
+    1 KiB, then ["..."], so no request can make a response long), and
+    the worker takes the next job: no exception ever escapes a worker,
+    so the pool never shrinks and {!drain} cannot wedge. There is no
+    in-process crash restart, hang watchdog or circuit breaker: a
+    domain cannot be killed, so that supervision lives one level up,
+    in the fleet router, where the supervised unit is a whole [serve]
+    process ({!Sofia_fleet.Supervisor}; DESIGN.md §13, §15).
 
     Deadlines are enforced at dispatch: a pure CPU-bound job cannot be
     preempted mid-run, so a job that {e starts} before its deadline

@@ -22,7 +22,11 @@ type t
 
 val max_line : int
 (** The longest line kept, newline excluded: 1 MiB. The longest request
-    line of the benchmark corpus is about 18.4 KB. *)
+    line of the benchmark corpus is about 18.4 KB. The longest line an
+    honest fleet child writes is an answer with all 65,536 recorded
+    outputs, about 721 KB: the router renames every job on the child
+    hop, and the engine clips a failure's text to 1 KiB, so no request
+    makes a child's answer longer. *)
 
 val create : unit -> t
 

@@ -11,14 +11,16 @@
    more jobs settle than were admitted, no client receives a payload
    other than the honest one (a schedule with a liar audits every
    distinct key, and its kills spare one designated honest shard), no
-   shard dies more than [death_limit] times within [death_window_s],
-   and a breaker quarantine comes exactly at a shard's [death_limit]th
-   death within that window. At quiescence every id has been answered
-   exactly once and the counters conserve. The test prints how many
-   schedules reached each supervision transition and fails if one was
-   never reached. Three pinned schedules replay faults: two audit
+   shard dies more than [death_limit] times within [death_window_s], a
+   breaker quarantine comes exactly at a shard's [death_limit]th death
+   within that window, and a shard in service restarts only after a
+   death or an orderly exit at drain. At quiescence every id has been
+   answered exactly once and the counters conserve. The test prints how
+   many schedules reached each supervision transition and fails if one
+   was never reached. Four pinned schedules replay faults: two audit
    faults, one the property found and one it rarely reaches, built by
-   hand, and a shard that answers between its crashes.
+   hand, a shard that answers between its crashes, and a shard on
+   probation when a signal starts the drain.
 
    A failure prints the qcheck seed; QCHECK_SEED=<seed> replays it. *)
 
@@ -41,6 +43,7 @@ type ev =
   | Hang of int  (* shard's process goes silent until it is killed *)
   | Fail_restart of int  (* shard's next restart fails *)
   | Advance of int  (* virtual milliseconds pass *)
+  | Signal  (* SIGINT/SIGTERM: the router starts its drain (pinned schedules only) *)
 
 type schedule = {
   shards : int;
@@ -90,6 +93,7 @@ type proc = {
   mutable hung : bool;
   mutable fail_next : bool;
   mutable inbox : string list;  (* request lines held, oldest first *)
+  mutable exited : bool;  (* died or exited in order since its last restart *)
 }
 
 type sim = {
@@ -151,9 +155,15 @@ let restart sim k =
     p.eof_due <- false;
     p.hung <- false;
     p.inbox <- [];
-    (* a restart of a quarantined shard is its probation *)
-    if not (S.stats (core sim)).S.shards.(k).S.ss_quarantined then
+    (* a restart of a quarantined shard is its probation; any other
+       follows a death or an orderly exit, so [death_limit] bounds the
+       restarts as well *)
+    if not (S.stats (core sim)).S.shards.(k).S.ss_quarantined then begin
       reach sim "crash-restart after backoff";
+      if not p.exited then
+        fail "shard %d restarted with no death or orderly exit since its last restart" k
+    end;
+    p.exited <- false;
     sim.pid <- sim.pid + 1;
     Ok sim.pid
   end
@@ -191,6 +201,7 @@ let effects sim =
    is no [Child_down]. *)
 let on_event sim = function
   | S.Child_down (k, reason) ->
+    sim.procs.(k).exited <- true;
     if not (String.starts_with ~prefix:"quarantined: " reason) then begin
       sim.deaths.(k) <-
         sim.now :: List.filter (fun d -> sim.now -. d <= S.death_window_s) sim.deaths.(k);
@@ -240,6 +251,8 @@ let eof sim ~draining k =
   let p = sim.procs.(k) in
   if p.eof_due then begin
     p.eof_due <- false;
+    (* at drain, a shard that owes nothing exits in order *)
+    if draining then p.exited <- true;
     S.child_closed (core sim) ~now:sim.now ~draining k
   end
 
@@ -276,6 +289,7 @@ let step sim = function
   | Hang k -> if sim.procs.(k).alive then sim.procs.(k).hung <- true
   | Fail_restart k -> sim.procs.(k).fail_next <- true
   | Advance ms -> sim.now <- sim.now +. (float_of_int ms /. 1000.0)
+  | Signal -> (S.stats (core sim)).S.interrupted <- true
 
 let quiescent sim = Hashtbl.length sim.answered = Hashtbl.length sim.owner
 
@@ -321,7 +335,8 @@ let simulate sch =
       sch;
       procs =
         Array.init sch.shards (fun _ ->
-            { alive = true; eof_due = false; hung = false; fail_next = false; inbox = [] });
+            { alive = true; eof_due = false; hung = false; fail_next = false; inbox = [];
+              exited = false });
       now = 1000.0;
       pid = 0;
       core = None;
@@ -444,6 +459,7 @@ let show_ev = function
   | Hang k -> Printf.sprintf "hang s%d" k
   | Fail_restart k -> Printf.sprintf "fail-restart s%d" k
   | Advance ms -> Printf.sprintf "+%dms" ms
+  | Signal -> "signal"
 
 let show sch =
   Printf.sprintf "shards=%d clients=%d window=%d audit_every=%d liar=%s poison=%b disk=[%s]\n%s"
@@ -525,6 +541,13 @@ let stormy_schedule () =
       disk = List.init jobs (fun _ -> 0);
       events = List.concat (List.init S.death_limit (fun _ -> flap)) @ [ ping ] } )
 
+(* The same flap, then a signal while the quarantined shard is on
+   probation with a probe out: the drain leaves it as it is, neither
+   probed again nor killed by the watchdog, however long it takes. *)
+let signal_schedule () =
+  let k, sch = stormy_schedule () in
+  (k, { sch with events = sch.events @ [ Advance 30_000; Advance 300; Signal; Advance 6_000 ] })
+
 let regression ?(expect = fun _ -> true) name sch =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:1 ~name ~print:show (QCheck2.Gen.return sch) (fun sch ->
@@ -532,6 +555,7 @@ let regression ?(expect = fun _ -> true) name sch =
 
 let suite =
   let k, stormy = stormy_schedule () in
+  let pk, signal = signal_schedule () in
   [ test_schedules;
     regression "re-audit when the audit's shard dies" (reaudit_schedule ());
     regression "re-audit when the primary joins its audit" (reshed_schedule ());
@@ -542,4 +566,8 @@ let suite =
         && s.S.quar_breaker = 1 && ss.S.ss_deaths = S.death_limit
         && ss.S.ss_restarts = S.death_limit - 1
         && ss.S.ss_done = S.death_limit
-        && s.S.resheds >= 1) ]
+        && s.S.resheds >= 1);
+    regression "a signalled drain leaves a shard on probation alone" signal ~expect:(fun sim ->
+        (S.stats (core sim)).S.shards.(pk).S.ss_quarantined
+        && sim.procs.(pk).alive
+        && not (Hashtbl.mem sim.reached "probation death")) ]

@@ -439,6 +439,34 @@ let test_malformed_at_router () =
     Alcotest.(check bool) "conserved" true (FR.conserved st)
   end
 
+(* A child's answer must fit the router's line cap, or the router takes
+   it for torn NDJSON and the child for dead. The assembler quotes an
+   unknown mnemonic with %S (\255 for a 0xff byte) and JSON doubles the
+   backslash, so this 256 KiB token would be a 1.3 MB error if the
+   engine did not clip a failure's text. *)
+let test_long_failure_fits_the_cap () =
+  if not (have_cli ()) then Alcotest.skip ()
+  else begin
+    let req =
+      Job.make ~id:"long-token" (Job.Protect { source = String.make (256 * 1024) '\255' })
+    in
+    let rs, st, _ = fleet_run ~tweak:(fun c -> { c with FR.children = 1 }) (lines_of [ req ]) in
+    check_ids_once [ "long-token" ] rs;
+    let oneshot =
+      Job.response_to_json
+        { Job.id = "long-token"; op = "protect"; status = Engine.execute_oneshot req;
+          seq = 0; completion = 0; attempts = 1; worker = 0; latency_ms = 0.0; ts = 0.0 }
+    in
+    Alcotest.(check int) "no child deaths" 0 st.FR.deaths;
+    List.iter
+      (fun j ->
+        Alcotest.(check string) "status" "failed" (r_status j);
+        Alcotest.(check bool) "the one-shot payload" true
+          (payload_fingerprint j = payload_fingerprint oneshot))
+      rs;
+    Alcotest.(check bool) "conserved" true (FR.conserved st)
+  end
+
 let test_ping_round_trip () =
   if not (have_cli ()) then Alcotest.skip ()
   else begin
@@ -1127,6 +1155,8 @@ let suite =
     Alcotest.test_case "breaker quarantine + re-shed" `Slow
       test_breaker_quarantine_and_reshed;
     Alcotest.test_case "malformed lines die at the router" `Slow test_malformed_at_router;
+    Alcotest.test_case "a long failure is one line, no death" `Slow
+      test_long_failure_fits_the_cap;
     Alcotest.test_case "ping round-trip, never replayed" `Slow test_ping_round_trip;
     Alcotest.test_case "window=1 backpressure conserves" `Slow test_window_one_conservation;
     Alcotest.test_case "child that cannot start fails the fleet" `Slow
