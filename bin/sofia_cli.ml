@@ -86,8 +86,8 @@ let cfg_cmd =
 
 let store_dir_arg =
   Arg.(value & opt (some string) None & info [ "store-dir" ] ~docv:"DIR"
-         ~doc:"Persistent content-addressed artifact store. Protected images (and their \
-               verified block tables) are cached in $(docv) across processes; every load \
+         ~doc:"Persistent content-addressed artifact store. Protected images are cached \
+               in $(docv) across processes, one sealed file per image; every load \
                re-checks the sealed envelope and re-derives the MAC verdict, so a torn or \
                tampered file is a cache miss, never served code.")
 

@@ -159,6 +159,7 @@ type 'c dispatch = {
   d_kind : 'c kind;
   mutable d_tries : int;  (* child incarnations consumed *)
   mutable d_shard : int;
+  mutable d_sent : int;  (* send order: its place among what a child holds *)
 }
 
 (* A duplicate of an in-flight content key, parked until the primary
@@ -208,6 +209,7 @@ type 'c t = {
   mutable now : float;  (* the current event's time *)
   mutable next_seq : int;
   mutable next_iid : int;
+  mutable sends : int;  (* dispatches handed to a child so far *)
   mutable completion : int;
   mutable distinct_keys : int;  (* drives the audit sampling cadence *)
   mutable settled : int;  (* client-visible job responses emitted *)
@@ -391,19 +393,30 @@ let dispatch t ?(key = "") ?(seq = -1) ~kind req k =
   let d_iid = Printf.sprintf "%c%d" pfx t.next_iid in
   t.next_iid <- t.next_iid + 1;
   { d_iid; d_req = req; d_key = key; d_seq = seq; d_admit = t.now; d_kind = kind; d_tries = 0;
-    d_shard = k }
+    d_shard = k; d_sent = 0 }
 
-(* Take shard [k]'s in-flight and queued work and kill its process. *)
+(* Shard [k]'s child now holds [d]. *)
+let hold t k d =
+  d.d_sent <- t.sends;
+  t.sends <- t.sends + 1;
+  Hashtbl.replace t.kids.(k).c_outstanding d.d_iid d
+
+(* Take shard [k]'s in-flight work, in the order it was sent, and its
+   queued work, and kill its process. *)
 let evict t k =
   let ch = t.kids.(k) in
-  let orphans = Hashtbl.fold (fun _ d acc -> d :: acc) ch.c_outstanding [] in
+  let orphans =
+    List.sort
+      (fun a b -> compare a.d_sent b.d_sent)
+      (Hashtbl.fold (fun _ d acc -> d :: acc) ch.c_outstanding [])
+  in
   let parked = List.of_seq (Queue.to_seq ch.c_queue) in
   Hashtbl.reset ch.c_outstanding;
   Queue.clear ch.c_queue;
   ch.c_probe_out <- false;
   ch.c_up <- false;
   t.fx.kill k;
-  (List.rev orphans, parked)
+  (orphans, parked)
 
 let rec pump t k =
   let ch = t.kids.(k) in
@@ -414,7 +427,7 @@ let rec pump t k =
     && not (Queue.is_empty ch.c_queue)
   then begin
     let d = Queue.pop ch.c_queue in
-    Hashtbl.replace ch.c_outstanding d.d_iid d;
+    hold t k d;
     (match d.d_kind with
      | Primary _ -> ch.cs.ss_routed <- ch.cs.ss_routed + 1
      | _ -> ());
@@ -472,10 +485,9 @@ and handle_death t k reason =
       end;
       (* settle the orphans only after the supervision state is updated;
          orphans first so a killer job meets the replacement ahead of
-         parked work, and only orphans consume an incarnation try — a
-         parked job never touched the dead child. Work re-routed to this
-         same (still healthy) shard parks in its queue until the
-         deferred restart pumps it. *)
+         parked work (see [resettle] for which one is charged). Work
+         re-routed to this same (still healthy) shard parks in its
+         queue until the deferred restart pumps it. *)
       resettle t work
     end
   end
@@ -509,15 +521,18 @@ and quarantine t ks ~cause reason =
     ks;
   List.iter (fun k -> resettle t (evict t k)) ks
 
-(* An evicted shard's work. [dispatched] distinguishes work the child
-   actually held (it counts against the job's incarnation budget) from
-   work merely parked in its queue. *)
+(* An evicted shard's work, orphans in send order. A child runs one
+   worker and takes what it holds in the order sent, so of the orphans
+   only the first can have killed it: that one is charged an
+   incarnation try. The others, like parked work that never reached the
+   child, are re-dispatched uncharged, so a poison job cannot use up
+   the budget of the honest jobs that shared its window. *)
 and resettle t (orphans, parked) =
-  List.iter (redispatch t ~dispatched:true) orphans;
-  List.iter (redispatch t ~dispatched:false) parked
+  List.iteri (fun i d -> redispatch t ~charged:(i = 0) d) orphans;
+  List.iter (redispatch t ~charged:false) parked
 
 (* One orphaned dispatch of a dead/quarantined child. *)
-and redispatch t ~dispatched d =
+and redispatch t ~charged d =
   match d.d_kind with
   | Probe -> ()
   | Audit p_iid -> (
@@ -531,7 +546,7 @@ and redispatch t ~dispatched d =
       finalize_conflict_failure t st "integrity tiebreak lost its child"
     | None -> ())
   | Primary cl ->
-    if dispatched then d.d_tries <- d.d_tries + 1;
+    if charged then d.d_tries <- d.d_tries + 1;
     if d.d_tries > redispatch_limit then begin
       (* a poison pill: it has now consumed its incarnation budget of
          child processes — fail it rather than grind the fleet down (a
@@ -920,7 +935,7 @@ let client_line t ~now cl line =
   match line with
   | Lines.Line l when String.trim l = "" -> ()
   | Lines.Too_long ->
-    malformed ~id:None (Printf.sprintf "request line longer than %d bytes" Lines.max_line)
+    malformed ~id:None Lines.too_long_message
   | Lines.Line l -> (
     match admit_line t cl l with
     | Ok () -> ()
@@ -936,7 +951,7 @@ let send_probe t k =
   let ch = t.kids.(k) in
   let d = dispatch t ~kind:Probe (Job.make ~id:"probe" Job.Ping) k in
   ch.c_probe_out <- true;
-  Hashtbl.replace ch.c_outstanding d.d_iid d;
+  hold t k d;
   if not (t.fx.send k (request_line d)) then handle_death t k "write failed (probe)"
 
 (* One lifecycle for every shard. A shard that is down restarts when
@@ -1101,6 +1116,6 @@ let create ?(obs = Obs.none) ?on_event ~now ~children ~window ~audit_every ~back
     waiters = Hashtbl.create 64;
     audits = Hashtbl.create 16;
     now;
-    next_seq = 0; next_iid = 0; completion = 0; distinct_keys = 0; settled = 0;
+    next_seq = 0; next_iid = 0; sends = 0; completion = 0; distinct_keys = 0; settled = 0;
     rng = 0x5EEDL;
   }

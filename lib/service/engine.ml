@@ -1,5 +1,4 @@
 module Machine = Sofia_cpu.Machine
-module Block_table = Sofia_cpu.Block_table
 module Fs = Sofia_store_fs.Store_fs
 module Obs = Sofia_obs.Obs
 module Event = Sofia_obs.Event
@@ -104,105 +103,63 @@ let encrypt_source ~store ~(req : Job.request) ~keys source =
   | Error e ->
     raise (Permanent (Format.asprintf "transform error: %a" Sofia_transform.Layout.pp_error e))
 
-(* Persist a cold-built image to the on-disk tier: the sealed artifact
-   (with its ciphertext MAC verdict in the meta) plus the verified-edge
-   block table, bound to the exact artifact bytes so a refreshed
-   artifact orphans stale tables. The table records only edges the real
-   frontend pipeline accepts — [Block_table.of_image]'s soundness rule,
-   with [Sofia_runner.fetch_block] as the verdict. *)
+(* The ciphertext CBC-MAC tag an artifact is sealed with and that every
+   load re-derives. *)
+let mac_tag ~keys image =
+  Sofia_crypto.Cbc_mac.mac_words keys.Sofia_crypto.Keys.k2
+    (Sofia_transform.Image.authenticated_words image)
+
 let persist_image d ~keys ~nonce ~source ~(image : Sofia_transform.Image.t) ~sfi ~issues =
-  let backend = image.Sofia_transform.Image.backend in
-  let tag =
-    Sofia_crypto.Cbc_mac.mac_words keys.Sofia_crypto.Keys.k2
-      (Sofia_transform.Image.authenticated_words image)
-  in
-  Fs.store_artifact d ~backend ~keys ~nonce ~source ~sfi
+  let tag = mac_tag ~keys image in
+  Fs.store_artifact d ~backend:image.Sofia_transform.Image.backend ~keys ~nonce ~source ~sfi
     ~expansion:(Sofia_transform.Transform.expansion_ratio image) ~issues ~mac_tag:tag;
-  let table =
-    Block_table.of_image
-      ~verify:(fun ~target ~prev_pc ->
-        match Sofia_cpu.Sofia_runner.fetch_block ~keys ~image ~target ~prev_pc with
-        | Sofia_cpu.Sofia_runner.Block_ok { kind; insns; _ } -> Some (kind, insns)
-        | Sofia_cpu.Sofia_runner.Fetch_violation _ -> None)
-      image
-  in
-  Fs.store_table d ~backend ~keys ~nonce ~source ~codec_version:Block_table.codec_version
-    ~artifact_fp:(Fs.fingerprint64 sfi) (Block_table.to_bytes table);
-  (tag, table)
+  tag
+
+(* A store entry; the image, when it came from disk, is ciphertext
+   only. *)
+let entry ~bytes ~(image : Sofia_transform.Image.t) ~expansion ~issues ~mac ~from_disk =
+  {
+    Store.bytes;
+    image;
+    digest = Store.fingerprint bytes;
+    text_bytes = Sofia_transform.Image.text_size_bytes image;
+    expansion;
+    blocks = Array.length image.Sofia_transform.Image.blocks;
+    memo_m = Mutex.create ();
+    issues;
+    mac;
+    from_disk;
+    table = None;
+  }
 
 (* [keys] is the request's own lazily derived key set (see {!execute}):
-   forced here only when the store misses. *)
+   forced here only when the store misses. A disk hit reads the one
+   file the tier keeps per image, whose envelope [load_artifact]
+   checked and whose MAC verdict it re-derived over the deserialised
+   ciphertext. *)
 let protect_entry ~disk ~store ~(req : Job.request) ~keys source =
-  let backend = req.Job.backend in
-  let key = Store.key ~source ~key_seed:req.key_seed ~nonce:req.nonce ~backend in
+  let backend = req.Job.backend and nonce = req.Job.nonce in
+  let key = Store.key ~source ~key_seed:req.key_seed ~nonce ~backend in
   Store.find_or_build store ~key ~build:(fun () ->
       let keys = Lazy.force keys in
-      let warm =
-        match disk with
-        | None -> None
-        | Some d -> (
-          match Fs.load_artifact d ~backend ~keys ~nonce:req.nonce ~source with
-          | None -> None
-          | Some a ->
-            (* the envelope checked out and the MAC verdict was
-               re-derived over the deserialised ciphertext inside
-               [load_artifact]; the table is optional sugar on top *)
-            let table =
-              Option.bind
-                (Fs.load_table d ~backend ~keys ~nonce:req.nonce ~source
-                   ~codec_version:Block_table.codec_version
-                   ~artifact_fp:(Fs.fingerprint64 a.Fs.sfi))
-                Block_table.of_bytes
-            in
-            Some
-              {
-                Store.bytes = a.Fs.sfi;
-                image = a.Fs.image;
-                digest = Store.fingerprint a.Fs.sfi;
-                text_bytes = Sofia_transform.Image.text_size_bytes a.Fs.image;
-                expansion = a.Fs.expansion;
-                blocks = Array.length a.Fs.image.Sofia_transform.Image.blocks;
-                memo_m = Mutex.create ();
-                issues = a.Fs.issues;
-                mac = Some a.Fs.mac;
-                from_disk = true;
-                table;
-              })
-      in
-      match warm with
-      | Some entry -> entry
+      match Option.bind disk (fun d -> Fs.load_artifact d ~backend ~keys ~nonce ~source) with
+      | Some a ->
+        entry ~bytes:a.Fs.sfi ~image:a.Fs.image ~expansion:a.Fs.expansion ~issues:a.Fs.issues
+          ~mac:(Some a.Fs.mac) ~from_disk:true
       | None ->
         let image = encrypt_source ~store ~req ~keys source in
-        let bytes = Sofia_transform.Binary_format.serialize image in
-        let mac, table =
-          match disk with
-          | None -> (None, None)
-          | Some d ->
-            let tag, table =
-              persist_image d ~keys ~nonce:req.nonce ~source ~image ~sfi:bytes ~issues:None
-            in
-            (Some (Printf.sprintf "%016Lx" tag), Some table)
-        in
-        {
-          Store.bytes;
-          image;
-          digest = Store.fingerprint bytes;
-          text_bytes = Sofia_transform.Image.text_size_bytes image;
-          expansion = Sofia_transform.Transform.expansion_ratio image;
-          blocks = Array.length image.Sofia_transform.Image.blocks;
-          memo_m = Mutex.create ();
-          issues = None;
-          mac;
-          from_disk = false;
-          table;
-        })
+        entry ~bytes:(Sofia_transform.Binary_format.serialize image) ~image
+          ~expansion:(Sofia_transform.Transform.expansion_ratio image) ~issues:None ~mac:None
+          ~from_disk:false)
 
-let verify_issues ~disk ~store ~(req : Job.request) ~keys source (entry : Store.entry) =
+(* The verifier's issue count, and whether this call earned it (rather
+   than reading the entry's memo). *)
+let verify_issues ~store ~(req : Job.request) ~keys source (entry : Store.entry) =
   let b = Registry.find req.Job.backend in
-  let fresh = ref false in
+  let earned = ref false in
   let issues =
     Store.fill_issues entry (fun () ->
-        fresh := true;
+        earned := true;
         let keys = Lazy.force keys in
         (* a disk-loaded image is ciphertext-only: the independent
            verifier needs the plaintext block views, so re-derive the
@@ -214,33 +171,19 @@ let verify_issues ~disk ~store ~(req : Job.request) ~keys source (entry : Store.
         let program = Store.program (parse_or_fail store source) in
         List.length (b.Sofia_protection.Backend.verify_against_source ~keys program image))
   in
-  (* write the freshly earned verdict back to the artifact meta so the
-     next process restart starts warm on verify/attest too (same sfi
-     bytes, so the table binding is untouched) *)
-  (match disk with
-   | Some d when !fresh ->
-     let keys = Lazy.force keys in
-     let tag =
-       match entry.Store.mac with
-       | Some hex -> Int64.of_string ("0x" ^ hex)
-       | None ->
-         Sofia_crypto.Cbc_mac.mac_words keys.Sofia_crypto.Keys.k2
-           (Sofia_transform.Image.authenticated_words entry.Store.image)
-     in
-     Fs.store_artifact d ~backend:req.Job.backend ~keys ~nonce:req.nonce ~source
-       ~sfi:entry.Store.bytes ~expansion:entry.Store.expansion ~issues:(Some issues)
-       ~mac_tag:tag
-   | _ -> ());
-  issues
+  (issues, !earned)
 
 let mac_digest ~keys (entry : Store.entry) =
   Store.fill_mac entry (fun () ->
-      let keys = Lazy.force keys in
-      let tag =
-        Sofia_crypto.Cbc_mac.mac_words keys.Sofia_crypto.Keys.k2
-          (Sofia_transform.Image.authenticated_words entry.Store.image)
-      in
-      Printf.sprintf "%016Lx" tag)
+      Printf.sprintf "%016Lx" (mac_tag ~keys:(Lazy.force keys) entry.Store.image))
+
+(* The disk tier's one write: the artifact of an image a request built
+   cold or earned the verdict for, sealed with its MAC tag and with the
+   verdict when there is one. *)
+let persist d ~(req : Job.request) ~keys source (entry : Store.entry) =
+  Fs.store_artifact d ~backend:req.Job.backend ~keys:(Lazy.force keys) ~nonce:req.Job.nonce
+    ~source ~sfi:entry.Store.bytes ~expansion:entry.Store.expansion ~issues:entry.Store.issues
+    ~mac_tag:(Int64.of_string ("0x" ^ mac_digest ~keys entry))
 
 let run_config ~engine ?(backend = Backend_id.Sofia) ks_cache_slots =
   { Sofia_cpu.Run_config.default with Sofia_cpu.Run_config.ks_cache_slots; engine; backend }
@@ -262,69 +205,82 @@ let simulated_of_result ~cached (r : Machine.run_result) =
    come from the store's parse cache, shared by every request for the
    same source; the verifier takes only the program from it and still
    re-derives structure, MACs and ciphertext from keys, program and
-   image (DESIGN §9). *)
+   image (DESIGN §9). An image this request built cold, or whose
+   verdict it earned, is written to the disk tier once, after the op
+   has run, so the one write carries the verdict. *)
 let execute ?(shard = -1) ?(workers = 1) ~disk ~store ~ks_cache_slots ~engine
     (req : Job.request) =
   let keys = lazy (Sofia_crypto.Keys.generate ~seed:req.Job.key_seed) in
-  let protected source = protect_entry ~disk ~store ~req ~keys source in
-  match req.Job.spec with
-  | Job.Ping -> Job.Ponged { shard; workers }
-  | Job.Protect { source } ->
-    let entry, cached = protected source in
-    Job.Protected
-      {
-        text_bytes = entry.Store.text_bytes;
-        expansion = entry.Store.expansion;
-        blocks = entry.Store.blocks;
-        digest = entry.Store.digest;
-        cached;
-      }
-  | Job.Verify { source } ->
-    let entry, cached = protected source in
-    Job.Verified { issues = verify_issues ~disk ~store ~req ~keys source entry; cached }
-  | Job.Attest { source } ->
-    let entry, cached = protected source in
-    let issues = verify_issues ~disk ~store ~req ~keys source entry in
-    Job.Attested { digest = entry.Store.digest; mac = mac_digest ~keys entry; issues; cached }
-  | Job.Simulate { source; sofia } ->
-    if sofia then begin
+  let unsaved = ref None in
+  let protected source =
+    let entry, cached = protect_entry ~disk ~store ~req ~keys source in
+    if not (cached || entry.Store.from_disk) then unsaved := Some (source, entry);
+    (entry, cached)
+  in
+  let verified source entry =
+    let issues, earned = verify_issues ~store ~req ~keys source entry in
+    if earned then unsaved := Some (source, entry);
+    issues
+  in
+  let payload =
+    match req.Job.spec with
+    | Job.Ping -> Job.Ponged { shard; workers }
+    | Job.Protect { source } ->
       let entry, cached = protected source in
-      let r =
-        Sofia_cpu.Sofia_runner.run
-          ~config:(run_config ~engine ~backend:req.Job.backend ks_cache_slots)
-          ?prefill:entry.Store.table ~keys:(Lazy.force keys) entry.Store.image
-      in
-      simulated_of_result ~cached r
-    end
-    else begin
+      Job.Protected
+        {
+          text_bytes = entry.Store.text_bytes;
+          expansion = entry.Store.expansion;
+          blocks = entry.Store.blocks;
+          digest = entry.Store.digest;
+          cached;
+        }
+    | Job.Verify { source } ->
+      let entry, cached = protected source in
+      Job.Verified { issues = verified source entry; cached }
+    | Job.Attest { source } ->
+      let entry, cached = protected source in
+      let issues = verified source entry in
+      Job.Attested { digest = entry.Store.digest; mac = mac_digest ~keys entry; issues; cached }
+    | Job.Simulate { source; sofia = true } ->
+      let entry, cached = protected source in
+      simulated_of_result ~cached
+        (Sofia_cpu.Sofia_runner.run
+           ~config:(run_config ~engine ~backend:req.Job.backend ks_cache_slots)
+           ~keys:(Lazy.force keys) entry.Store.image)
+    | Job.Simulate { source; sofia = false } ->
       let program = Store.program (parse_or_fail store source) in
       simulated_of_result ~cached:false
         (Sofia_cpu.Vanilla.run ~config:(run_config ~engine None) program)
-    end
-  | Job.Run_image { path } ->
-    let loaded =
-      match
-        (try Sofia_transform.Binary_format.load ~path with
-         | Sys_error m -> raise (Permanent ("cannot read image: " ^ m)))
-      with
-      | Error e ->
-        raise
-          (Permanent
-             (Format.asprintf "bad image %s: %a" path Sofia_transform.Binary_format.pp_error e))
-      | Ok loaded -> loaded
-    in
-    let image = Sofia_transform.Binary_format.image_of_loaded loaded in
-    let r =
-      Sofia_cpu.Sofia_runner.run ~config:(run_config ~engine ks_cache_slots)
-        ~keys:(Lazy.force keys) image
-    in
-    Job.Ran
-      {
-        outcome = outcome_label r.Machine.outcome;
-        outputs = r.Machine.outputs;
-        cycles = r.Machine.stats.Machine.cycles;
-        instructions = r.Machine.stats.Machine.instructions;
-      }
+    | Job.Run_image { path } ->
+      let loaded =
+        match
+          (try Sofia_transform.Binary_format.load ~path with
+           | Sys_error m -> raise (Permanent ("cannot read image: " ^ m)))
+        with
+        | Error e ->
+          raise
+            (Permanent
+               (Format.asprintf "bad image %s: %a" path Sofia_transform.Binary_format.pp_error e))
+        | Ok loaded -> loaded
+      in
+      let image = Sofia_transform.Binary_format.image_of_loaded loaded in
+      let r =
+        Sofia_cpu.Sofia_runner.run ~config:(run_config ~engine ks_cache_slots)
+          ~keys:(Lazy.force keys) image
+      in
+      Job.Ran
+        {
+          outcome = outcome_label r.Machine.outcome;
+          outputs = r.Machine.outputs;
+          cycles = r.Machine.stats.Machine.cycles;
+          instructions = r.Machine.stats.Machine.instructions;
+        }
+  in
+  (match (disk, !unsaved) with
+   | Some d, Some (source, entry) -> persist d ~req ~keys source entry
+   | _ -> ());
+  payload
 
 let execute_oneshot req =
   let store = Store.create ~slots:0 in

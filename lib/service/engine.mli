@@ -83,9 +83,12 @@ type config = {
   store_dir : string option;
       (** persistent content-addressed artifact tier under the
           in-memory store ({!Sofia_store_fs.Store_fs}; DESIGN.md §12).
-          [None] (default) disables it. Every load is zero-trust:
-          envelope checks plus a re-derived ciphertext MAC verdict, so
-          a torn/tampered/stale file is a miss, never served code. *)
+          [None] (default) disables it. The tier holds one artifact
+          file per image, written at most once per request, after the
+          op has run, by a request that built the image cold or earned
+          its verdict. Every load is zero-trust: envelope checks plus a
+          re-derived ciphertext MAC verdict, so a torn/tampered/stale
+          file is a miss, never served code. *)
   store_budget : int;
       (** on-disk byte budget; over it the store GCs least-recently
           used entries first. 0 (default) = unlimited. *)
@@ -157,11 +160,11 @@ val persist_image :
   image:Sofia_transform.Image.t ->
   sfi:Bytes.t ->
   issues:int option ->
-  int64 * Sofia_cpu.Block_table.t
-(** Store a freshly protected image (artifact + verified-edge block
-    table) the way the engine's cold path does; returns the ciphertext
-    MAC tag and the table. Shared with the one-shot [protect] CLI so
-    both populate the store identically. *)
+  int64
+(** Seal a freshly protected image into the store as its one artifact
+    file, the bytes the engine writes for a cold-built image, and
+    return the ciphertext MAC tag it is sealed with. Shared with the
+    one-shot [protect] CLI so both populate the store identically. *)
 
 val queue_depth_max : t -> int
 

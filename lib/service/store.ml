@@ -12,7 +12,7 @@ type entry = {
   mutable issues : int option;
   mutable mac : string option;
   from_disk : bool;
-  mutable table : Sofia_cpu.Block_table.t option;
+  table : Sofia_cpu.Block_table.t option;
 }
 
 (* The full addressing tuple. The table is keyed on this record —

@@ -50,10 +50,12 @@ type entry = {
       (** rebuilt from the persistent tier: [image] is a
           ciphertext-only reconstruction (no plaintext block views), so
           derivations that need the source re-protect it first *)
-  mutable table : Sofia_cpu.Block_table.t option;
-      (** verified pre-decoded edge table, when the persistent tier
-          had (or the cold build produced) one — seeds the fast
-          engine's cache for simulate jobs *)
+  table : Sofia_cpu.Block_table.t option;
+      (** a verified pre-decoded edge table. The engine leaves it
+          [None]: it neither builds nor persists tables, because a run
+          seeded from one measured slower than a cold run. Only the
+          benchmark's traced layer pass ([benchmark/layers.ml]) still
+          sets it. *)
 }
 
 type key

@@ -1,6 +1,7 @@
 module J = Sofia_obs.Json
 module Obs = Sofia_obs.Obs
 module Event = Sofia_obs.Event
+module Lines = Sofia_util.Lines
 
 type stats = {
   received : int;
@@ -31,7 +32,7 @@ let salvage_id line =
 (* so raising from it unconditionally could leak out of a critical     *)
 (* section (e.g. mid-submit, leaving seq allocated but the job never   *)
 (* queued — drain would wedge). The handler therefore only raises      *)
-(* while the main loop is parked in a known blocking call (input_line, *)
+(* while the main loop is parked in a known blocking call (read,       *)
 (* accept), marked by [in_block]; anywhere else it just sets the flag, *)
 (* which the loop checks at its head. The second signal exits 130.     *)
 (* ------------------------------------------------------------------ *)
@@ -121,27 +122,37 @@ let serve_channels_intr ?(obs = Obs.none) ~(intr : intr) ~config ic oc =
   in
   Engine.start engine;
   let received = ref 0 and malformed = ref 0 in
-  let handle line =
-    if String.trim line <> "" then begin
+  let reject ~id msg =
+    incr malformed;
+    let m = Engine.metrics engine in
+    m.Svc_metrics.service_errors <- m.Svc_metrics.service_errors + 1;
+    if Obs.tracing obs then
+      Obs.emit obs (Event.Service_error { kind = "bad_request"; detail = msg });
+    write_line (Job.error_line ~id msg)
+  in
+  let handle = function
+    | Lines.Line line when String.trim line = "" -> ()
+    | Lines.Too_long ->
+      incr received;
+      reject ~id:None Lines.too_long_message
+    | Lines.Line line -> (
       incr received;
       match Job.request_of_line ~default_backend:config.Engine.backend line with
       | Ok req -> Engine.submit engine req
-      | Error msg ->
-        incr malformed;
-        let m = Engine.metrics engine in
-        m.Svc_metrics.service_errors <- m.Svc_metrics.service_errors + 1;
-        if Obs.tracing obs then
-          Obs.emit obs (Event.Service_error { kind = "bad_request"; detail = msg });
-        write_line (Job.error_line ~id:(salvage_id line) msg)
-    end
+      | Error msg -> reject ~id:(salvage_id line) msg)
   in
+  (* Lines are cut by the bounded splitter, so no client, however long
+     its line, makes the server hold more than [Lines.max_line] of it.
+     A signal raised while a chunk's lines are handled leaves the rest
+     of them unadmitted, as it leaves unread lines in the channel. *)
+  let lines = Lines.create () and chunk = Bytes.create 65536 in
   let rec read_loop () =
-    match blocking intr (fun () -> input_line ic) with
+    match blocking intr (fun () -> input ic chunk 0 (Bytes.length chunk)) with
     | None -> () (* draining on signal *)
-    | Some line ->
-      handle line;
+    | Some 0 -> Option.iter handle (Lines.take_rest lines) (* EOF *)
+    | Some n ->
+      List.iter (fun l -> if not !(intr.flag) then handle l) (Lines.feed lines chunk n);
       read_loop ()
-    | exception End_of_file -> ()
     | exception Sys_error _ -> () (* input side torn down: drain what we have *)
     | exception Interrupted -> () (* stray late raise outside [blocking] *)
   in

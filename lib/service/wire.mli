@@ -7,7 +7,12 @@
     server: it is answered immediately with
     [{"id":...,"status":"error","error":...}], counted in
     [service_errors], and reported as a [service_error] obs event —
-    the serving layer's no-backtrace guarantee.
+    the serving layer's no-backtrace guarantee. Input is cut into lines
+    by {!Sofia_util.Lines}, the splitter the fleet router reads with: a
+    line longer than {!Sofia_util.Lines.max_line} is never held whole,
+    gets one error answer ({!Sofia_util.Lines.too_long_message}), counts
+    as [malformed], and the next line is served, so no client can grow
+    the server's memory without bound.
 
     {b Graceful drain.} With [~signals:true] the server installs
     SIGINT/SIGTERM handlers implementing the drain protocol: the first

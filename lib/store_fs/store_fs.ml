@@ -47,9 +47,8 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-(* 64-bit FNV-1a over raw bytes — binds a table file to the exact
-   artifact bytes it was decoded from (artifact refreshed → stale
-   tables miss instead of resurrecting an older image's edges). *)
+(* 64-bit FNV-1a over raw bytes — binds a replay payload (or a table
+   file) to the exact bytes it was derived from. *)
 let fingerprint64 b = Hash.fnv1a64 (Bytes.unsafe_to_string b)
 
 let mkdir_p ?(perm = 0o755) dir =
@@ -337,7 +336,9 @@ let load_artifact t ~backend ~keys ~nonce ~source =
    payload = an opaque table blob (Sofia_cpu.Block_table bytes; this
    library stays below lib/cpu, so it never parses the blob itself);
    meta    = the 64-bit fingerprint of the artifact bytes the table was
-   derived from, so a refreshed artifact invalidates its table. *)
+   derived from, so a refreshed artifact invalidates its table. The
+   engine writes and reads no tables; the benchmark's traced layer pass
+   is the codec's last user. *)
 
 let table_meta_bytes = 8
 

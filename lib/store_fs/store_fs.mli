@@ -1,13 +1,21 @@
 (** Persistent content-addressed artifact tier (DESIGN.md §12).
 
     One directory of {!Envelope}-sealed files under the in-memory
-    serving store: protected [.sfi] artifacts with their memoised
-    verify/MAC facts, and (versioned separately) pre-decoded block
-    tables. Filenames route; envelopes decide — every load re-checks
-    the full identity and, for artifacts, re-derives the ciphertext
-    CBC-MAC before anything is handed back. Writes are crash-safe
-    (unique tmp → fsync → atomic rename); a torn, truncated, stale or
+    serving store. The engine keeps one file per image there: the
+    protected [.sfi] artifact with its memoised verify/MAC facts,
+    written at most once per request. The fleet router's replay
+    entries ({!store_replay}) live in the same container. Filenames
+    route; envelopes decide — every load re-checks the full identity
+    and, for artifacts, re-derives the ciphertext CBC-MAC before
+    anything is handed back. Writes are crash-safe (unique tmp → fsync
+    → atomic rename → directory fsync); a torn, truncated, stale or
     tampered file is a cache miss, never an error and never code.
+
+    The pre-decoded block-table codec ({!store_table}, {!load_table})
+    is no longer written or read by the engine; only the benchmark's
+    traced layer pass still uses it. Table files an older build left
+    are never read, and under a byte budget they age out like any other
+    entry.
 
     Thread-safe; counters and GC sweeps are mutex-protected, file I/O
     runs outside the lock (racing writers both install valid envelopes,
@@ -26,8 +34,8 @@ val mkdir_p : ?perm:int -> string -> unit
     an existing one is left as it is. *)
 
 val fingerprint64 : Bytes.t -> int64
-(** 64-bit FNV-1a of raw bytes — binds a table file to the exact
-    artifact bytes it was derived from. *)
+(** 64-bit FNV-1a of raw bytes — binds a replay payload, or a table
+    file, to the exact bytes it was derived from. *)
 
 (* ---- raw envelope access (the tests' level) ---- *)
 
@@ -97,7 +105,7 @@ val load_artifact :
     runner. An artifact whose deserialised backend tag disagrees with
     [backend] is likewise a corrupt miss. *)
 
-(* ---- the pre-decoded-table codec ---- *)
+(* ---- the pre-decoded-table codec (the benchmark's layer pass only) ---- *)
 
 val store_table :
   t ->

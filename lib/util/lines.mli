@@ -28,6 +28,10 @@ val max_line : int
     hop, and the engine clips a failure's text to 1 KiB, so no request
     makes a child's answer longer. *)
 
+val too_long_message : string
+(** The error a server answers a {!Too_long} request line with:
+    ["request line longer than 1048576 bytes"]. *)
+
 val create : unit -> t
 
 val feed : t -> Bytes.t -> int -> line list

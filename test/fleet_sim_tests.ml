@@ -17,10 +17,11 @@
    death or an orderly exit at drain. At quiescence every id has been
    answered exactly once and the counters conserve. The test prints how
    many schedules reached each supervision transition and fails if one
-   was never reached. Four pinned schedules replay faults: two audit
+   was never reached. Five pinned schedules replay faults: two audit
    faults, one the property found and one it rarely reaches, built by
-   hand, a shard that answers between its crashes, and a shard on
-   probation when a signal starts the drain.
+   hand, a shard that answers between its crashes, a shard on
+   probation when a signal starts the drain, and a poison job that
+   shares its window with an honest one.
 
    A failure prints the qcheck seed; QCHECK_SEED=<seed> replays it. *)
 
@@ -548,6 +549,22 @@ let signal_schedule () =
   let k, sch = stormy_schedule () in
   (k, { sch with events = sch.events @ [ Advance 30_000; Advance 300; Signal; Advance 6_000 ] })
 
+(* A poison job and an honest job homed on one shard and sent together
+   in one window: the child dies on the poison job,
+   which was sent first, [death_limit] times. Only the poison job is
+   charged for the deaths, so it fails at the last one, and the honest
+   job is re-shed and answered. The poison job can never be answered
+   [done], so one failure and one [done] name the honest job's fate. *)
+let poison_schedule () =
+  let shards = 2 in
+  let route j = Shard.route ~shards (request ~poison:true ~id:"" j) in
+  let home = route 0 in
+  let j = List.find (fun j -> j > 0 && route j = home) (List.init jobs Fun.id) in
+  let death = [ Flap home; Advance 100 ] in
+  { shards; clients = 1; window = 2; audit_every = 0; liar = None; poison = true;
+    disk = List.init jobs (fun _ -> 0);
+    events = [ Send (0, 0); Send (0, j) ] @ List.concat (List.init S.death_limit (fun _ -> death)) }
+
 let regression ?(expect = fun _ -> true) name sch =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:1 ~name ~print:show (QCheck2.Gen.return sch) (fun sch ->
@@ -570,4 +587,9 @@ let suite =
     regression "a signalled drain leaves a shard on probation alone" signal ~expect:(fun sim ->
         (S.stats (core sim)).S.shards.(pk).S.ss_quarantined
         && sim.procs.(pk).alive
-        && not (Hashtbl.mem sim.reached "probation death")) ]
+        && not (Hashtbl.mem sim.reached "probation death"));
+    regression "a dead child's death is charged to the job it ran" (poison_schedule ())
+      ~expect:(fun sim ->
+        let s = S.stats (core sim) in
+        Hashtbl.mem sim.reached "redispatch-limit failure"
+        && s.S.failed = 1 && s.S.done_ = 1 && s.S.quar_breaker = 1) ]

@@ -779,6 +779,100 @@ let test_stdout_closed_early () =
         done)
   end
 
+(* ---- a bounded reader: serve's memory does not grow with a line ---- *)
+
+(* VmHWM of a running process, in kB (0 once it is gone) *)
+let vm_hwm_kb pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid) In_channel.input_lines with
+  | lines ->
+    List.fold_left
+      (fun acc l ->
+        match String.split_on_char ':' l with
+        | [ "VmHWM"; v ] -> (
+          match String.split_on_char ' ' (String.trim v) with
+          | kb :: _ -> Option.value ~default:acc (int_of_string_opt kb)
+          | [] -> acc)
+        | _ -> acc)
+      0 lines
+  | exception Sys_error _ -> 0
+
+(* [serve --stdin] reading /dev/zero, a line that never ends, for about
+   2 s: the splitter drops the line past its 1 MiB cap, so the server's
+   peak resident set stays flat (about 11 MB; an unbounded reader
+   passed 900 MB in the same time). SIGTERM then drains it: exit 0. *)
+let test_dev_zero_bounded () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let bound_kb = 64 * 1024 in
+    let zero = Unix.openfile "/dev/zero" [ Unix.O_RDONLY ] 0 in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid = Unix.create_process cli [| cli; "serve"; "--stdin" |] zero null null in
+    List.iter Unix.close [ zero; null ];
+    let peak = ref 0 in
+    let t0 = Sofia.Util.Clock.mono_s () in
+    while Sofia.Util.Clock.mono_s () -. t0 < 2.0 do
+      peak := max !peak (vm_hwm_kb pid);
+      Unix.sleepf 0.05
+    done;
+    peak := max !peak (vm_hwm_kb pid);
+    Unix.kill pid Sys.sigterm;
+    let deadline = Sofia.Util.Clock.mono_s () +. 10.0 in
+    let rec reap () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Sofia.Util.Clock.mono_s () < deadline ->
+        Unix.sleepf 0.05;
+        reap ()
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "serve did not drain within 10 s of SIGTERM"
+      | _, status -> status
+    in
+    let status = reap () in
+    Alcotest.(check bool) "VmHWM was read" true (!peak > 0);
+    if !peak > bound_kb then
+      Alcotest.failf "serve reading /dev/zero peaked at %d kB (bound %d kB)" !peak bound_kb;
+    Alcotest.(check bool) "drained on SIGTERM: exit 0" true (status = Unix.WEXITED 0)
+  end
+
+(* One 64 MiB line and then a valid protect: exactly one error answer,
+   the splitter's, and then the protect's [done]; exit 1, for the
+   malformed line. *)
+let test_long_line_then_protect () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let in_path = Filename.temp_file "sofia_long_line" ".ndjson" in
+    let out_path = Filename.temp_file "sofia_long_line" ".out" in
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove [ in_path; out_path ])
+      (fun () ->
+        Out_channel.with_open_bin in_path (fun oc ->
+            let block = String.make 65536 'x' in
+            for _ = 1 to 1024 do
+              output_string oc block
+            done;
+            output_char oc '\n';
+            write_requests oc [ Job.make ~id:"after" (Job.Protect { source = sources.(0) }) ]);
+        let fd_in = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+        let fd_out = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid = Unix.create_process cli [| cli; "serve"; "--stdin" |] fd_in fd_out null in
+        List.iter Unix.close [ fd_in; fd_out; null ];
+        let _, status = Unix.waitpid [] pid in
+        let lines = In_channel.with_open_bin out_path In_channel.input_lines in
+        Alcotest.(check bool) "exit 1 (a malformed line)" true (status = Unix.WEXITED 1);
+        match List.map Json.parse_opt lines with
+        | [ Some e; Some d ] ->
+          Alcotest.(check bool) "first: the over-long line's error" true
+            (Json.member "status" e = Some (Json.Str "error")
+            && Json.member "error" e
+               = Some (Json.Str "request line longer than 1048576 bytes"));
+          Alcotest.(check bool) "then: the protect, done" true
+            (Json.member "id" d = Some (Json.Str "after")
+            && Json.member "status" d = Some (Json.Str "done"))
+        | _ -> Alcotest.failf "expected two JSON answers, got:\n%s" (String.concat "\n" lines))
+  end
+
 let suite =
   [
     Alcotest.test_case "pipe mode, 200 mixed requests" `Slow test_pipe_mode_200;
@@ -797,4 +891,7 @@ let suite =
       test_fleet_stopped_child;
     Alcotest.test_case "unusable --store-dir: one error line" `Slow test_unusable_store_dir;
     Alcotest.test_case "stdout closed early: no fatal flush" `Slow test_stdout_closed_early;
+    Alcotest.test_case "serve on /dev/zero: bounded memory" `Slow test_dev_zero_bounded;
+    Alcotest.test_case "a 64 MiB line, then a protect: error, then done" `Slow
+      test_long_line_then_protect;
   ]

@@ -1,13 +1,14 @@
-(* The persistent store's test wall (ISSUE 6): the on-disk codec must
-   be total — encode∘decode = id on everything we wrote, and *every*
-   mutilation of the bytes (truncation at any boundary, any single-bit
-   flip, version skew, zero-length, oversize, wrong identity) must
-   decode to a typed miss: never an exception, never runnable bytes.
-   Plus: the MAC-verdict-across-serialisation gate, crash debris
-   recovery, GC eviction order, and a warm engine restart that serves
-   byte-identical responses out of the disk tier — and, after any of
-   five tampers of that tier, counts a corrupt miss and serves the same
-   bytes again. *)
+(* The persistent store's test wall: the on-disk codec must be total —
+   encode∘decode = id on everything we wrote, and *every* mutilation of
+   the bytes (truncation at any boundary, any single-bit flip, version
+   skew, zero-length, oversize, wrong identity) must decode to a typed
+   miss: never an exception, never runnable bytes. Plus: the
+   MAC-verdict-across-serialisation gate, crash debris recovery, GC
+   eviction order, a warm engine restart that serves byte-identical
+   responses out of the disk tier — after any of four tampers of an
+   artifact, counts a corrupt miss and serves the same bytes again, and
+   never reads a block table planted beside it — and the disk work of
+   one request: one artifact write when fresh, one read on restart. *)
 
 module Keys = Sofia.Crypto.Keys
 module Cbc_mac = Sofia.Crypto.Cbc_mac
@@ -269,7 +270,7 @@ let test_mac_verdict_gate () =
 
 (* ---- block-table codec ---- *)
 
-let build_table image =
+let build_table ?(keys = keys) image =
   Block_table.of_image
     ~verify:(fun ~target ~prev_pc ->
       match Runner.fetch_block ~keys ~image ~target ~prev_pc with
@@ -464,17 +465,16 @@ let test_mixed_backend_store () =
 
 (* ---- warm engine restart, in process: two engines, one store dir ---- *)
 
+let mix_sources =
+  [
+    source;
+    ".equ OUT, 0xFFFF0000\nmain:\n  addi t0, zero, 2\n  la a6, OUT\n  st t0, 0(a6)\n  halt\n";
+  ]
+
 let job_mix () =
-  let srcs =
-    [|
-      source;
-      ".equ OUT, 0xFFFF0000\nmain:\n  addi t0, zero, 2\n  la a6, OUT\n  st t0, 0(a6)\n  \
-       halt\n";
-    |]
-  in
   List.concat_map
     (fun i ->
-      let s = srcs.(i mod 2) in
+      let s = List.nth mix_sources (i mod 2) in
       [
         Job.make ~id:(Printf.sprintf "p%d" i) (Job.Protect { source = s });
         Job.make ~id:(Printf.sprintf "v%d" i) (Job.Verify { source = s });
@@ -520,12 +520,12 @@ let test_engine_warm_restart () =
           r1 rs
       in
       same_payloads "warm" r2;
-      (* tampered restarts: each pass damages one file of the warm
-         store, and the next engine must count a corrupt miss, rebuild,
+      (* tampered restarts: each pass damages the artifact of one
+         image, and the next engine must count a corrupt miss, rebuild,
          and still serve the cold run's payloads — never the damaged
          bytes *)
-      let artifact = find_entry dir ".k1.sfc" and table = find_entry dir ".k2.sfc" in
-      let pristine_a = read_file artifact and pristine_t = read_file table in
+      let artifact = find_entry dir ".k1.sfc" in
+      let pristine_a = read_file artifact in
       let flip path at =
         let b = read_file path in
         let i = at (Bytes.length b) in
@@ -535,7 +535,6 @@ let test_engine_warm_restart () =
       List.iter
         (fun (what, tamper) ->
           write_file artifact pristine_a;
-          write_file table pristine_t;
           tamper ();
           let rs, e = Engine.run_batch cfg (job_mix ()) in
           check_bool (what ^ ": counted a corrupt miss") true
@@ -547,8 +546,83 @@ let test_engine_warm_restart () =
           ("tail flip", fun () -> flip artifact (fun n -> n - 1));
           ( "torn artifact",
             fun () -> write_file artifact (Bytes.sub pristine_a 0 (Bytes.length pristine_a / 2)) );
-          ("table flip", fun () -> flip table (fun n -> n / 2));
+        ];
+      write_file artifact pristine_a;
+      (* the engine writes no block table and reads none: one planted
+         beside each artifact, bound to its bytes, is never read, honest
+         (no extra hit) or bit-flipped (no corrupt miss) *)
+      let req = List.hd (job_mix ()) in
+      let keys = Keys.generate ~seed:req.Job.key_seed and nonce = req.Job.nonce in
+      let t = Fs.open_store ~dir () in
+      List.iter
+        (fun source ->
+          let image = protect ~keys ~nonce source in
+          Fs.store_table t ~backend:b_sofia ~keys ~nonce ~source
+            ~codec_version:Block_table.codec_version
+            ~artifact_fp:(Fs.fingerprint64 (Binary_format.serialize image))
+            (Block_table.to_bytes (build_table ~keys image)))
+        mix_sources;
+      let tables =
+        List.filter_map
+          (fun n ->
+            if Filename.check_suffix n ".k2.sfc" then Some (Filename.concat dir n) else None)
+          (Array.to_list (Sys.readdir dir))
+      in
+      check_int "a table planted per image" (List.length mix_sources) (List.length tables);
+      List.iter
+        (fun (what, tamper) ->
+          tamper ();
+          let rs, e = Engine.run_batch cfg (job_mix ()) in
+          let d = Option.get (Engine.disk_store e) in
+          check_int (what ^ ": never read, so no corrupt miss") 0 (Fs.corrupt d);
+          check_int (what ^ ": one hit per image") (Fs.hits d2) (Fs.hits d);
+          same_payloads what rs)
+        [
+          ("honest table", fun () -> ());
+          ("table flip", fun () -> List.iter (fun p -> flip p (fun n -> n / 2)) tables);
         ])
+
+(* ---- the disk work per request, on both backends ---- *)
+
+(* A fresh protect, verify, attest or simulate writes its image's
+   artifact once and nothing else — no block table — and a restarted
+   engine answers it with one disk hit, no miss and no write. *)
+let test_one_write_one_read () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun spec ->
+          let req = Job.make ~backend ~id:"one" spec in
+          let what = Sofia.Transform.Backend_id.name backend ^ " " ^ Job.op_name spec in
+          with_dir (fun dir ->
+              let cfg = { Engine.default_config with Engine.store_dir = Some dir } in
+              let r1, e1 = Engine.run_batch cfg [ req ] in
+              let d1 = Option.get (Engine.disk_store e1) in
+              check_int (what ^ ": fresh writes") 1 (Fs.writes d1);
+              check_int (what ^ ": fresh misses") 1 (Fs.misses d1);
+              let files = Array.to_list (Sys.readdir dir) in
+              check_int (what ^ ": files on disk") 1 (List.length files);
+              List.iter
+                (fun n ->
+                  check_bool (what ^ ": no table file " ^ n) false
+                    (Filename.check_suffix n ".k2.sfc" || Filename.check_suffix n ".k4.sfc"))
+                files;
+              let r2, e2 = Engine.run_batch cfg [ req ] in
+              let d2 = Option.get (Engine.disk_store e2) in
+              check_int (what ^ ": restart hits") 1 (Fs.hits d2);
+              check_int (what ^ ": restart misses") 0 (Fs.misses d2);
+              check_int (what ^ ": restart writes") 0 (Fs.writes d2);
+              check_int (what ^ ": restart corrupt") 0 (Fs.corrupt d2);
+              check_bool (what ^ ": same payload") true
+                (List.map (fun (r : Job.response) -> strip_cached r.Job.status) r1
+                = List.map (fun (r : Job.response) -> strip_cached r.Job.status) r2)))
+        [
+          Job.Protect { source };
+          Job.Verify { source };
+          Job.Attest { source };
+          Job.Simulate { source; sofia = true };
+        ])
+    [ b_sofia; b_scfp ]
 
 let suite =
   [
@@ -573,4 +647,6 @@ let suite =
       test_mixed_backend_store;
     Alcotest.test_case "warm engine restart serves identical responses" `Slow
       test_engine_warm_restart;
+    Alcotest.test_case "one artifact write per fresh image, one read per restart" `Quick
+      test_one_write_one_read;
   ]

@@ -240,12 +240,14 @@ let test_lru_rejects_zero_cap () =
 (* Any chunking of a byte stream yields the lines String.split_on_char
    gives, the unterminated tail included. The read buffer is reused and
    never cleared, so bytes past each chunk's length are stale and must
-   be ignored. *)
+   be ignored. The bytes next to '\n' in value (0x0b, 0x8a, 0x00) probe
+   the splitter's word-at-a-time scan. *)
 let prop_lines_any_chunking =
   QCheck.Test.make ~count:1000 ~name:"lines: any chunking = split_on_char"
     QCheck.(
       pair
-        (string_gen_of_size Gen.(0 -- 300) (Gen.oneofl [ 'a'; '"'; ' '; '{'; '\n' ]))
+        (string_gen_of_size Gen.(0 -- 300)
+           (Gen.oneofl [ 'a'; '"'; ' '; '{'; '\n'; '\x0b'; '\x8a'; '\x00' ]))
         (list_of_size Gen.(1 -- 12) (int_range 1 32)))
     (fun (s, sizes) ->
       let t = Lines.create () in

@@ -144,7 +144,8 @@ let rec rm_rf path =
   else Sys.remove path
 
 (* One program under one backend: an attest through an engine with a
-   fresh disk store, then the artifact's own envelope and the routes. *)
+   fresh disk store, then the artifact's own envelope, the routes, the
+   store's files and the bytes of its artifact file. *)
 let cold_image k (w : Workloads.Workload.t) backend =
   let source = w.Workloads.Workload.source in
   let key_seed = Int64.add 0xC01D_0000L (Int64.of_int k) and nonce = 1 + k in
@@ -159,7 +160,8 @@ let cold_image k (w : Workloads.Workload.t) backend =
             { Engine.default_config with Engine.workers = 1; store_dir = Some dir }
             [ req ]
         in
-        (rs, List.sort compare (Array.to_list (Sys.readdir dir))))
+        let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+        (rs, List.map (fun f -> (f, read f)) (List.sort compare (Array.to_list (Sys.readdir dir)))))
   in
   let name = Backend_id.name backend in
   match rs with
@@ -177,7 +179,13 @@ let cold_image k (w : Workloads.Workload.t) backend =
     Printf.printf "img %02d %s sfi=%s mac=%s issues=%d envelope=%s route2=%d route3=%d\n" k
       name digest mac issues (Store.fingerprint envelope) (Shard.route ~shards:2 req)
       (Shard.route ~shards:3 req);
-    List.iter (Printf.printf "file %02d %s %s\n" k name) files
+    List.iter (fun (f, _) -> Printf.printf "file %02d %s %s\n" k name f) files;
+    let artifact = Printf.sprintf ".k%d.sfc" (Envelope.kind_tag ~backend Envelope.Artifact) in
+    List.iter
+      (fun (f, bytes) ->
+        if Filename.check_suffix f artifact then
+          Printf.printf "artifact %02d %s %016Lx\n" k name (Sofia.Util.Hash.fnv1a64 bytes))
+      files
   | [ { Job.status = Job.Failed why; _ } ] -> Printf.printf "img %02d %s n/a %S\n" k name why
   | _ -> failwith "gen_kat: unexpected engine answer"
 
@@ -252,7 +260,8 @@ let gen_cold_path () =
      # prog <k> <name> <FNV-1a-64 of the Program.t dump>\n\
      # img <k> <backend> sfi=<image digest> mac=<attest MAC> issues=<n> \
      envelope=<digest of Envelope.encode> route2=<shard> route3=<shard>\n\
-     # file <k> <backend> <disk-store file after the attest>\n\
+     # file <k> <backend> <disk-store file after the attest>; \
+     artifact <k> <backend> <FNV-1a-64 of the artifact file's bytes>\n\
      # err <line> <message> <source>\n";
   let programs =
     Workloads.Registry.benchmark_suite ()
