@@ -58,6 +58,11 @@ let rows () =
           (* the kept straight-from-the-paper oracle, as the speedup denominator *)
           (let ref_key = Sofia.Crypto.Rectangle_ref.key_of_hex "2026bead5c0ffee00042" in
            Staged.stage (fun () -> ignore (Sofia.Crypto.Rectangle_ref.encrypt ref_key block)));
+        Test.make ~name:"ctr-keystream-8-words"
+          (* one SOFIA block's keystream: three passes of the round loop *)
+          (let prev_pcs = Array.init 8 (fun i -> 0x1000 + (4 * i)) in
+           Staged.stage (fun () ->
+               ignore (Sofia.Crypto.Ctr.keystream_words keys.Keys.k1 ~nonce:6 ~prev_pcs ~pc:0x1004)));
         Test.make ~name:"cbc-mac-6-words"
           (Staged.stage (fun () -> ignore (Sofia.Crypto.Cbc_mac.mac_words keys.Keys.k2 words)));
         Test.make ~name:"assemble-adpcm" (Staged.stage (fun () -> ignore (Workload.assemble w)));

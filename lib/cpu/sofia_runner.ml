@@ -230,8 +230,7 @@ let sofia_fetch_observed ?ks_cache ~obs ~(keys : Keys.t) ~(image : Image.t) ~tar
       let check_and_build ~kind ~m1 ~m2 ~insn_words ~first_off =
         if Obs.tracing obs then
           Obs.emit obs (Event.Edge_decrypt { target; prev_pc; words = !words_decrypted });
-        let mac_key = match kind with Block.Exec -> keys.Keys.k2 | Block.Mux -> keys.Keys.k3 in
-        let mac_ok = Cbc_mac.verify_words mac_key insn_words ~m1 ~m2 in
+        let mac_ok = Cbc_mac.verify_words (Block.mac_key keys kind) insn_words ~m1 ~m2 in
         (match obs.Obs.metrics with
          | Some m ->
            m.Metrics.mac_verifies <- m.Metrics.mac_verifies + 1;

@@ -17,6 +17,14 @@ val mac_words : Rectangle.key -> int array -> int64
     (first word = least-significant half); an odd trailing word is
     zero-padded. All SOFIA uses have a fixed word count per key. *)
 
+val mac_words_batch : Rectangle.key -> int array array -> int64 array
+(** [mac_words_batch k messages] is [Array.map (mac_words k)
+    messages], three chains per pass of the round loop
+    ({!Rectangle.encrypt_lanes}): SOFIA MACs every execution block
+    under k2 and every multiplexor block under k3, and those chains
+    are independent. Messages of different lengths may share a batch;
+    a pass costs the longest message of its three. *)
+
 val split_tag : int64 -> int * int
 (** [(m1, m2)]: the tag's least- and most-significant 32-bit halves —
     the M1 and M2 words stored in a block. *)

@@ -1,12 +1,17 @@
 open Sofia_util
 
+let valid_address a = a >= 0 && a land 3 = 0 && a < 1 lsl 30
+
 let widx name a =
-  if a < 0 || a mod 4 <> 0 || a / 4 >= 1 lsl 28 then
+  if not (valid_address a) then
     invalid_arg (Printf.sprintf "Ctr.counter: bad %s address 0x%x" name a);
   a / 4
 
+let check_nonce nonce =
+  if nonce < 0 || nonce > 0xFF then invalid_arg "Ctr.counter: nonce must be 8-bit"
+
 let counter ~nonce ~prev_pc ~pc =
-  if nonce < 0 || nonce > 0xFF then invalid_arg "Ctr.counter: nonce must be 8-bit";
+  check_nonce nonce;
   let p = widx "prev_pc" prev_pc and c = widx "pc" pc in
   Int64.logor
     (Int64.shift_left (Int64.of_int nonce) 56)
@@ -68,7 +73,7 @@ let keystream32 ?probe ?cache key ~nonce ~prev_pc ~pc =
   match cache with
   | None -> generate ?probe key (counter ~nonce ~prev_pc ~pc)
   | Some c ->
-    if nonce < 0 || nonce > 0xFF then invalid_arg "Ctr.counter: nonce must be 8-bit";
+    check_nonce nonce;
     let p = widx "prev_pc" prev_pc and w = widx "pc" pc in
     let tag1 = (nonce lsl 28) lor w and tag2 = p in
     let i = Cache.index c tag1 tag2 in
@@ -93,3 +98,41 @@ let keystream32 ?probe ?cache key ~nonce ~prev_pc ~pc =
 
 let crypt_word ?probe ?cache key ~nonce ~prev_pc ~pc w =
   Word.u32 (w lxor keystream32 ?probe ?cache key ~nonce ~prev_pc ~pc)
+
+(* Three counters per pass, one to a lane. The counter's rows, from
+   I = ω ‖ p ‖ c with 28-bit word indices p and c: row 0 is c's low
+   16 bits, row 1 c's top 12 under p's low 4, row 2 p's bits 4..19,
+   row 3 p's top 8 under ω. *)
+let keystream_words key ~nonce ~prev_pcs ~pc =
+  let n = Array.length prev_pcs in
+  (* every word's counter is checked before any is derived; no word,
+     no check *)
+  if n > 0 then begin
+    check_nonce nonce;
+    ignore (widx "pc" pc);
+    ignore (widx "pc" (pc + (4 * (n - 1))))
+  end;
+  Array.iter (fun p -> ignore (widx "prev_pc" p)) prev_pcs;
+  let c0 = pc / 4 in
+  let ks = Array.make n 0 and st = Array.make 4 0 in
+  let i = ref 0 in
+  while !i < n do
+    let lanes = if n - !i < Rectangle.lanes then n - !i else Rectangle.lanes in
+    for r = 0 to 3 do
+      st.(r) <- 0
+    done;
+    for j = 0 to lanes - 1 do
+      let p = prev_pcs.(!i + j) / 4 and c = c0 + !i + j and sh = 16 * j in
+      st.(0) <- st.(0) lor ((c land 0xFFFF) lsl sh);
+      st.(1) <- st.(1) lor (((c lsr 16) lor ((p land 0xF) lsl 12)) lsl sh);
+      st.(2) <- st.(2) lor (((p lsr 4) land 0xFFFF) lsl sh);
+      st.(3) <- st.(3) lor (((p lsr 20) lor (nonce lsl 8)) lsl sh)
+    done;
+    Rectangle.encrypt_lanes key st;
+    for j = 0 to lanes - 1 do
+      let sh = 16 * j in
+      ks.(!i + j) <- ((st.(0) lsr sh) land 0xFFFF) lor (((st.(1) lsr sh) land 0xFFFF) lsl 16)
+    done;
+    i := !i + lanes
+  done;
+  ks

@@ -17,6 +17,10 @@ val counter : nonce:int -> prev_pc:int -> pc:int -> int64
     addresses must be word-aligned and below 2^30.
     @raise Invalid_argument otherwise. *)
 
+val valid_address : int -> bool
+(** [valid_address a]: [a] is word-aligned and below 2^30, so a
+    counter can hold it — the address check of {!counter}. *)
+
 (** Bounded per-edge keystream cache.
 
     The keystream word of an edge is a pure function of
@@ -81,3 +85,17 @@ val crypt_word :
   int
 (** XOR a 32-bit word with the keystream; its own inverse, so it both
     encrypts and decrypts. *)
+
+val keystream_words :
+  Rectangle.key -> nonce:int -> prev_pcs:int array -> pc:int -> int array
+(** The keystream words of consecutive instruction words: word [i] is
+    [keystream32 k ~nonce ~prev_pc:prev_pcs.(i) ~pc:(pc + 4 * i)],
+    one per element of [prev_pcs]. Three words share each pass of the
+    round loop ({!Rectangle.encrypt_lanes}), so a SOFIA block's eight
+    words take three passes where eight {!keystream32} calls take
+    eight. Every word's counter is checked as {!counter} checks it
+    before any word is derived, so this refuses exactly the inputs
+    for which one of those {!keystream32} calls would raise (none
+    when [prev_pcs] is empty).
+    @raise Invalid_argument if {!counter} would refuse any word's
+    counter. *)

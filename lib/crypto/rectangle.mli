@@ -39,7 +39,25 @@ val random_key : Sofia_util.Prng.t -> key
 val key_fingerprint : key -> string
 (** Short stable identifier (for logs/tests); not the key material. *)
 
+val lanes : int
+(** 3: the blocks one pass of {!encrypt_lanes} encrypts. *)
+
+val encrypt_lanes : key -> int array -> unit
+(** [encrypt_lanes k st] encrypts up to {!lanes} blocks under [k] in
+    one pass of the round loop, in place. [st.(0)] to [st.(3)] hold
+    the four state rows of every block at once: bits [16j] to
+    [16j + 15] of [st.(i)] are row [i] of the block in lane [j], so a
+    block [b] goes in lane [j] as [((b lsr 16i) land 0xFFFF) lsl 16j]
+    and comes out the same way. The lanes are independent: an unused
+    lane is a zero block whose result the caller drops, and bits above
+    the top lane never reach one. The round keys are spread over the
+    lanes when the key is expanded, so a pass over three blocks costs
+    what a pass over one costs. Allocates nothing.
+    @raise Invalid_argument if [st] has fewer than four rows. *)
+
 val encrypt : key -> int64 -> int64
+(** One block: {!encrypt_lanes} with the block in lane 0. *)
+
 val decrypt : key -> int64 -> int64
 
 val subkeys : key -> int64 array

@@ -15,6 +15,24 @@ let store_banned_slot kind slot =
 
 let reset_prev_pc = 0x3FFF_FFFC
 
+let mac_key (keys : Sofia_crypto.Keys.t) = function
+  | Exec -> keys.Sofia_crypto.Keys.k2
+  | Mux -> keys.Sofia_crypto.Keys.k3
+
+let macs keys kinds words =
+  let tags = Array.make (Array.length kinds) 0L in
+  let all = List.init (Array.length kinds) Fun.id in
+  List.iter
+    (fun kind ->
+      let of_kind = Array.of_list (List.filter (fun i -> kinds.(i) = kind) all) in
+      let t =
+        Sofia_crypto.Cbc_mac.mac_words_batch (mac_key keys kind)
+          (Array.map (fun i -> words.(i)) of_kind)
+      in
+      Array.iteri (fun j i -> tags.(i) <- t.(j)) of_kind)
+    [ Exec; Mux ];
+  tags
+
 let pp_kind fmt = function
   | Exec -> Format.pp_print_string fmt "exec"
   | Mux -> Format.pp_print_string fmt "mux"

@@ -46,4 +46,14 @@ val reset_prev_pc : int
 (** The synthetic "previously executed PC" of the very first fetch
     after reset — a reserved address no instruction can occupy. *)
 
+val mac_key : Sofia_crypto.Keys.t -> kind -> Sofia_crypto.Rectangle.key
+(** The block's CBC-MAC key (§II-B.1): k2 for [Exec], k3 for [Mux] —
+    one key per message length. *)
+
+val macs : Sofia_crypto.Keys.t -> kind array -> int array array -> int64 array
+(** [macs keys kinds words]: the CBC-MAC tag of each block's
+    instruction words [words.(i)] under [mac_key keys kinds.(i)], the
+    blocks of each kind batched three chains per cipher pass
+    ({!Sofia_crypto.Cbc_mac.mac_words_batch}). *)
+
 val pp_kind : Format.formatter -> kind -> unit

@@ -3,11 +3,10 @@ module Ctr = Sofia_crypto.Ctr
 module Cbc_mac = Sofia_crypto.Cbc_mac
 module Encoding = Sofia_isa.Encoding
 
-let encrypt_block ~(keys : Keys.t) ~nonce (b : Layout.block) : Image.block =
+(* [insn_words] are the block's encoded instructions and [mac] their
+   CBC-MAC tag, both computed for the whole layout at once. *)
+let encrypt_block ~(keys : Keys.t) ~nonce (b : Layout.block) insn_words mac : Image.block =
   let base = b.Layout.base in
-  let insn_words = Array.map Encoding.encode b.Layout.insns in
-  let mac_key = match b.Layout.kind with Block.Exec -> keys.Keys.k2 | Block.Mux -> keys.Keys.k3 in
-  let mac = Cbc_mac.mac_words mac_key insn_words in
   let m1, m2 = Cbc_mac.split_tag mac in
   (* plaintext 8-word block with interleaved MAC words *)
   let plain_words =
@@ -27,11 +26,7 @@ let encrypt_block ~(keys : Keys.t) ~nonce (b : Layout.block) : Image.block =
       [| p1; p2; base + 4; base + 8; base + 12; base + 16; base + 20; base + 24 |]
     | Block.Exec, _ | Block.Mux, _ -> assert false
   in
-  let cipher_words =
-    Array.mapi
-      (fun i w -> Ctr.crypt_word keys.Keys.k1 ~nonce ~prev_pc:prev_pcs.(i) ~pc:(base + (4 * i)) w)
-      plain_words
-  in
+  let ks = Ctr.keystream_words keys.Keys.k1 ~nonce ~prev_pcs ~pc:base in
   {
     Image.base;
     kind = b.Layout.kind;
@@ -39,13 +34,18 @@ let encrypt_block ~(keys : Keys.t) ~nonce (b : Layout.block) : Image.block =
     insns = b.Layout.insns;
     mac;
     plain_words;
-    cipher_words;
+    cipher_words = Array.mapi (fun i w -> w lxor ks.(i)) plain_words;
     entry_prev_pcs = b.Layout.entry_prev_pcs;
     orig_indices = b.Layout.orig_indices;
   }
 
 let encrypt_layout ~keys ~nonce (l : Layout.t) : Image.t =
-  let blocks = Array.map (encrypt_block ~keys ~nonce) l.Layout.blocks in
+  let lblocks = l.Layout.blocks in
+  let insn_words = Array.map (fun b -> Array.map Encoding.encode b.Layout.insns) lblocks in
+  let macs = Block.macs keys (Array.map (fun b -> b.Layout.kind) lblocks) insn_words in
+  let blocks =
+    Array.mapi (fun i b -> encrypt_block ~keys ~nonce b insn_words.(i) macs.(i)) lblocks
+  in
   let cipher =
     Array.concat (Array.to_list (Array.map (fun b -> b.Image.cipher_words) blocks))
   in

@@ -49,9 +49,29 @@ module Obs = Sofia_obs.Obs
 module Event = Sofia_obs.Event
 module Metrics = Sofia_obs.Metrics
 
-(* Pure per-block check: no obs. Returns the block's issues (in
+(* The words the image ships at a block's address: the flat text
+   [Binary_format] writes and the core fetches, [None] past its end.
+   The block's own [cipher_words] copy must equal them. *)
+let shipped (image : Image.t) base =
+  Array.init Block.words_per_block (fun i -> Image.fetch image (base + (4 * i)))
+
+(* [Some c] when word [i] of the block is shipped as [c] and its copy
+   agrees; a copy longer than a block has no shipped word past its
+   eighth. *)
+let shipped_word ~shipped (b : Image.block) i =
+  if i < Block.words_per_block && i < Array.length b.Image.cipher_words
+     && shipped.(i) = Some b.Image.cipher_words.(i)
+  then shipped.(i)
+  else None
+
+(* Every word of a block and of its copy. *)
+let block_words (b : Image.block) = max Block.words_per_block (Array.length b.Image.cipher_words)
+
+(* Pure per-block check: no obs. [insn_words] are the block's encoded
+   instructions and [mac] their CBC-MAC under the block's kind key,
+   computed for every block at once. Returns the block's issues (in
    discovery order) and whether its stored MAC words matched. *)
-let check_block ~(keys : Keys.t) ~(image : Image.t) ~exits (b : Image.block) =
+let check_block ~(keys : Keys.t) ~(image : Image.t) ~exits (b : Image.block) insn_words mac =
   let issues = ref [] in
   let issue i = issues := i :: !issues in
   let base = b.Image.base in
@@ -76,52 +96,76 @@ let check_block ~(keys : Keys.t) ~(image : Image.t) ~exits (b : Image.block) =
       if prev <> Block.reset_prev_pc && not (Hashtbl.mem exits prev) then
         issue (Unknown_predecessor { base; prev_pc = prev }))
     b.Image.entry_prev_pcs;
-  (* MAC words in the plaintext block *)
-  let insn_words = Array.map Encoding.encode b.Image.insns in
-  let mac_key = match b.Image.kind with Block.Exec -> keys.Keys.k2 | Block.Mux -> keys.Keys.k3 in
-  let m1, m2 = Cbc_mac.split_tag (Cbc_mac.mac_words mac_key insn_words) in
+  (* MAC words in the plaintext block: a full block whose instruction
+     words are the block's instructions *)
+  let m1, m2 = Cbc_mac.split_tag mac in
+  let plain = b.Image.plain_words in
+  let nmac = Block.mac_words b.Image.kind in
   let macs_ok =
-    match b.Image.kind with
-    | Block.Exec ->
-      b.Image.plain_words.(0) = m1 && b.Image.plain_words.(1) = m2
-      && Array.for_all2 ( = ) insn_words (Array.sub b.Image.plain_words 2 6)
-    | Block.Mux ->
-      b.Image.plain_words.(0) = m1 && b.Image.plain_words.(1) = m1
-      && b.Image.plain_words.(2) = m2
-      && Array.for_all2 ( = ) insn_words (Array.sub b.Image.plain_words 3 5)
+    Array.length plain = Block.words_per_block
+    && Array.length insn_words = Block.words_per_block - nmac
+    && (match b.Image.kind with
+        | Block.Exec -> plain.(0) = m1 && plain.(1) = m2
+        | Block.Mux -> plain.(0) = m1 && plain.(1) = m1 && plain.(2) = m2)
+    && Array.for_all2 ( = ) insn_words (Array.sub plain nmac (Block.words_per_block - nmac))
   in
   if not macs_ok then issue (Mac_words_wrong { base });
-  (* ciphertext: re-derive each word's keystream from the declared
-     entry edges and the in-block chain *)
+  (* ciphertext: re-derive each shipped word's keystream from its
+     declared entry edge or the in-block chain; a word with no edge a
+     counter can hold is not shown to decrypt, and is reported *)
+  let nonce = image.Image.nonce in
+  let counters_ok =
+    nonce >= 0 && nonce <= 0xFF && Ctr.valid_address base
+    && Ctr.valid_address (base + (4 * (Block.words_per_block - 1)))
+  in
   let prev_of_word i =
     match (b.Image.kind, i) with
-    | Block.Exec, 0 -> [ List.nth b.Image.entry_prev_pcs 0 ]
-    | Block.Mux, 0 -> [ List.nth b.Image.entry_prev_pcs 0 ]
-    | Block.Mux, 1 -> [ List.nth b.Image.entry_prev_pcs 1 ]
-    | _, i -> [ base + (4 * (i - 1)) ]
+    | (Block.Exec | Block.Mux), 0 -> List.nth_opt b.Image.entry_prev_pcs 0
+    | Block.Mux, 1 -> List.nth_opt b.Image.entry_prev_pcs 1
+    | _, i -> Some (base + (4 * (i - 1)))
   in
-  Array.iteri
-    (fun i cipher ->
-      let pc = base + (4 * i) in
-      let ok =
-        List.exists
-          (fun prev ->
-            Ctr.crypt_word keys.Keys.k1 ~nonce:image.Image.nonce ~prev_pc:prev ~pc cipher
-            = b.Image.plain_words.(i))
-          (prev_of_word i)
-      in
-      if not ok then issue (Ciphertext_mismatch { address = pc }))
-    b.Image.cipher_words;
+  let prevs =
+    Array.init Block.words_per_block (fun i ->
+        match prev_of_word i with
+        | Some p when counters_ok && Ctr.valid_address p -> Some p
+        | Some _ | None -> None)
+  in
+  let ks =
+    if counters_ok then
+      Ctr.keystream_words keys.Keys.k1 ~nonce
+        ~prev_pcs:(Array.map (Option.value ~default:0) prevs)
+        ~pc:base
+    else [||]
+  in
+  let shipped = shipped image base in
+  for i = 0 to block_words b - 1 do
+    let decrypts =
+      match shipped_word ~shipped b i with
+      | Some c -> prevs.(i) <> None && i < Array.length plain && c lxor ks.(i) = plain.(i)
+      | None -> false
+    in
+    if not decrypts then issue (Ciphertext_mismatch { address = base + (4 * i) })
+  done;
   (List.rev !issues, macs_ok)
 
+(* The SCFP duplex walk of a block from its canonical entry state
+   over its shipped words: (words, plaintext, tag, exit state), [None]
+   when the text does not ship all eight. *)
+let scfp_walk ~s0 ~shipped base =
+  if Array.exists Option.is_none shipped then None
+  else
+    let words = Array.map Option.get shipped in
+    let plain6, tag, s_exit = Scfp.chain (Scfp.canonical ~s0 ~base) words 0 in
+    Some (words, plain6, tag, s_exit)
+
 (* SCFP counterpart of [check_block]: re-derive the duplex walk from
-   the block's canonical entry state over the *stored* ciphertext, and
+   the block's canonical entry state over the *shipped* ciphertext, and
    re-derive every patch slot from first principles — an image whose
    patch table was doctored fails here even though the text itself
-   still absorbs cleanly. [s_exits] holds every block's exit state
-   (derived from stored bytes in a prior pass) because the link patch
+   still absorbs cleanly. [walks] holds every block's walk (from a
+   prior pass, [None] where the text is short) because the link patch
    of block t is a function of its jalr-predecessor's exit state. *)
-let scfp_check_block ~(image : Image.t) ~exits ~s0 ~s_exits i (b : Image.block) =
+let scfp_check_block ~(image : Image.t) ~exits ~s0 ~walks i (b : Image.block) =
   let issues = ref [] in
   let issue x = issues := x :: !issues in
   let base = b.Image.base in
@@ -146,32 +190,54 @@ let scfp_check_block ~(image : Image.t) ~exits ~s0 ~s_exits i (b : Image.block) 
         issue (Unknown_predecessor { base; prev_pc = prev }))
     b.Image.entry_prev_pcs;
   (* tag + ciphertext: one duplex walk from the canonical entry state *)
-  let plain6, (t0, t1), _ = Scfp.chain (Scfp.canonical ~s0 ~base) b.Image.cipher_words 0 in
-  let macs_ok = b.Image.cipher_words.(0) = t0 && b.Image.cipher_words.(1) = t1 in
+  let shipped = shipped image base in
+  let walk = walks.(i) in
+  let macs_ok =
+    match walk with
+    | Some (words, _, (t0, t1), _) -> words.(0) = t0 && words.(1) = t1
+    | None -> false
+  in
   if not macs_ok then issue (Mac_words_wrong { base });
-  Array.iteri
-    (fun s insn ->
-      if plain6.(s) <> Encoding.encode insn then
-        issue (Ciphertext_mismatch { address = base + (4 * Scfp.tag_word_count) + (4 * s) }))
-    b.Image.insns;
-  (* patch table: every slot must re-derive *)
+  for w = 0 to block_words b - 1 do
+    let s = w - Scfp.tag_word_count in
+    let ok =
+      shipped_word ~shipped b w <> None
+      && (s < 0
+          || s < got
+             &&
+             match walk with
+             | Some (_, plain6, _, _) -> plain6.(s) = Encoding.encode b.Image.insns.(s)
+             | None -> false)
+    in
+    if not ok then issue (Ciphertext_mismatch { address = base + (4 * w) })
+  done;
+  (* patch table: every slot must re-derive; a slot the table does not
+     hold, or whose exit state has no walk to come from, does not *)
   let nblocks = Array.length image.Image.blocks in
   let tb = image.Image.text_base in
   let text_end = tb + (Block.size_bytes * nblocks) in
   let block_aligned a = a >= tb && a < text_end && (a - tb) mod Block.size_bytes = 0 in
   let canon_of tgt = Scfp.canonical ~s0 ~base:tgt in
   let expect slot v =
-    if Scfp.patch_get image.Image.patches i slot <> v then issue (Patch_mismatch { base; slot })
+    let held =
+      (i * Scfp.patch_words_per_block) + (2 * slot) + 1 < Array.length image.Image.patches
+    in
+    match v with
+    | Some v when held && Scfp.patch_get image.Image.patches i slot = v -> ()
+    | Some _ | None -> issue (Patch_mismatch { base; slot })
   in
-  let fill slot = expect slot (Scfp.filler ~s0 ~base ~slot) in
+  let fill slot = expect slot (Some (Scfp.filler ~s0 ~base ~slot)) in
+  let from_exit u f = Option.map (fun (_, _, _, s_exit) -> f s_exit) walks.(u) in
   if i + 1 < nblocks then
-    expect Scfp.slot_fall (Int64.logxor s_exits.(i) (canon_of (base + Block.size_bytes)))
+    expect Scfp.slot_fall
+      (from_exit i (fun s_exit -> Int64.logxor s_exit (canon_of (base + Block.size_bytes))))
   else fill Scfp.slot_fall;
   let exit_pc = base + Block.exit_offset in
-  (match b.Image.insns.(got - 1) with
-  | Insn.Branch (_, _, _, woff) | Insn.Jal (_, woff)
+  (match if got > 0 then Some b.Image.insns.(got - 1) else None with
+  | Some (Insn.Branch (_, _, _, woff) | Insn.Jal (_, woff))
     when block_aligned (exit_pc + (4 * woff)) ->
-    expect Scfp.slot_direct (Int64.logxor s_exits.(i) (canon_of (exit_pc + (4 * woff))))
+    expect Scfp.slot_direct
+      (from_exit i (fun s_exit -> Int64.logxor s_exit (canon_of (exit_pc + (4 * woff)))))
   | _ -> fill Scfp.slot_direct);
   let jalr_preds =
     List.sort_uniq compare
@@ -190,7 +256,8 @@ let scfp_check_block ~(image : Image.t) ~exits ~s0 ~s_exits i (b : Image.block) 
   (match jalr_preds with
   | [ u ] ->
     expect Scfp.slot_link
-      (Int64.logxor (Scfp.link_arrive ~s_exit:s_exits.(u) ~target:base) (canon_of base))
+      (from_exit u (fun s_exit ->
+           Int64.logxor (Scfp.link_arrive ~s_exit ~target:base) (canon_of base)))
   | [] | _ :: _ :: _ -> fill Scfp.slot_link);
   fill 3;
   (List.rev !issues, macs_ok)
@@ -204,19 +271,23 @@ let check ?(obs = Obs.none) ~(keys : Keys.t) (image : Image.t) =
   let results =
     match image.Image.backend with
     | Backend_id.Sofia ->
-      Array.map (check_block ~keys ~image ~exits) image.Image.blocks
+      let blocks = image.Image.blocks in
+      let insn_words =
+        Array.map (fun (b : Image.block) -> Array.map Encoding.encode b.Image.insns) blocks
+      in
+      let macs =
+        Block.macs keys (Array.map (fun (b : Image.block) -> b.Image.kind) blocks) insn_words
+      in
+      Array.mapi (fun i b -> check_block ~keys ~image ~exits b insn_words.(i) macs.(i)) blocks
     | Backend_id.Scfp ->
       let s0 = Scfp.init ~keys ~nonce:image.Image.nonce in
-      let s_exits =
+      let walks =
         Array.map
           (fun (b : Image.block) ->
-            let _, _, s_exit =
-              Scfp.chain (Scfp.canonical ~s0 ~base:b.Image.base) b.Image.cipher_words 0
-            in
-            s_exit)
+            scfp_walk ~s0 ~shipped:(shipped image b.Image.base) b.Image.base)
           image.Image.blocks
       in
-      Array.mapi (scfp_check_block ~image ~exits ~s0 ~s_exits) image.Image.blocks
+      Array.mapi (scfp_check_block ~image ~exits ~s0 ~walks) image.Image.blocks
   in
   (* obs accounting, in block order, off the per-block results *)
   Array.iteri

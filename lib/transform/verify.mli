@@ -8,10 +8,14 @@
     - structure: 32-byte alignment, slot counts, control flow only in
       the last slot, no store in a banned slot, entry-port counts;
     - cryptography: each block's stored MAC words equal the CBC-MAC of
-      its plaintext instructions under the right key, and every
-      ciphertext word decrypts to its plaintext word under the keystream
+      its plaintext instructions under the right key, and every word
+      of the text the image ships ([Image.cipher], which
+      [Binary_format] writes and the core fetches) equals the block's
+      own copy and decrypts to its plaintext word under the keystream
       of its declared control-flow edge (including the multiplexor
-      M2-uses-addr(M1e2) rule);
+      M2-uses-addr(M1e2) rule). A word the text does not ship, a block
+      of the wrong length, a missing entry port or a predecessor no
+      counter can hold is reported as an issue, never raised;
     - linkage: every declared predecessor is the reset vector or the
       exit word of some block in the image;
     - coverage (with the source program): every reachable original

@@ -381,6 +381,34 @@ let test_nonce_changes_ciphertext () =
   Alcotest.(check bool) "different nonce, different ciphertext" true
     (a.Image.cipher <> b.Image.cipher)
 
+(* The per-key work of a protect allocates only the image it builds:
+   keystream words come three per cipher pass and MAC chains three per
+   pass, and no pass allocates. Minor words are exact for one binary
+   and input (4,205 and 28,726 for the 256-sample ADPCM with OCaml
+   5.1, where one cipher call per keystream word reads 8,575 and
+   33,096, and an S-box returning a tuple 27,455 and 51,976). *)
+let test_protect_allocation () =
+  let program =
+    Sofia.Workloads.Workload.assemble (Sofia.Workloads.Adpcm.workload ~samples:256 ())
+  in
+  let layout = Layout.layout_exn ~backend:Sofia.Transform.Backend_id.Sofia program in
+  let minor_words f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let encrypt =
+    minor_words (fun () ->
+        Transform.encrypt ~backend:Sofia.Transform.Backend_id.Sofia ~keys ~nonce:6 layout)
+  in
+  let protect = minor_words (fun () -> Transform.protect_exn ~keys ~nonce:6 program) in
+  Printf.printf "encrypt %.0f minor words, protect %.0f\n" encrypt protect;
+  Alcotest.(check bool) (Printf.sprintf "encrypt: %.0f minor words <= 4,400" encrypt) true
+    (encrypt <= 4_400.0);
+  Alcotest.(check bool) (Printf.sprintf "protect: %.0f minor words <= 29,500" protect) true
+    (protect <= 29_500.0)
+
 let suite =
   [
     Alcotest.test_case "block geometry" `Quick test_geometry;
@@ -413,4 +441,6 @@ let suite =
     Alcotest.test_case "expansion and stats" `Quick test_expansion_and_stats;
     Alcotest.test_case "image accessors" `Quick test_image_accessors;
     Alcotest.test_case "nonce affects ciphertext" `Quick test_nonce_changes_ciphertext;
+    Alcotest.test_case "encrypt-adpcm and protect-adpcm minor words pinned" `Quick
+      test_protect_allocation;
   ]

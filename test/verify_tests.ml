@@ -105,6 +105,111 @@ let test_altered_instruction_detected () =
        (function Verify.Instruction_changed _ -> true | _ -> false)
        (Verify.check_against_source ~keys program forged))
 
+(* The verifier reads what the image ships and reports every fault
+   as an issue: each case below either got no issue or raised before
+   the verifier compared blocks with the flat text and checked counts
+   and predecessors before deriving a keystream. *)
+
+let issues_of name image =
+  match Verify.check ~keys image with
+  | issues -> issues
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+let mismatch_at issues address =
+  List.mem (Verify.Ciphertext_mismatch { address }) issues
+
+let with_block (image : Image.t) i f =
+  let blocks = Array.copy image.Image.blocks in
+  blocks.(i) <- f blocks.(i);
+  { image with Image.blocks }
+
+(* the flat text is what [Binary_format] writes and the core fetches;
+   the blocks keep their own, untouched copies *)
+let test_flat_text_is_checked () =
+  let _, image = sample () in
+  let cipher = Array.map (fun w -> w lxor 0xFFFF_FFFF) image.Image.cipher in
+  let flipped = { image with Image.cipher } in
+  let issues = issues_of "flipped text" flipped in
+  Array.iteri
+    (fun i _ ->
+      let address = image.Image.text_base + (4 * i) in
+      if not (mismatch_at issues address) then Alcotest.failf "word 0x%x not reported" address)
+    cipher;
+  let r = Sofia.Cpu.Sofia_runner.run ~keys flipped in
+  Alcotest.(check bool) "and the core resets on it" true
+    (match r.Machine.outcome with Machine.Cpu_reset _ -> true | _ -> false);
+  (* a text one block short: the last block's words are not shipped *)
+  let n = Array.length image.Image.cipher in
+  let short = { image with Image.cipher = Array.sub image.Image.cipher 0 (n - 8) } in
+  let issues = issues_of "short text" short in
+  let last = image.Image.blocks.(Array.length image.Image.blocks - 1) in
+  for w = 0 to 7 do
+    Alcotest.(check bool) (Printf.sprintf "unshipped word %d" w) true
+      (mismatch_at issues (last.Image.base + (4 * w)))
+  done
+
+let cut_first_block image =
+  with_block image 0 (fun b -> { b with Image.cipher_words = Array.sub b.Image.cipher_words 0 5 })
+
+let check_cut name (image : Image.t) =
+  no_issues (Verify.check ~keys image);
+  let issues = issues_of name (cut_first_block image) in
+  let base = image.Image.blocks.(0).Image.base in
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) (Printf.sprintf "%s: word %d reported" name w) true
+        (mismatch_at issues (base + (4 * w))))
+    [ 5; 6; 7 ];
+  Alcotest.(check int) (name ^ ": only those") 3 (List.length issues)
+
+let test_short_sofia_block () = check_cut "sofia" (snd (sample ()))
+
+let test_short_scfp_block () =
+  check_cut "scfp"
+    (Transform.protect_exn ~backend:Sofia.Transform.Backend_id.Scfp ~keys ~nonce:0x11
+       (Assembler.assemble sample_source))
+
+let test_too_few_ports () =
+  let _, image = sample () in
+  let base = image.Image.blocks.(0).Image.base in
+  (* an execution block with no port: word 0 has no declared edge *)
+  let issues = issues_of "no ports" (with_block image 0 (fun b -> { b with Image.entry_prev_pcs = [] })) in
+  Alcotest.(check bool) "entry count" true
+    (List.mem (Verify.Wrong_entry_count { base; got = 0 }) issues);
+  Alcotest.(check bool) "word 0 not shown to decrypt" true (mismatch_at issues base);
+  (* a multiplexor block with one port: its second entry word *)
+  match
+    List.find_opt
+      (fun (_, (b : Image.block)) -> b.Image.kind = Sofia.Transform.Block.Mux)
+      (List.mapi (fun i b -> (i, b)) (Array.to_list image.Image.blocks))
+  with
+  | None -> Alcotest.fail "sample has no multiplexor block"
+  | Some (i, m) ->
+    let issues =
+      issues_of "one mux port"
+        (with_block image i (fun b ->
+             { b with Image.entry_prev_pcs = [ List.hd b.Image.entry_prev_pcs ] }))
+    in
+    Alcotest.(check bool) "mux entry count" true
+      (List.mem (Verify.Wrong_entry_count { base = m.Image.base; got = 1 }) issues);
+    Alcotest.(check bool) "mux word 1" true (mismatch_at issues (m.Image.base + 4));
+    Alcotest.(check bool) "mux word 0 still decrypts" false (mismatch_at issues m.Image.base)
+
+let test_unholdable_predecessor () =
+  let _, image = sample () in
+  let base = image.Image.blocks.(0).Image.base in
+  List.iter
+    (fun prev_pc ->
+      let issues =
+        issues_of (Printf.sprintf "predecessor 0x%x" prev_pc)
+          (with_block image 0 (fun b -> { b with Image.entry_prev_pcs = [ prev_pc ] }))
+      in
+      Alcotest.(check bool) "unknown predecessor" true
+        (List.mem (Verify.Unknown_predecessor { base; prev_pc }) issues);
+      Alcotest.(check bool) "word 0 reported" true (mismatch_at issues base);
+      Alcotest.(check bool) "word 1 still decrypts" false (mismatch_at issues (base + 4)))
+    [ 0x2; 0x8000_0000 ]
+
 (* ---------------- binary format ---------------- *)
 
 let test_serialize_roundtrip () =
@@ -169,6 +274,12 @@ let suite =
     Alcotest.test_case "wrong keys fail verification" `Quick test_wrong_keys_fail_verification;
     Alcotest.test_case "tampered ciphertext detected" `Quick test_tampered_ciphertext_detected;
     Alcotest.test_case "altered instruction detected" `Quick test_altered_instruction_detected;
+    Alcotest.test_case "the shipped text is checked" `Quick test_flat_text_is_checked;
+    Alcotest.test_case "a SOFIA block cut short is reported" `Quick test_short_sofia_block;
+    Alcotest.test_case "an SCFP block cut short is reported" `Quick test_short_scfp_block;
+    Alcotest.test_case "too few entry ports are reported" `Quick test_too_few_ports;
+    Alcotest.test_case "an unholdable predecessor is reported" `Quick
+      test_unholdable_predecessor;
     Alcotest.test_case "serialize round trip" `Quick test_serialize_roundtrip;
     Alcotest.test_case "loaded image runs identically" `Quick test_loaded_image_runs;
     Alcotest.test_case "format rejects garbage" `Quick test_format_rejects_garbage;
